@@ -67,9 +67,6 @@ class VertexMap:
     def domain(self) -> tuple:
         return tuple(k for k, _ in self._key)
 
-    def codomain(self) -> tuple:
-        return tuple(sorted((v for _, v in self._key), key=repr))
-
     def apply_simplex(self, s: Iterable) -> tuple:
         return tuple(sorted(self._map[v] for v in s))
 
@@ -134,58 +131,78 @@ class AutomorphismSet:
 
 
 class _Side:
-    __slots__ = (
-        "complex", "ids", "idx", "adj", "edge_label",
-        "simplices", "chamber_colors", "base_keys",
-    )
+    """A complex indexed by the positions of its sorted vertex ids.
+
+    adj[i] holds one (edge label, neighbor) pair per incident edge; the
+    label is the edge's chamber color when edges are the chambers and
+    colors are respected, else "".
+    """
+
+    __slots__ = ("ids", "idx", "adj", "simplices", "chamber_colors", "base_keys")
 
     def __init__(self, c: Complex, respect_colors: bool) -> None:
-        self.complex = c
         self.ids = _sorted_ids(c.vertices)
-        self.idx = {v: i for i, v in enumerate(self.ids)}
+        self.idx = idx = {v: i for i, v in enumerate(self.ids)}
         n = len(self.ids)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in c.simplices(1):
-            iu, iv = self.idx[u], self.idx[v]
-            adj[iu].append(iv)
-            adj[iv].append(iu)
-        self.adj = [tuple(sorted(ns)) for ns in adj]
-
+        colors = c.chamber_colors if respect_colors and c.chamber_colors else {}
+        self.adj: list[list[tuple[str, int]]] = [[] for _ in range(n)]
         self.simplices: dict[int, frozenset] = {}
-        for d in c.dims():
-            if d >= 1:
-                self.simplices[d] = frozenset(
-                    tuple(sorted(self.idx[v] for v in t)) for t in c.simplices(d)
-                )
-
         self.chamber_colors: dict[tuple, str] = {}
-        self.edge_label: dict[tuple[int, int], str] = {}
+        counts = [[0] * (c.dimension + 1) for _ in range(n)]
         incident_chamber: list[list[str]] = [[] for _ in range(n)]
-        if respect_colors and c.chamber_colors:
-            for t, col in c.chamber_colors.items():
-                it = tuple(sorted(self.idx[v] for v in t))
-                self.chamber_colors[it] = repr(col)
+        # one sweep: index each simplex, count incidences, label edges
+        for d in c.dims():
+            colored = bool(colors) and d == c.dimension
+            if d == 0 and not colored:
+                continue
+            fam = []
+            for t in c.simplices(d):
+                it = tuple(sorted(idx[v] for v in t))
+                fam.append(it)
+                label = repr(colors[t]) if colored else ""
+                if colored:
+                    self.chamber_colors[it] = label
                 for i in it:
-                    incident_chamber[i].append(repr(col))
-                if len(it) == 2:
-                    self.edge_label[it] = repr(col)
+                    counts[i][d] += 1
+                    if colored:
+                        incident_chamber[i].append(label)
+                if d == 1:
+                    self.adj[it[0]].append((label, it[1]))
+                    self.adj[it[1]].append((label, it[0]))
+            if d:
+                self.simplices[d] = frozenset(fam)
 
-        self.base_keys: list[tuple] = []
-        for i, v in enumerate(self.ids):
-            vc = ""
-            if respect_colors and c.vertex_colors is not None:
-                vc = repr(c.vertex_colors.get(v))
-            counts = tuple(
-                sum(1 for t in self.simplices.get(d, ()) if i in t)
-                for d in sorted(self.simplices)
+        vertex_colors = c.vertex_colors if respect_colors else None
+        self.base_keys: list[tuple] = [
+            (
+                "" if vertex_colors is None else repr(vertex_colors.get(v)),
+                len(self.adj[i]),
+                tuple(counts[i][1:]),
+                tuple(sorted(incident_chamber[i])),
             )
-            self.base_keys.append(
-                (vc, len(self.adj[i]), counts, tuple(sorted(incident_chamber[i])))
-            )
+            for i, v in enumerate(self.ids)
+        ]
 
-    def elabel(self, u: int, v: int) -> str:
-        key = (u, v) if u < v else (v, u)
-        return self.edge_label.get(key, "")
+
+def _initial_colors(
+    sa: _Side, sb: _Side, require: dict[int, int]
+) -> tuple[list[int], list[int]]:
+    """Base keys ranked jointly over both sides, then one fresh color per
+    required pair (in index order)."""
+    rank = {k: i for i, k in enumerate(sorted(set(sa.base_keys) | set(sb.base_keys)))}
+    ca = [rank[k] for k in sa.base_keys]
+    cb = [rank[k] for k in sb.base_keys]
+    for fresh, (a_i, b_i) in enumerate(sorted(require.items()), len(rank)):
+        ca[a_i] = fresh
+        cb[b_i] = fresh
+    return ca, cb
+
+
+def _refine_keys(side: _Side, colors: list[int]) -> list[tuple]:
+    return [
+        (colors[v], tuple(sorted((label, colors[u]) for label, u in nbrs)))
+        for v, nbrs in enumerate(side.adj)
+    ]
 
 
 def _refine(sa: _Side, sb: _Side, ca: list[int], cb: list[int]):
@@ -194,14 +211,8 @@ def _refine(sa: _Side, sb: _Side, ca: list[int], cb: list[int]):
         return None
     ncolors = len(set(ca))
     while True:
-        keys_a = [
-            (ca[v], tuple(sorted((sa.elabel(v, u), ca[u]) for u in sa.adj[v])))
-            for v in range(len(ca))
-        ]
-        keys_b = [
-            (cb[v], tuple(sorted((sb.elabel(v, u), cb[u]) for u in sb.adj[v])))
-            for v in range(len(cb))
-        ]
+        keys_a = _refine_keys(sa, ca)
+        keys_b = _refine_keys(sb, cb)
         rank = {k: i for i, k in enumerate(sorted(set(keys_a) | set(keys_b)))}
         na = [rank[k] for k in keys_a]
         nb = [rank[k] for k in keys_b]
@@ -245,16 +256,6 @@ def _search(
     n = len(sa.ids)
     if len(sb.ids) != n:
         return
-    base = sorted(set(sa.base_keys) | set(sb.base_keys))
-    rank = {k: i for i, k in enumerate(base)}
-    ca = [rank[k] for k in sa.base_keys]
-    cb = [rank[k] for k in sb.base_keys]
-    fresh = len(rank)
-    for a_i, b_i in sorted(require.items()):
-        ca[a_i] = fresh
-        cb[b_i] = fresh
-        fresh += 1
-
     found = 0
 
     def rec(ca: list[int], cb: list[int]):
@@ -301,7 +302,7 @@ def _search(
             if mode == "first" and found:
                 return
 
-    yield from rec(ca, cb)
+    yield from rec(*_initial_colors(sa, sb, require))
 
 
 def _to_perm(sa: _Side, sb: _Side, mapping: Sequence[int]) -> VertexMap:
@@ -344,7 +345,8 @@ def is_isomorphic(
     `require` pins chosen vertices of a to chosen images in b.  The
     witness is a VertexPermutation when the two vertex sets coincide.
     """
-    sa, sb = _Side(a, respect_colors), _Side(b, respect_colors)
+    sa = _Side(a, respect_colors)
+    sb = sa if b is a else _Side(b, respect_colors)
     req = _require_indices(sa, sb, require, ())
     stats: dict = {}
     for mapping in _search(sa, sb, req, "first", DEFAULT_CAP, stats):
@@ -409,16 +411,7 @@ def automorphism_order(
     for v in range(n):
         if v in require:
             continue
-        base = sorted(set(side.base_keys))
-        rank = {k: i for i, k in enumerate(base)}
-        ca = [rank[k] for k in side.base_keys]
-        cb = list(ca)
-        fresh = len(rank)
-        for a_i, b_i in sorted(require.items()):
-            ca[a_i] = fresh
-            cb[b_i] = fresh
-            fresh += 1
-        res = _refine(side, side, ca, cb)
+        res = _refine(side, side, *_initial_colors(side, side, require))
         assert res is not None  # identity is always present
         colors = res[0]
         cell = [w for w in range(n) if colors[w] == colors[v] and w != v]

@@ -397,7 +397,6 @@ def _add_common(
     radius: int | None = None,
     fix_radius: int | None = None,
     colors: bool = False,
-    dot: bool = False,
 ) -> None:
     if radius is not None:
         p.add_argument(
@@ -446,19 +445,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, radius=2)
     p.set_defaults(handler=cmd_lsv, name="lsv-verify", has_dot=False)
     p = lsv_sub.add_parser("ball", help="export the Cayley ball")
-    _add_common(p, radius=2, dot=True)
+    _add_common(p, radius=2)
     p.set_defaults(handler=cmd_lsv, name="lsv-ball", has_dot=True)
 
     tree = sub.add_parser("tree", help="rank-one tree commands")
     tree_sub = tree.add_subparsers(dest="subcmd", required=True)
     p = tree_sub.add_parser("experiment", help="growth of color automorphisms")
-    _add_common(p, radius=3, fix_radius=1, dot=True)
+    _add_common(p, radius=3, fix_radius=1)
     p.set_defaults(handler=cmd_tree, name="tree-experiment", has_dot=True)
     p = tree_sub.add_parser("quotient", help="the Z/4Z quotient multigraph")
-    _add_common(p, dot=True)
+    _add_common(p)
     p.set_defaults(handler=cmd_tree, name="tree-quotient", has_dot=True)
     p = tree_sub.add_parser("flip", help="an explicit subtree-swap witness")
-    _add_common(p, radius=3, fix_radius=1, dot=True)
+    _add_common(p, radius=3, fix_radius=1)
     p.set_defaults(handler=cmd_tree, name="tree-flip", has_dot=True)
 
     p = sub.add_parser(

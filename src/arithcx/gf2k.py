@@ -24,9 +24,6 @@ __all__ = [
     "FieldElem",
     "GF2",
     "GF16",
-    "add",
-    "mul",
-    "inv",
     "format_poly",
     "parse_poly",
 ]
@@ -251,21 +248,6 @@ class FieldElem:
 def _check_specs(a: FieldElem, b: FieldElem) -> None:
     if a.spec != b.spec:
         raise ValueError(f"mismatched field specs: {a.spec!r} vs {b.spec!r}")
-
-
-def add(a: FieldElem, b: FieldElem) -> FieldElem:
-    """a + b; raises ValueError on mismatched field specs."""
-    return a + b
-
-
-def mul(a: FieldElem, b: FieldElem) -> FieldElem:
-    """a * b; raises ValueError on mismatched field specs."""
-    return a * b
-
-
-def inv(a: FieldElem) -> FieldElem:
-    """Multiplicative inverse; raises ValueError on zero."""
-    return a.inv()
 
 
 GF2 = FieldSpec(0b11)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError
@@ -352,7 +352,6 @@ class CayleyBall:
     dist: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]
     collision: CollisionReport | None
-    _adj: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -364,19 +363,6 @@ class CayleyBall:
     def graph(self) -> tuple[range, list[tuple[int, int]]]:
         """Vertex indices and unlabeled edge pairs, for complex building."""
         return range(len(self.vertices)), [(u, v) for u, v, _ in self.edges]
-
-    def adjacency(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """index -> tuple of (neighbor, label of generator from here)."""
-        if not self._adj:
-            tmp: dict[int, list[tuple[int, int]]] = {
-                i: [] for i in range(len(self.vertices))
-            }
-            for u, v, lab in self.edges:
-                tmp[u].append((v, lab))
-                tmp[v].append((u, self.generators.inverse_label(lab)))
-            for i, lst in tmp.items():
-                self._adj[i] = tuple(sorted(lst))
-        return self._adj
 
     def to_json_dict(self) -> dict:
         return {

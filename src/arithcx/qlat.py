@@ -39,9 +39,6 @@ __all__ = [
     "QuotientEdge",
     "QuotientGraph",
     "ColorAutCount",
-    "quat_mul",
-    "conj",
-    "norm",
     "norm5_generators",
     "canonical_rep",
     "free_group_check",
@@ -101,18 +98,6 @@ class Quaternion:
             body = unit if unit and mag == 1 else f"{mag}{unit}"
             parts.append(f"{sign}{body}")
         return "".join(parts) or "0"
-
-
-def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    return a * b
-
-
-def conj(a: Quaternion) -> Quaternion:
-    return a.conj()
-
-
-def norm(a: Quaternion) -> int:
-    return a.norm()
 
 
 def norm5_generators() -> tuple[Quaternion, ...]:
@@ -264,7 +249,8 @@ class ColoredTreeBall:
     Parallel tuples: words[i] is the reduced generator-index word of
     vertex i, classes[i] its lattice class, fibers[i] its Z/4Z label,
     dist[i] = len(words[i]).  Edges are (parent, child, generator index
-    applied at the parent, color).
+    applied at the parent, color); child_table[i] lists vertex i's
+    (generator, child, color) triples in generator order.
     """
 
     radius: int
@@ -273,6 +259,7 @@ class ColoredTreeBall:
     fibers: tuple[int, ...]
     dist: tuple[int, ...]
     edges: tuple[tuple[int, int, int, str], ...]
+    child_table: tuple[tuple[tuple[int, int, str], ...], ...]
 
     def sphere_sizes(self) -> tuple[int, ...]:
         sizes = [0] * (self.radius + 1)
@@ -282,17 +269,7 @@ class ColoredTreeBall:
 
     def children(self, v: int) -> tuple[tuple[int, int, str], ...]:
         """(generator, child index, color) triples, generator order."""
-        return self._child_table()[v]
-
-    def _child_table(self):
-        table = getattr(self, "_children", None)
-        if table is None:
-            table = [[] for _ in self.words]
-            for u, v, g, color in self.edges:
-                table[u].append((g, v, color))
-            table = tuple(tuple(sorted(c)) for c in table)
-            object.__setattr__(self, "_children", table)
-        return table
+        return self.child_table[v]
 
     def vertex_count(self) -> int:
         return len(self.words)
@@ -345,6 +322,7 @@ def lift_coloring(r: int, *, vertex_budget: int = 10**6) -> ColoredTreeBall:
     fibers: list[int] = [0]
     dist: list[int] = [0]
     edges: list[tuple[int, int, int, str]] = []
+    children: list[list[tuple[int, int, str]]] = [[]]
     seen: dict[LambdaClass, int] = {IDENTITY_CLASS: 0}
     frontier = [0]
     for depth in range(1, r + 1):
@@ -366,7 +344,10 @@ def lift_coloring(r: int, *, vertex_budget: int = 10**6) -> ColoredTreeBall:
                 classes.append(cls)
                 fibers.append(fiber)
                 dist.append(depth)
-                edges.append((u, v, g, _edge_color(fibers[u], fiber)))
+                color = _edge_color(fibers[u], fiber)
+                edges.append((u, v, g, color))
+                children[u].append((g, v, color))
+                children.append([])
                 seen[cls] = v
                 nxt.append(v)
         frontier = nxt
@@ -377,6 +358,7 @@ def lift_coloring(r: int, *, vertex_budget: int = 10**6) -> ColoredTreeBall:
         fibers=tuple(fibers),
         dist=tuple(dist),
         edges=tuple(edges),
+        child_table=tuple(map(tuple, children)),
     )
 
 

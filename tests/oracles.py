@@ -54,3 +54,17 @@ def random_two_complex(rng, n: int, p: float, pt: float) -> Complex:
         if {(t[0], t[1]), (t[0], t[2]), (t[1], t[2])} <= es and rng.random() < pt
     ]
     return Complex(range(n), edges + tris)
+
+
+def random_coloring(rng, c: Complex, k: int, color_vertices: bool = False) -> Complex:
+    """c with each chamber given one of k colors, and each vertex one of
+    k colors too when color_vertices is set."""
+    palette = "ABC"[:k]
+    return Complex(
+        c.vertices,
+        c.iter_simplices(1),
+        chamber_colors={t: rng.choice(palette) for t in c.chambers()},
+        vertex_colors={v: rng.choice(palette) for v in c.vertices}
+        if color_vertices
+        else None,
+    )

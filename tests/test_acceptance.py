@@ -7,6 +7,7 @@ bipartiteness) or from goldens frozen off those routes; nothing is read
 back from the code under test.
 """
 
+import hashlib
 import itertools
 import random
 import subprocess
@@ -311,28 +312,40 @@ def test_criterion_7_engine_matches_naive_oracle():
 
 _CLI = (sys.executable, "-m", "arithcx.cli")
 
-_CONFIGS = (
-    ("lsv", "verify", "--radius", "2"),
-    ("lsv", "ball", "--radius", "1"),
-    ("lsv", "ball", "--radius", "1", "--format", "dot"),
-    ("tree", "experiment", "--r", "2", "--s", "1"),
-    ("tree", "quotient"),
-    ("tree", "quotient", "--format", "dot"),
-    ("tree", "flip", "--r", "3", "--s", "1"),
-    ("rigidity", "--colors", "2", "--seed", "0", "--radius", "2"),
-    ("rigidity", "--colors", "1", "--radius", "2"),
-)
+# sha256 of each config's stdout, pinned from a known-good build, so a
+# change to any report byte fails here, not only a non-deterministic one
+_CONFIGS = {
+    ("lsv", "verify", "--radius", "2"):
+        "5e2da16d83d3947e67f8a021cf1c61182f4d6458a503b292c2976d92f846a501",
+    ("lsv", "ball", "--radius", "1"):
+        "d203160a98090d3883d08810a3e9f6a84f73036df22ae3767b5e3b2825802ac4",
+    ("lsv", "ball", "--radius", "1", "--format", "dot"):
+        "09413d508b0610e07648ea54909a0483ef9d0f72b4db83a4837367b063e7d721",
+    ("tree", "experiment", "--r", "2", "--s", "1"):
+        "763a148f4ba7901a63f1274bad428952a2b6a0194910c258ab12a79c1b975829",
+    ("tree", "quotient"):
+        "8ca89bda9a63609e6c76b21f7331711e8719b885c1084460c6e79c343d48d3f5",
+    ("tree", "quotient", "--format", "dot"):
+        "00d9f93dbd3d0dc4057fa525ab24e8e4613e798182c725e4ae21a3dfe0dacbef",
+    ("tree", "flip", "--r", "3", "--s", "1"):
+        "01b517fbbc453eee6f9be84e7ec3b0f011420387f980575eb8c6d18aabda0910",
+    ("rigidity", "--colors", "2", "--seed", "0", "--radius", "2"):
+        "529eba1d784a0f533853112577ba8889259d3e35a07f3a063e0aa0e94634866c",
+    ("rigidity", "--colors", "1", "--radius", "2"):
+        "7db3c01d8950cc03be82a863a839ce8a2ee19b8069832ae9883131abec24e95f",
+}
 
 
 def test_criterion_8_cli_reports_byte_identical():
     t0 = time.monotonic()
-    for argv in _CONFIGS:
+    for argv, digest in _CONFIGS.items():
         first = subprocess.run(_CLI + argv, capture_output=True)
         second = subprocess.run(_CLI + argv, capture_output=True)
         assert first.returncode == 0, argv
         assert second.returncode == 0, argv
         assert first.stdout == second.stdout, argv
         assert first.stdout
+        assert hashlib.sha256(first.stdout).hexdigest() == digest, argv
     elapsed = time.monotonic() - t0
     print(f"CRITERION 8 PASS ({elapsed:.2f}s): {len(_CONFIGS)} command "
-          "configs re-run byte-identically")
+          "configs re-run byte-identically and match their pinned digests")

@@ -17,7 +17,12 @@ from arithcx.autoeng import (
 from arithcx.errors import CapExceededError
 from arithcx.projmat import cayley_ball, lsv_generators, symmetrize
 from arithcx.scx import Complex, InteriorMark, clique_complex, fano_incidence_graph, link
-from oracles import naive_automorphisms, random_graph, random_two_complex
+from oracles import (
+    naive_automorphisms,
+    random_coloring,
+    random_graph,
+    random_two_complex,
+)
 
 K4_EDGES = [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]
 # opposite edges share a color: three perfect matchings of K4
@@ -117,6 +122,33 @@ def test_engine_matches_naive_with_vertex_colors():
         colored = engine_images(g, respect_colors=True)
         assert colored == naive_automorphisms(g, respect_colors=True)
         assert set(colored) <= set(engine_images(g, respect_colors=False))
+
+
+def assert_colored_engine_matches_naive(c):
+    expected = naive_automorphisms(c, respect_colors=True)
+    assert engine_images(c, respect_colors=True) == expected
+    assert automorphism_order(c, respect_colors=True).order == len(expected)
+
+
+def test_engine_matches_naive_on_edge_colored_graphs():
+    # edges are the chambers, so chamber colors become edge labels
+    rng = random.Random(430)
+    for i in range(60):
+        g = random_graph(rng, rng.randint(2, 7), rng.uniform(0.3, 0.9))
+        while g.dimension < 1:
+            g = random_graph(rng, rng.randint(2, 7), rng.uniform(0.3, 0.9))
+        c = random_coloring(rng, g, rng.choice((2, 3)), color_vertices=i % 4 == 0)
+        assert_colored_engine_matches_naive(c)
+
+
+def test_engine_matches_naive_on_chamber_colored_two_complexes():
+    rng = random.Random(431)
+    for i in range(30):
+        g = random_two_complex(rng, rng.randint(3, 7), 0.7, 0.7)
+        while g.dimension < 2:
+            g = random_two_complex(rng, rng.randint(3, 7), 0.7, 0.7)
+        c = random_coloring(rng, g, rng.choice((2, 3)), color_vertices=i % 4 == 0)
+        assert_colored_engine_matches_naive(c)
 
 
 def test_matching_colored_k4_is_klein_four():

@@ -14,12 +14,9 @@ from arithcx.qlat import (
     Quaternion,
     canonical_rep,
     color_automorphism_count,
-    conj,
     free_group_check,
     lift_coloring,
-    norm,
     norm5_generators,
-    quat_mul,
     quotient_graph,
     ray_flip,
 )
@@ -38,7 +35,7 @@ def random_norm5_word_product(rng, max_len=4):
             w.append(g)
     q = Quaternion(1, 0, 0, 0)
     for g in w:
-        q = quat_mul(q, gens[g])
+        q = q * gens[g]
     return q
 
 
@@ -66,7 +63,7 @@ def test_product_matches_complex_matrix_model():
     for _ in range(1000):
         a, b = random_quaternion(rng), random_quaternion(rng)
         m = matrix_mul(to_matrix(a), to_matrix(b))
-        assert quat_mul(a, b) == Quaternion(
+        assert a * b == Quaternion(
             round(m[0][0].real),
             round(m[0][0].imag),
             round(m[0][1].real),
@@ -76,21 +73,21 @@ def test_product_matches_complex_matrix_model():
 
 def test_unit_table():
     i, j, k = Quaternion(0, 1, 0, 0), Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1)
-    assert quat_mul(i, j) == k
-    assert quat_mul(j, k) == i
-    assert quat_mul(k, i) == j
-    assert quat_mul(j, i) == -k
+    assert i * j == k
+    assert j * k == i
+    assert k * i == j
+    assert j * i == -k
     for u in (i, j, k):
-        assert quat_mul(u, u) == Quaternion(-1, 0, 0, 0)
+        assert u * u == Quaternion(-1, 0, 0, 0)
 
 
 def test_norm_multiplicative_and_conj_identity():
     rng = random.Random(315)
     for _ in range(10**4):
         a, b = random_quaternion(rng, -5, 5), random_quaternion(rng, -5, 5)
-        assert norm(quat_mul(a, b)) == norm(a) * norm(b)
+        assert (a * b).norm() == a.norm() * b.norm()
     a = random_quaternion(rng)
-    assert quat_mul(a, conj(a)) == Quaternion(norm(a), 0, 0, 0)
+    assert a * a.conj() == Quaternion(a.norm(), 0, 0, 0)
 
 
 def test_quaternion_str():
@@ -114,15 +111,15 @@ def test_norm5_generators_golden():
         Quaternion(1, 0, -2, 0),
         Quaternion(1, 0, 0, -2),
     )
-    assert all(norm(g) == 5 for g in gens)
+    assert all(g.norm() == 5 for g in gens)
     assert len(GENERATOR_NAMES) == len(gens) == 6
 
 
 def test_generator_tables_consistent():
     gens = norm5_generators()
     for i in range(6):
-        assert gens[GENERATOR_INVERSE[i]] == conj(gens[i])
-        assert canonical_rep(quat_mul(gens[i], gens[GENERATOR_INVERSE[i]])).is_identity()
+        assert gens[GENERATOR_INVERSE[i]] == gens[i].conj()
+        assert canonical_rep(gens[i] * gens[GENERATOR_INVERSE[i]]).is_identity()
         assert FIBER_IMAGE[GENERATOR_INVERSE[i]] == (-FIBER_IMAGE[i]) % 4
 
 
