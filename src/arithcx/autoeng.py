@@ -1,24 +1,35 @@
 """Backtracking search for isomorphisms and automorphisms of complexes.
 
-The search individualizes one vertex at a time and re-refines a vertex
-coloring to a fixpoint, branching on the smallest non-singleton cell
-(smallest vertex id first).  A refinement key combines a vertex's
-current color with the multiset of (edge label, neighbor color) pairs
-over its incident edges; the edge label is the chamber color of the
-edge whenever edges are the chambers.  Initial colors fold in the
-vertex color, per-dimension incident simplex counts, and the multiset
-of incident chamber colors.  Every emitted bijection is verified
-against the full simplex family and all color data before it is
-returned: refinement only prunes, it never vouches.
+The search works on one ordered partition of the vertices of both
+complexes, kept equitable: within a cell, every vertex receives the same
+multiset of edge labels from every cell.  The edge label is the chamber
+color of the edge whenever edges are the chambers.  The root partition
+comes from the vertex color, per-dimension incident simplex counts and
+the multiset of incident chamber colors.  Refinement is driven by a
+worklist of splitter cells (Paige and Tarjan; McKay and Piperno): a
+splitter splits each cell by the multiset of labels it sends there, and
+a cell split outside the worklist queues all its parts but the largest
+(Hopcroft).  Every new cell must hold as many vertices of one complex as
+of the other.
+
+Each search node individualizes one pair of vertices in the smallest
+non-singleton cell and refines from its parent's partition with the new
+cell as the only splitter; leaving the node undoes its splits.  Every
+emitted bijection is verified against the full simplex family and all
+color data before it is returned: refinement only prunes, it never
+vouches.
 
 Counting without enumeration is done by an orbit-stabilizer chain of
 find-one searches, which stays exact for groups far beyond any
-enumeration cap.
+enumeration cap.  The witnesses found at a level merge orbits, so no
+search is made whose answer they already give, and the chain stops once
+the partition is discrete.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -184,45 +195,231 @@ class _Side:
         ]
 
 
-def _initial_colors(
-    sa: _Side, sb: _Side, require: dict[int, int]
-) -> tuple[list[int], list[int]]:
-    """Base keys ranked jointly over both sides, then one fresh color per
-    required pair (in index order)."""
-    rank = {k: i for i, k in enumerate(sorted(set(sa.base_keys) | set(sb.base_keys)))}
-    ca = [rank[k] for k in sa.base_keys]
-    cb = [rank[k] for k in sb.base_keys]
-    for fresh, (a_i, b_i) in enumerate(sorted(require.items()), len(rank)):
-        ca[a_i] = fresh
-        cb[b_i] = fresh
-    return ca, cb
+class _Partition:
+    """An ordered partition of both sides' vertices into shared cells.
 
+    Cell c occupies positions [c, end[c]) of both elems_a and elems_b, and
+    its start is its color: col_a[v] == c for every a-vertex v placed
+    there.  Colors are therefore fixed by cell sizes and the canonical
+    order of splits, never by vertex ids, and the two sides stay
+    comparable.  Every split is logged on `trail`, so a search can undo
+    back to any earlier trail length.  `heap` holds (size, start) for
+    every non-singleton cell, plus stale entries that target_cell()
+    drops lazily.
+    """
 
-def _refine_keys(side: _Side, colors: list[int]) -> list[tuple]:
-    return [
-        (colors[v], tuple(sorted((label, colors[u]) for label, u in nbrs)))
-        for v, nbrs in enumerate(side.adj)
-    ]
+    __slots__ = (
+        "adj_a", "adj_b", "elems_a", "elems_b", "pos_a", "pos_b",
+        "col_a", "col_b", "end", "trail", "heap",
+    )
 
+    def __init__(self, sa: _Side, sb: _Side, ka: list[int], kb: list[int]) -> None:
+        # ka and kb rank the base keys jointly and have equal histograms.
+        # Each label weighs a distinct power of a base above every degree,
+        # so the weight sum a vertex receives from a splitter encodes the
+        # multiset of labels.
+        labels = sorted({L for side in (sa, sb) for nbrs in side.adj for L, _ in nbrs})
+        base = 1 + max(map(len, sa.adj + sb.adj), default=0)
+        weight = {L: base**i for i, L in enumerate(labels)}
+        self.adj_a = [[(weight[L], x) for L, x in nbrs] for nbrs in sa.adj]
+        self.adj_b = self.adj_a if sb is sa else [
+            [(weight[L], x) for L, x in nbrs] for nbrs in sb.adj
+        ]
+        self.elems_a, self.pos_a, self.col_a = _arrange(ka)
+        self.elems_b, self.pos_b, self.col_b = _arrange(kb)
+        n = len(ka)
+        self.end = end = list(range(1, n + 1))
+        starts = sorted(set(self.col_a))
+        for s, e in zip(starts, starts[1:] + [n]):
+            end[s] = e
+        self.trail: list[tuple[int, int]] = []
+        self.heap = [(end[s] - s, s) for s in starts if end[s] - s > 1]
+        heapq.heapify(self.heap)
 
-def _refine(sa: _Side, sb: _Side, ca: list[int], cb: list[int]):
-    """Joint 1-WL refinement; None when the color histograms split."""
-    if Counter(ca) != Counter(cb):
+    def undo(self, mark: int) -> None:
+        """Merge back every split made since the trail had length `mark`,
+        newest first."""
+        trail, end = self.trail, self.end
+        while len(trail) > mark:
+            s, e = trail.pop()
+            m = end[s]
+            for elems, col in ((self.elems_a, self.col_a), (self.elems_b, self.col_b)):
+                for x in elems[m:e]:
+                    col[x] = s
+            end[s] = e
+            heapq.heappush(self.heap, (e - s, s))
+
+    def target_cell(self) -> int | None:
+        """The smallest non-singleton cell by (size, color), or None when
+        the partition is discrete."""
+        heap, end, col, elems = self.heap, self.end, self.col_a, self.elems_a
+        while heap:
+            size, s = heap[0]
+            if end[s] - s == size and col[elems[s]] == s:
+                return s
+            heapq.heappop(heap)
         return None
-    ncolors = len(set(ca))
-    while True:
-        keys_a = _refine_keys(sa, ca)
-        keys_b = _refine_keys(sb, cb)
-        rank = {k: i for i, k in enumerate(sorted(set(keys_a) | set(keys_b)))}
-        na = [rank[k] for k in keys_a]
-        nb = [rank[k] for k in keys_b]
-        if Counter(na) != Counter(nb):
+
+    def mapping(self) -> list[int]:
+        """The a->b bijection of a discrete partition."""
+        out = [0] * len(self.elems_a)
+        for a, b in zip(self.elems_a, self.elems_b):
+            out[a] = b
+        return out
+
+    def individualize(self, a: int, b: int) -> int | None:
+        """Split the pair (a, b) off into a new last cell of their shared
+        cell and return its color; None when a and b differ in color."""
+        c = self.col_a[a]
+        if self.col_b[b] != c:
             return None
-        new_colors = len(rank)
-        ca, cb = na, nb
-        if new_colors == ncolors:
-            return ca, cb
-        ncolors = new_colors
+        if self.end[c] - c == 1:
+            return c
+        return self._split(c, [(0, a)], [(0, b)])[-1]
+
+    def _split(self, c: int, ta: list, tb: list) -> list[int]:
+        """Split cell c by the (key, vertex) pairs of ta and tb, sorted and
+        with equal keys on both sides: the untouched vertices keep color
+        c, and the touched ones move to the end of the cell, one new cell
+        per key in key order.  Returns the starts of the parts."""
+        ce = self.end[c]
+        mid = ce - len(ta)
+        keys = [k for k, _ in ta]
+        parts = [c] if mid > c else []
+        parts += [mid + i for i, k in enumerate(keys) if not i or k != keys[i - 1]]
+        bounds = parts + [ce]
+        for elems, pos, col, touched in (
+            (self.elems_a, self.pos_a, self.col_a, ta),
+            (self.elems_b, self.pos_b, self.col_b, tb),
+        ):
+            if mid > c:
+                # swap the touched vertices into the tail [mid, ce)
+                tail = ce
+                for _, x in touched:
+                    tail -= 1
+                    y, px = elems[tail], pos[x]
+                    elems[px], pos[y] = y, px
+                    elems[tail], pos[x] = x, tail
+            for i, (_, x) in enumerate(touched, mid):
+                elems[i] = x
+                pos[x] = i
+            for g, h in zip(bounds[1:], bounds[2:]):
+                for x in elems[g:h]:
+                    col[x] = g
+        for g, h in zip(bounds, bounds[1:]):
+            self.end[g] = h
+            if h - g > 1:
+                heapq.heappush(self.heap, (h - g, g))
+        self.trail.append((c, ce))
+        return parts
+
+    def refine(self, splitters: Iterable[int]) -> bool:
+        """Refine to the coarsest equitable partition, given that the
+        partition is already equitable with respect to every cell other
+        than the splitters.  False as soon as some cell would hold
+        unequal numbers of a- and b-vertices.
+
+        Each splitter cell splits every cell by the multiset of edge
+        labels its vertices receive from the splitter.  When a cell
+        splits outside the worklist, its largest part is not queued:
+        counts into it are the counts into the old cell minus those into
+        the other parts (Hopcroft's shortcut).
+        """
+        end = self.end
+        queue = deque(splitters)
+        queued = set(queue)
+        while queue:
+            s = queue.popleft()
+            queued.discard(s)
+            hits_a = _hits(self.adj_a, self.elems_a[s : end[s]], self.col_a)
+            hits_b = _hits(self.adj_b, self.elems_b[s : end[s]], self.col_b)
+            if hits_a.keys() != hits_b.keys():
+                return False
+            split = []
+            for c, ta in hits_a.items():
+                if end[c] - c > 1:
+                    split.append(c)
+                elif ta[0][0] != hits_b[c][0][0]:
+                    return False
+            # split in color order, so the queue order is canonical
+            for c in sorted(split):
+                ta, tb = hits_a[c], hits_b[c]
+                ta.sort()
+                tb.sort()
+                keys = [k for k, _ in ta]
+                if keys != [k for k, _ in tb]:
+                    return False
+                if len(ta) == end[c] - c and keys[0] == keys[-1]:
+                    continue
+                parts = self._split(c, ta, tb)
+                if c in queued:
+                    fresh = parts[1:]
+                else:
+                    sizes = [end[g] - g for g in parts]
+                    skip = sizes.index(max(sizes))
+                    fresh = parts[:skip] + parts[skip + 1 :]
+                queue.extend(fresh)
+                queued.update(fresh)
+        return True
+
+
+def _arrange(keys: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """Vertices sorted by key, their positions, and each one's color: the
+    first position holding its key."""
+    elems = sorted(range(len(keys)), key=keys.__getitem__)
+    pos = [0] * len(keys)
+    col = [0] * len(keys)
+    start = 0
+    for i, v in enumerate(elems):
+        if keys[v] != keys[elems[start]]:
+            start = i
+        pos[v] = i
+        col[v] = start
+    return elems, pos, col
+
+
+def _hits(
+    adj: list[list[tuple[int, int]]], splitter: list[int], col: list[int]
+) -> dict[int, list[tuple[int, int]]]:
+    """The vertices with a neighbor in the splitter, as (weight received,
+    vertex) pairs grouped by color."""
+    got: dict[int, int] = {}
+    for u in splitter:
+        for w, x in adj[u]:
+            got[x] = got.get(x, 0) + w
+    out: dict[int, list[tuple[int, int]]] = {}
+    for x, k in got.items():
+        c = col[x]
+        if c in out:
+            out[c].append((k, x))
+        else:
+            out[c] = [(k, x)]
+    return out
+
+
+def _root(sa: _Side, sb: _Side, require: dict[int, int]) -> _Partition | None:
+    """The equitable partition refining the base keys, ranked jointly over
+    both sides, with each required pair individualized; None when the
+    sides cannot match."""
+    if len(sa.ids) != len(sb.ids):
+        return None
+    rank = {k: i for i, k in enumerate(sorted(set(sa.base_keys) | set(sb.base_keys)))}
+    ka = [rank[k] for k in sa.base_keys]
+    kb = [rank[k] for k in sb.base_keys]
+    if Counter(ka) != Counter(kb):
+        return None
+    p = _Partition(sa, sb, ka, kb)
+    for a_i, b_i in sorted(require.items()):
+        if p.individualize(a_i, b_i) is None:
+            return None
+    # base keys fix each vertex's number of edges of every label, so the
+    # partition is equitable with respect to the whole vertex set, and
+    # one largest cell need not be a splitter
+    cells = sorted(set(p.col_a))
+    if cells:
+        sizes = [p.end[c] - c for c in cells]
+        del cells[sizes.index(max(sizes))]
+    return p if p.refine(cells) else None
 
 
 def _leaf_ok(sa: _Side, sb: _Side, mapping: list[int]) -> bool:
@@ -247,40 +444,22 @@ def _leaf_ok(sa: _Side, sb: _Side, mapping: list[int]) -> bool:
 def _search(
     sa: _Side,
     sb: _Side,
-    require: dict[int, int],
+    p: _Partition,
     mode: str,
     cap: int,
     stats: dict,
 ):
-    """Yield index mappings a->b. mode 'all' or 'first'."""
-    n = len(sa.ids)
-    if len(sb.ids) != n:
-        return
+    """Yield index mappings a->b below the equitable partition p, which
+    is left as it was found unless the caller stops early.  mode 'all'
+    or 'first'."""
     found = 0
 
-    def rec(ca: list[int], cb: list[int]):
+    def rec():
         nonlocal found
-        res = _refine(sa, sb, ca, cb)
-        if res is None:
-            return
-        ca, cb = res
         stats["nodes"] = stats.get("nodes", 0) + 1
-        cells_a: dict[int, list[int]] = {}
-        cells_b: dict[int, list[int]] = {}
-        for v, c in enumerate(ca):
-            cells_a.setdefault(c, []).append(v)
-        for v, c in enumerate(cb):
-            cells_b.setdefault(c, []).append(v)
-        target = None
-        for color, cell in cells_a.items():
-            if len(cell) > 1:
-                k = (len(cell), color)
-                if target is None or k < target:
-                    target = k
-        if target is None:
-            mapping = [0] * n
-            for color, cell in cells_a.items():
-                mapping[cell[0]] = cells_b[color][0]
+        c = p.target_cell()
+        if c is None:
+            mapping = p.mapping()
             if _leaf_ok(sa, sb, mapping):
                 found += 1
                 if mode == "all" and found > cap:
@@ -290,19 +469,17 @@ def _search(
                     )
                 yield mapping
             return
-        color = target[1]
-        a = cells_a[color][0]
-        fresh2 = len(set(ca) | set(cb))
-        for b in cells_b[color]:
-            ca2 = list(ca)
-            cb2 = list(cb)
-            ca2[a] = fresh2
-            cb2[b] = fresh2
-            yield from rec(ca2, cb2)
+        e = p.end[c]
+        a = min(p.elems_a[c:e])
+        for b in sorted(p.elems_b[c:e]):
+            mark = len(p.trail)
+            if p.refine([p.individualize(a, b)]):
+                yield from rec()
+            p.undo(mark)
             if mode == "first" and found:
                 return
 
-    yield from rec(*_initial_colors(sa, sb, require))
+    yield from rec()
 
 
 def _to_perm(sa: _Side, sb: _Side, mapping: Sequence[int]) -> VertexMap:
@@ -329,6 +506,14 @@ def _require_indices(
     return out
 
 
+def _find(links: dict[int, int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while links[x] != x:
+        links[x] = links[links[x]]
+        x = links[x]
+    return x
+
+
 # ----------------------------------------------------------------------
 # public API
 
@@ -347,9 +532,10 @@ def is_isomorphic(
     """
     sa = _Side(a, respect_colors)
     sb = sa if b is a else _Side(b, respect_colors)
-    req = _require_indices(sa, sb, require, ())
-    stats: dict = {}
-    for mapping in _search(sa, sb, req, "first", DEFAULT_CAP, stats):
+    p = _root(sa, sb, _require_indices(sa, sb, require, ()))
+    if p is None:
+        return None
+    for mapping in _search(sa, sb, p, "first", DEFAULT_CAP, {}):
         return _to_perm(sa, sb, mapping)
     return None
 
@@ -376,10 +562,11 @@ def automorphisms_fixing(
 ) -> AutomorphismSet:
     """All (color-preserving) automorphisms fixing `fixed` pointwise."""
     side = _Side(c, respect_colors)
-    req = _require_indices(side, side, None, fixed)
+    p = _root(side, side, _require_indices(side, side, None, fixed))
+    assert p is not None  # identity is always present
     stats: dict = {"mode": "enumerate"}
     perms = [
-        _to_perm(side, side, m) for m in _search(side, side, req, "all", cap, stats)
+        _to_perm(side, side, m) for m in _search(side, side, p, "all", cap, stats)
     ]
     perms.sort(key=lambda p: p._key)
     return AutomorphismSet(
@@ -399,38 +586,58 @@ def automorphism_order(
 ) -> AutomorphismSet:
     """Exact group order via an orbit-stabilizer chain, no enumeration.
 
-    Each orbit membership question is settled by a find-one search, so
-    the result is exact for groups far beyond any enumeration cap.
+    Level by level, the chain fixes one more vertex v and multiplies the
+    order by the size of v's orbit under the stabilizer of the vertices
+    fixed so far.  Each orbit membership question is settled by a
+    find-one search, so the result is exact for groups far beyond any
+    enumeration cap.  The witnesses found at a level merge orbits in a
+    union-find, and no search is made for a w already known to share an
+    orbit with v or with a w whose search failed.  The chain stops once
+    the refined partition is discrete: only the identity remains.
     """
     side = _Side(c, respect_colors)
-    require = _require_indices(side, side, None, fixed)
+    p = _root(side, side, _require_indices(side, side, None, fixed))
+    assert p is not None  # identity is always present
+    n = len(side.ids)
     order = 1
     gens: list[VertexPermutation] = []
     stats: dict = {"mode": "chain", "searches": 0}
-    n = len(side.ids)
     for v in range(n):
-        if v in require:
+        if p.target_cell() is None:
+            break
+        s = p.col_a[v]
+        cell = sorted(p.elems_b[s : p.end[s]])
+        if len(cell) == 1:
             continue
-        res = _refine(side, side, *_initial_colors(side, side, require))
-        assert res is not None  # identity is always present
-        colors = res[0]
-        cell = [w for w in range(n) if colors[w] == colors[v] and w != v]
-        orbit = 1
+        orbit = {w: w for w in cell}  # union-find links within the cell
+        failed: set[int] = set()  # roots of orbits that v cannot reach
         for w in cell:
-            if w in require:
+            r = _find(orbit, w)
+            if r == _find(orbit, v) or r in failed:
                 continue
             stats["searches"] += 1
-            req2 = dict(require)
-            req2[v] = w
+            mark = len(p.trail)
             witness = None
-            for mapping in _search(side, side, req2, "first", DEFAULT_CAP, stats):
-                witness = _to_perm(side, side, mapping)
-                break
-            if witness is not None:
-                orbit += 1
-                gens.append(witness)
-        order *= orbit
-        require[v] = v
+            if p.refine([p.individualize(v, w)]):
+                mappings = _search(side, side, p, "first", DEFAULT_CAP, stats)
+                witness = next(mappings, None)
+            p.undo(mark)
+            if witness is None:
+                failed.add(r)
+                continue
+            gens.append(_to_perm(side, side, witness))
+            # the witness fixes all earlier levels, so it maps the cell
+            # onto itself
+            for x in cell:
+                rx, ry = _find(orbit, x), _find(orbit, witness[x])
+                if rx != ry:
+                    orbit[rx] = ry
+                    if rx in failed:
+                        failed.add(ry)
+        root = _find(orbit, v)
+        order *= sum(1 for w in cell if _find(orbit, w) == root)
+        ok = p.refine([p.individualize(v, v)])
+        assert ok  # identity is always present
     return AutomorphismSet(
         order=order,
         complete=False,

@@ -1,6 +1,7 @@
 """Slow, independent reference implementations used to pin expected values."""
 
 import itertools
+from collections import Counter
 
 from arithcx.scx import Complex
 
@@ -68,3 +69,49 @@ def random_coloring(rng, c: Complex, k: int, color_vertices: bool = False) -> Co
         if color_vertices
         else None,
     )
+
+
+def relabel(c: Complex, perm: dict) -> Complex:
+    """c with every vertex v renamed perm[v], colors carried along."""
+
+    def image(t):
+        return tuple(sorted(perm[v] for v in t))
+
+    return Complex(
+        [perm[v] for v in c.vertices],
+        [image(t) for t in c.iter_simplices(1)],
+        chamber_colors=None
+        if c.chamber_colors is None
+        else {image(t): col for t, col in c.chamber_colors.items()},
+        vertex_colors=None
+        if c.vertex_colors is None
+        else {perm[v]: col for v, col in c.vertex_colors.items()},
+    )
+
+
+def naive_refine(sa, sb, ca: list[int], cb: list[int]):
+    """Joint 1-WL refinement of two engine sides from scratch: every round
+    re-keys every vertex by its color and the sorted (edge label, neighbor
+    color) pairs of its edges in `adj`, until the number of colors stops
+    growing.  Returns the stable (ca, cb), or None as soon as the color
+    histograms of the two sides differ."""
+    if Counter(ca) != Counter(cb):
+        return None
+    ncolors = len(set(ca))
+    while True:
+        keys_a = [
+            (ca[v], tuple(sorted((label, ca[u]) for label, u in nbrs)))
+            for v, nbrs in enumerate(sa.adj)
+        ]
+        keys_b = [
+            (cb[v], tuple(sorted((label, cb[u]) for label, u in nbrs)))
+            for v, nbrs in enumerate(sb.adj)
+        ]
+        rank = {k: i for i, k in enumerate(sorted(set(keys_a) | set(keys_b)))}
+        ca = [rank[k] for k in keys_a]
+        cb = [rank[k] for k in keys_b]
+        if Counter(ca) != Counter(cb):
+            return None
+        if len(rank) == ncolors:
+            return ca, cb
+        ncolors = len(rank)

@@ -7,6 +7,8 @@ from arithcx.autoeng import (
     AutomorphismSet,
     VertexMap,
     VertexPermutation,
+    _root,
+    _Side,
     automorphism_group,
     automorphism_order,
     automorphisms_fixing,
@@ -19,9 +21,11 @@ from arithcx.projmat import cayley_ball, lsv_generators, symmetrize
 from arithcx.scx import Complex, InteriorMark, clique_complex, fano_incidence_graph, link
 from oracles import (
     naive_automorphisms,
+    naive_refine,
     random_coloring,
     random_graph,
     random_two_complex,
+    relabel,
 )
 
 K4_EDGES = [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]
@@ -149,6 +153,65 @@ def test_engine_matches_naive_on_chamber_colored_two_complexes():
             g = random_two_complex(rng, rng.randint(3, 7), 0.7, 0.7)
         c = random_coloring(rng, g, rng.choice((2, 3)), color_vertices=i % 4 == 0)
         assert_colored_engine_matches_naive(c)
+
+
+def joint_cells(ca, cb):
+    cells: dict = {}
+    for side, colors in (("a", ca), ("b", cb)):
+        for v, col in enumerate(colors):
+            cells.setdefault(col, set()).add((side, v))
+    return {frozenset(cell) for cell in cells.values()}
+
+
+def assert_refine_matches_naive(sa, sb, a, b):
+    rank = {k: i for i, k in enumerate(sorted(set(sa.base_keys) | set(sb.base_keys)))}
+    ca = [rank[k] for k in sa.base_keys]
+    cb = [rank[k] for k in sb.base_keys]
+    p = _root(sa, sb, {})
+    naive = naive_refine(sa, sb, ca, cb)
+    assert (p is None) == (naive is None)
+    if p is not None:
+        assert joint_cells(p.col_a, p.col_b) == joint_cells(*naive)
+    # individualize (a, b): from scratch for the oracle, incrementally
+    # from the equitable partition for the engine
+    ca[a] = cb[b] = len(rank)
+    naive = naive_refine(sa, sb, ca, cb)
+    if p is None:
+        assert naive is None
+        return
+    cell = p.individualize(a, b)
+    ok = cell is not None and p.refine([cell])
+    assert ok == (naive is not None)
+    if ok:
+        assert joint_cells(p.col_a, p.col_b) == joint_cells(*naive)
+
+
+def test_refine_matches_naive_refine():
+    rng = random.Random(432)
+    for i in range(120):
+        n = rng.randint(2, 8)
+        if i % 2:
+            g = random_graph(rng, n, rng.uniform(0.2, 0.8))
+        else:
+            g = random_two_complex(rng, n, rng.uniform(0.4, 0.9), 0.7)
+        colors = i % 3 != 0 and g.dimension >= 1
+        if colors:
+            g = random_coloring(rng, g, rng.choice((2, 3)), color_vertices=i % 4 == 1)
+        perm = dict(zip(range(n), rng.sample(range(n), n)))
+        if i % 2:
+            other = random_graph(rng, n, rng.uniform(0.2, 0.8))
+        else:
+            other = random_two_complex(rng, n, rng.uniform(0.4, 0.9), 0.7)
+        if colors and other.dimension >= 1:
+            other = random_coloring(rng, other, rng.choice((2, 3)))
+        sa = _Side(g, colors)
+        a = rng.randrange(n)
+        for b_complex, b in (
+            (relabel(g, perm), perm[a]),  # isomorphic, a pair in one orbit
+            (relabel(g, perm), rng.randrange(n)),  # isomorphic, any pair
+            (other, rng.randrange(n)),  # independent, mostly not isomorphic
+        ):
+            assert_refine_matches_naive(sa, _Side(b_complex, colors), a, b)
 
 
 def test_matching_colored_k4_is_klein_four():
@@ -303,17 +366,61 @@ def test_verify_permutation_rejects_bad_maps():
 # order without enumeration
 
 
+def assert_orbit_pruned(chain):
+    # the chain's level of a witness is the first vertex it moves; each
+    # witness must reach a vertex outside the orbit that the witnesses
+    # found before it at that level already generate
+    by_level: dict = {}
+    for g in chain.generators:
+        v = g.moved()[0]
+        earlier = by_level.setdefault(v, [])
+        orbit, frontier = {v}, [v]
+        while frontier:
+            x = frontier.pop()
+            for h in earlier:
+                if h(x) not in orbit:
+                    orbit.add(h(x))
+                    frontier.append(h(x))
+        assert g(v) not in orbit
+        earlier.append(g)
+
+
 def test_chain_order_matches_enumeration():
-    cases = [cycle(5), Complex(range(4), K4_EDGES), fano_incidence_graph()]
+    cases = [
+        (cycle(5), False),
+        (Complex(range(4), K4_EDGES), False),
+        (fano_incidence_graph(), False),
+        (Complex(range(4), K4_EDGES, chamber_colors=K4_MATCHING_COLORS), True),
+    ]
     rng = random.Random(428)
     for _ in range(10):
-        cases.append(random_graph(rng, rng.randint(1, 7), 0.5))
-    for c in cases:
-        chain = automorphism_order(c)
-        assert chain.order == automorphism_group(c).order
-        assert not chain.complete and chain.perms is None
-        for p in chain.generators:
-            assert verify_permutation(c, p)
+        cases.append((random_graph(rng, rng.randint(1, 7), 0.5), False))
+    for i in range(24):
+        n = rng.randint(3, 7)
+        g = random_graph(rng, n, 0.7) if i % 2 else random_two_complex(rng, n, 0.7, 0.7)
+        if g.dimension < 1:
+            continue
+        c = random_coloring(rng, g, rng.choice((1, 2)), color_vertices=i % 3 == 0)
+        cases.append((c, True))
+    for c, colors in cases:
+        ids = list(c.vertices)
+        fixed_sets = [[], rng.sample(ids, min(len(ids), rng.randint(1, 2)))]
+        for fixed in fixed_sets:
+            chain = automorphism_order(c, respect_colors=colors, fixed=fixed)
+            enum = automorphisms_fixing(c, fixed, respect_colors=colors)
+            assert chain.order == enum.order
+            assert not chain.complete and chain.perms is None
+            for p in chain.generators:
+                assert verify_permutation(c, p, respect_colors=colors, fixed=fixed)
+            assert_orbit_pruned(chain)
+            if len(ids) <= 7:
+                at = {v: i for i, v in enumerate(sorted(ids))}
+                naive = [
+                    img
+                    for img in naive_automorphisms(c, respect_colors=colors)
+                    if all(img[at[v]] == v for v in fixed)
+                ]
+                assert chain.order == len(naive)
 
 
 def test_chain_order_with_colors_and_fixing():

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,21 @@ def test_tree_experiment_r2_s1_golden(capsys):
     assert checks["flip-involution"]["status"] == "pass"
     assert all(c["status"] == "pass" for c in rep["checks"])
     assert rep["data"]["counts"][0]["enumerated"] == 4096
+    assert "skipped_checks" not in rep["data"]
+
+
+def test_tree_experiment_r4_skips_the_unchecked_count(capsys):
+    code, rep = run_json(["tree", "experiment", "--r", "4", "--s", "1"], capsys)
+    assert code == 0
+    checks = by_name(rep)
+    # r = 4 runs no engine cross-check, so no consistency check is reported
+    assert "count-r4-s1-consistent" not in checks
+    assert checks["count-r3-s1-consistent"]["status"] == "pass"
+    assert rep["data"]["skipped_checks"] == ["count-r4-s1-consistent"]
+    r4 = rep["data"]["counts"][-1]
+    assert r4["count"] == str(4**186)
+    assert r4["enumerated"] is None and r4["chain_order"] is None
+    assert all(c["status"] == "pass" for c in rep["checks"])
 
 
 def test_tree_quotient_golden(capsys):
@@ -160,6 +176,18 @@ def test_rigidity_one_color_nontrivial_group(capsys):
     assert checks["color-group-nontrivial"]["status"] == "pass"
     assert int(rep["data"]["group_order"]) >= 2
     assert rep["data"]["coloring"] == "constant"
+
+
+def test_rigidity_one_color_radius_three_within_ceiling(capsys):
+    t0 = time.monotonic()
+    code, rep = run_json(["rigidity", "--colors", "1", "--radius", "3"], capsys)
+    elapsed = time.monotonic() - t0
+    assert code == 0
+    # golden from a full run of the engine that refined by from-scratch
+    # 1-WL rounds (the refinement kept as oracles.naive_refine)
+    assert rep["data"]["group_order"] == "44040192"
+    assert rep["data"]["vertex_count"] == 673
+    assert elapsed < 60.0, f"rigidity --colors 1 -r 3 took {elapsed:.1f}s >= 60s"
 
 
 def test_vacuous_coloring_single_chamber_equals_stabilizer():
