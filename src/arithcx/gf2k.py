@@ -3,9 +3,11 @@
 An element of F2[t]/<m(t)> is stored as an int whose bit i is the
 coefficient of t^i; the modulus m(t) uses the same encoding.  Addition
 is XOR, multiplication is carry-less product followed by reduction, and
-inversion is an exhaustive search over the nonzero elements (cached in
-a table for small fields).  The two fields the rest of the package
-relies on are module constants:
+inversion is an exhaustive search over the nonzero elements.  Fields of
+degree at most 8 answer both from a multiplication table and an inverse
+table that `FieldSpec.tables()` builds on first use; `projmat` reads
+those tables directly.  The two fields the rest of the package relies
+on are module constants:
 
     GF2     m(t) = t + 1            mask 0b11
     GF16    m(t) = t^4 + t + 1      mask 0b10011
@@ -116,7 +118,7 @@ class FieldSpec:
         If the modulus is reducible or its degree is outside 1..16.
     """
 
-    __slots__ = ("modulus", "degree", "size", "_mul_table", "_inv_table")
+    __slots__ = ("modulus", "degree", "size", "_tables")
 
     def __init__(self, modulus: int) -> None:
         degree = modulus.bit_length() - 1
@@ -131,8 +133,7 @@ class FieldSpec:
         self.modulus = modulus
         self.degree = degree
         self.size = 1 << degree
-        self._mul_table: list[list[int]] | None = None
-        self._inv_table: list[int] | None = None
+        self._tables: tuple[list[list[int]], list[int]] | None = None
 
     # fields with the same modulus are the same field
     def __eq__(self, other: object) -> bool:
@@ -147,25 +148,33 @@ class FieldSpec:
     # ------------------------------------------------------------------
     # raw int arithmetic
 
-    def _build_tables(self) -> None:
-        size = self.size
-        tbl = [[0] * size for _ in range(size)]
-        for x in range(size):
-            row = tbl[x]
-            for y in range(x, size):
-                v = _poly_mod_bits(_poly_mul_bits(x, y), self.modulus)
-                row[y] = v
-                tbl[y][x] = v
-        # inverse by exhaustive search over the nonzero elements
-        inv_tbl = [0] * size
-        for x in range(1, size):
-            row = tbl[x]
-            for y in range(1, size):
-                if row[y] == 1:
-                    inv_tbl[x] = y
-                    break
-        self._mul_table = tbl
-        self._inv_table = inv_tbl
+    def tables(self) -> tuple[list[list[int]], list[int]]:
+        """Multiplication rows and inverse table, built on first use.
+
+        `mul_rows[a][b]` is a*b and `inv[a]` is 1/a (`inv[0]` is 0).
+        Only fields of degree at most 8 have tables; larger fields
+        raise ValueError.
+        """
+        if self._tables is None:
+            if self.degree > _TABLE_DEGREE:
+                raise ValueError(
+                    f"no multiplication tables for degree {self.degree} "
+                    f"(tables stop at degree {_TABLE_DEGREE})"
+                )
+            size = self.size
+            mul_rows = [[0] * size for _ in range(size)]
+            for x in range(size):
+                row = mul_rows[x]
+                for y in range(x, size):
+                    v = _poly_mod_bits(_poly_mul_bits(x, y), self.modulus)
+                    row[y] = v
+                    mul_rows[y][x] = v
+            # inverse by exhaustive search over the nonzero elements
+            inv = [0] * size
+            for x in range(1, size):
+                inv[x] = mul_rows[x].index(1)
+            self._tables = (mul_rows, inv)
+        return self._tables
 
     def add(self, a: int, b: int) -> int:
         """Sum of two elements given as bitmasks."""
@@ -174,9 +183,7 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         """Product of two elements given as bitmasks."""
         if self.degree <= _TABLE_DEGREE:
-            if self._mul_table is None:
-                self._build_tables()
-            return self._mul_table[a][b]
+            return (self._tables or self.tables())[0][a][b]
         return _poly_mod_bits(_poly_mul_bits(a, b), self.modulus)
 
     def inv(self, a: int) -> int:
@@ -184,9 +191,7 @@ class FieldSpec:
         if a == 0:
             raise ValueError("zero has no multiplicative inverse")
         if self.degree <= _TABLE_DEGREE:
-            if self._inv_table is None:
-                self._build_tables()
-            return self._inv_table[a]
+            return (self._tables or self.tables())[1][a]
         for b in range(1, self.size):
             if self.mul(a, b) == 1:
                 return b

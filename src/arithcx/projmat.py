@@ -7,6 +7,13 @@ seven Lubotzky-Samuels-Vishne generator matrices over GF(16) and grows
 breadth-first Cayley balls around the identity, which the rest of the
 package turns into simplicial complexes.
 
+All products go through one kernel, `_product`, which multiplies two
+row-major 9-tuples of entry bitmasks with the field's multiplication
+rows and normalizes by one table row.  It needs `FieldSpec.tables()`,
+so matrices are supported only over fields of degree at most 8; larger
+fields raise ValueError.  `cayley_ball` runs its breadth-first search
+on entry tuples and makes a `ProjMatrix` only for each returned vertex.
+
 References:
     Lubotzky, Samuels, Vishne.  "Explicit constructions of Ramanujan
     complexes of type A_d."  European J. Combinatorics 26 (2005).
@@ -79,8 +86,11 @@ def matrix(spec: FieldSpec, rows: Sequence[Sequence]) -> ProjMatrix:
     """Build a (not yet canonical) matrix from 3x3 entries.
 
     Entries may be bitmask ints, FieldElem values, or polynomial
-    strings such as 't^2+1'.
+    strings such as 't^2+1'.  Raises ValueError over a field without
+    multiplication tables (degree above 8), where no PGL3 arithmetic
+    is available.
     """
+    spec.tables()
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise ValueError("expected a 3x3 entry table")
     bits = []
@@ -119,12 +129,40 @@ def determinant(m: ProjMatrix) -> FieldElem:
     return FieldElem(det, s)
 
 
-def _scale(spec: FieldSpec, entries: Sequence[int]) -> tuple[int, ...]:
+def _canonical(
+    mul_rows: list[list[int]], inv: list[int], entries: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Scale entries so the first nonzero one is 1, by one table row."""
     for b in entries:
+        if b == 1:
+            return entries
         if b:
-            lam = spec.inv(b)
-            return tuple(spec.mul(lam, e) for e in entries)
+            return tuple(map(mul_rows[inv[b]].__getitem__, entries))
     raise ValueError("zero matrix cannot be normalized")
+
+
+def _product(
+    mul_rows: list[list[int]], inv: list[int], x: tuple, y: tuple
+) -> tuple[int, ...]:
+    """Canonical entries of x*y, for row-major 3x3 entry tuples.
+
+    The one PGL3 product: `pgl_mul` and `cayley_ball` both call it with
+    the field's `tables()`.
+    """
+    y0, y1, y2, y3, y4, y5, y6, y7, y8 = y
+    a, b, c = mul_rows[x[0]], mul_rows[x[1]], mul_rows[x[2]]
+    e0 = a[y0] ^ b[y3] ^ c[y6]
+    e1 = a[y1] ^ b[y4] ^ c[y7]
+    e2 = a[y2] ^ b[y5] ^ c[y8]
+    a, b, c = mul_rows[x[3]], mul_rows[x[4]], mul_rows[x[5]]
+    e3 = a[y0] ^ b[y3] ^ c[y6]
+    e4 = a[y1] ^ b[y4] ^ c[y7]
+    e5 = a[y2] ^ b[y5] ^ c[y8]
+    a, b, c = mul_rows[x[6]], mul_rows[x[7]], mul_rows[x[8]]
+    e6 = a[y0] ^ b[y3] ^ c[y6]
+    e7 = a[y1] ^ b[y4] ^ c[y7]
+    e8 = a[y2] ^ b[y5] ^ c[y8]
+    return _canonical(mul_rows, inv, (e0, e1, e2, e3, e4, e5, e6, e7, e8))
 
 
 def pgl_normalize(m: ProjMatrix) -> ProjMatrix:
@@ -135,24 +173,17 @@ def pgl_normalize(m: ProjMatrix) -> ProjMatrix:
     """
     if not determinant(m):
         raise ValueError(f"singular matrix has no canonical form: {m!r}")
-    return ProjMatrix(m.spec, _scale(m.spec, m.entries), canonical=True)
+    entries = _canonical(*m.spec.tables(), m.entries)
+    return ProjMatrix(m.spec, entries, canonical=True)
 
 
 def pgl_mul(a: ProjMatrix, b: ProjMatrix) -> ProjMatrix:
     """Canonical form of the product a*b."""
     if a.spec != b.spec:
         raise ValueError("mismatched field specs")
-    s = a.spec
-    x, y = a.entries, b.entries
-    mul_, add_ = s.mul, s.add
-    out = []
-    for i in (0, 3, 6):
-        for j in (0, 1, 2):
-            acc = mul_(x[i], y[j])
-            acc = add_(acc, mul_(x[i + 1], y[j + 3]))
-            acc = add_(acc, mul_(x[i + 2], y[j + 6]))
-            out.append(acc)
-    return ProjMatrix(s, _scale(s, out), canonical=True)
+    return ProjMatrix(
+        a.spec, _product(*a.spec.tables(), a.entries, b.entries), canonical=True
+    )
 
 
 def pgl_inv(m: ProjMatrix) -> ProjMatrix:
@@ -179,7 +210,7 @@ def pgl_inv(m: ProjMatrix) -> ProjMatrix:
         minor(1, 2, 0, 2), minor(0, 2, 0, 2), minor(0, 1, 0, 2),
         minor(1, 2, 0, 1), minor(0, 2, 0, 1), minor(0, 1, 0, 1),
     )
-    return ProjMatrix(s, _scale(s, adj), canonical=True)
+    return ProjMatrix(s, _canonical(*s.tables(), adj), canonical=True)
 
 
 # ----------------------------------------------------------------------
@@ -417,25 +448,32 @@ def cayley_ball(
     Returns:
         CayleyBall with exact BFS distance labels, the full induced
         edge set, and the first reduced-word collision seen (if any).
+
+    The search keeps only entry tuples (the `_product` kernel's input
+    and output); a `ProjMatrix` is built once per returned vertex,
+    after the vertices are sorted into canonical order.  The budget
+    error names the shell being grown, the radius and the vertex count.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     spec = gens.fieldspec
-    ident = identity(spec)
+    mul_rows, inv = spec.tables()
+    ident = identity(spec).entries
     by_entries = {}
     for m, lab in zip(gens.matrices, gens.labels):
         if not m.canonical:
             raise ValueError("generators must be canonical")
-        if m.entries == ident.entries:
+        if m.entries == ident:
             raise ValueError("identity cannot be a generator")
         by_entries[m.entries] = lab
     for m, lab in zip(gens.matrices, gens.labels):
         ilab = by_entries.get(pgl_inv(m).entries)
         if ilab is None:
             raise ValueError(f"generator set not symmetric at label {lab}")
+    steps = [(m.entries, lab) for m, lab in zip(gens.matrices, gens.labels)]
 
-    index: dict[tuple, int] = {ident.entries: 0}
-    verts: list[ProjMatrix] = [ident]
+    index: dict[tuple, int] = {ident: 0}
+    verts: list[tuple] = [ident]
     dist: list[int] = [0]
     parent: list[int] = [-1]
     parent_label: list[int] = [0]
@@ -451,20 +489,23 @@ def cayley_ball(
 
     u = 0
     while u < len(verts):
+        x = verts[u]
         du = dist[u]
-        for g, lab in zip(gens.matrices, gens.labels):
-            v = pgl_mul(verts[u], g)
-            w = index.get(v.entries)
+        for g, lab in steps:
+            v = _product(mul_rows, inv, x, g)
+            w = index.get(v)
             if w is None:
                 if du >= radius:
                     continue
                 if len(verts) + 1 > vertex_budget:
                     raise BudgetExceededError(
-                        f"ball exceeds vertex budget {vertex_budget} "
-                        f"at radius {radius}"
+                        f"ball exceeds vertex budget {vertex_budget} while "
+                        f"growing shell {du + 1} of radius {radius}: "
+                        f"{len(verts)} vertices built, "
+                        f"{dist.count(du + 1)} of them in shell {du + 1}"
                     )
                 w = len(verts)
-                index[v.entries] = w
+                index[v] = w
                 verts.append(v)
                 dist.append(du + 1)
                 parent.append(u)
@@ -482,8 +523,9 @@ def cayley_ball(
                             collision = (w, wa, wb)
         u += 1
 
-    # canonical order: by (distance, encoded bytes)
-    order = sorted(range(len(verts)), key=lambda i: (dist[i], verts[i].encode()))
+    # canonical order: by (distance, encoded bytes), as ProjMatrix.encode
+    order = sorted(range(len(verts)), key=lambda i: (dist[i], bytes(verts[i])))
+    vertices = tuple(ProjMatrix(spec, verts[i], canonical=True) for i in order)
     pos = [0] * len(verts)
     for new, old in enumerate(order):
         pos[old] = new
@@ -500,7 +542,7 @@ def cayley_ball(
     return CayleyBall(
         generators=gens,
         radius=radius,
-        vertices=tuple(verts[i] for i in order),
+        vertices=vertices,
         dist=tuple(dist[i] for i in order),
         edges=tuple(sorted(new_edges)),
         collision=report,

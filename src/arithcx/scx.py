@@ -89,6 +89,8 @@ class Complex:
             d: frozenset(ss) for d, ss in by_dim.items() if ss
         }
         self._dimension = max(self._simplices) if self._simplices else -1
+        # each dimension sorted on first request, then reused
+        self._sorted: dict[int, tuple[tuple, ...]] = {}
 
         if vertex_colors is not None:
             unknown = set(vertex_colors) - vset
@@ -127,7 +129,11 @@ class Complex:
         return tuple(sorted(self._simplices))
 
     def simplices(self, dim: int) -> tuple[tuple, ...]:
-        return tuple(sorted(self._simplices.get(dim, frozenset())))
+        out = self._sorted.get(dim)
+        if out is None:
+            out = tuple(sorted(self._simplices.get(dim, frozenset())))
+            self._sorted[dim] = out
+        return out
 
     def simplex_count(self, dim: int) -> int:
         return len(self._simplices.get(dim, frozenset()))
@@ -135,7 +141,7 @@ class Complex:
     def iter_simplices(self, min_dim: int = 0) -> Iterator[tuple]:
         for d in sorted(self._simplices):
             if d >= min_dim:
-                yield from sorted(self._simplices[d])
+                yield from self.simplices(d)
 
     def has_simplex(self, s: Iterable[VertexId]) -> bool:
         t = _norm_simplex(s)
@@ -158,7 +164,7 @@ class Complex:
                         non_max.add(face)
             out = []
             for d in sorted(self._simplices):
-                for t in sorted(self._simplices[d]):
+                for t in self.simplices(d):
                     if t not in non_max:
                         out.append(t)
             self._maximal = tuple(out)

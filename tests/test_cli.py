@@ -89,7 +89,26 @@ def test_lsv_verify_budget_exceeded_exit2(capsys):
     )
     assert code == 2
     assert rep["error"]["type"] == "BudgetExceededError"
+    # shells 0..3 hold 673 vertices: the diagnostic says how far it got
+    assert rep["error"]["message"] == (
+        "ball exceeds vertex budget 1000 while growing shell 4 of radius 9: "
+        "1000 vertices built, 327 of them in shell 4"
+    )
     assert "checks" not in rep
+
+
+def test_lsv_ball_radius_five_within_ceiling(capsys):
+    t0 = time.monotonic()
+    code, rep = run_json(["lsv", "ball", "--radius", "5"], capsys)
+    elapsed = time.monotonic() - t0
+    assert code == 0
+    ball = rep["data"]["ball"]
+    assert ball["vertex_count"] == 17921
+    assert ball["sphere_sizes"] == [1, 14, 98, 560, 2912, 14336]
+    assert len(ball["edges"]) == 64519
+    assert rep["data"]["triangle_count"] == 46599
+    assert ball["collision"] == {"vertex": 9, "word_a": [-2], "word_b": [1, 4]}
+    assert elapsed < 60.0, f"lsv ball -r 5 took {elapsed:.1f}s >= 60s"
 
 
 # ----------------------------------------------------------------------

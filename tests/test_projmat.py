@@ -6,10 +6,11 @@ from collections import deque
 import pytest
 
 from arithcx.errors import BudgetExceededError
-from arithcx.gf2k import GF2, GF16, format_poly, parse_poly
+from arithcx.gf2k import GF2, GF16, FieldSpec, format_poly, parse_poly
 from arithcx.projmat import (
     CayleyBall,
     GeneratorTable,
+    SymmetricGenerators,
     cayley_ball,
     determinant,
     identity,
@@ -25,8 +26,28 @@ from arithcx.projmat import (
 )
 
 # ----------------------------------------------------------------------
-# independent oracles: Leibniz determinant, explicit adjugate, and plain
-# tuple-level matrix multiplication built only on gf2k
+# independent oracles: GF(16) as carry-less multiplication reduced modulo
+# t^4+t+1 (written here, not read from gf2k's tables), the Leibniz
+# determinant, the explicit adjugate, and plain tuple-level products
+
+F16_MODULUS = 0b10011  # t^4 + t + 1
+
+
+def f16_mul(a, b):
+    p = 0
+    while b:
+        if b & 1:
+            p ^= a
+        a <<= 1
+        b >>= 1
+    for i in (6, 5, 4):
+        if p >> i & 1:
+            p ^= F16_MODULUS << (i - 4)
+    return p
+
+
+def f16_inv(a):
+    return next(b for b in range(1, 16) if f16_mul(a, b) == 1)
 
 
 def leibniz_det(entries):
@@ -34,7 +55,7 @@ def leibniz_det(entries):
     for perm in itertools.permutations(range(3)):
         prod = 1
         for i in range(3):
-            prod = GF16.mul(prod, entries[3 * i + perm[i]])
+            prod = f16_mul(prod, entries[3 * i + perm[i]])
         total ^= prod
     return total
 
@@ -42,8 +63,8 @@ def leibniz_det(entries):
 def oracle_scale(entries):
     for b in entries:
         if b:
-            lam = GF16.inv(b)
-            return tuple(GF16.mul(lam, e) for e in entries)
+            lam = f16_inv(b)
+            return tuple(f16_mul(lam, e) for e in entries)
     raise ValueError("zero matrix")
 
 
@@ -53,16 +74,50 @@ def oracle_mul(x, y):
         for j in range(3):
             acc = 0
             for k in range(3):
-                acc ^= GF16.mul(x[3 * i + k], y[3 * k + j])
+                acc ^= f16_mul(x[3 * i + k], y[3 * k + j])
             out.append(acc)
     return oracle_scale(out)
+
+
+def oracle_word(gens_by_label, word):
+    acc = IDENT
+    for lab in word:
+        acc = oracle_mul(acc, gens_by_label[lab])
+    return acc
+
+
+def oracle_ball(gens, labels, radius):
+    """Vertices in (distance, bytes) order, distances and labelled edges
+    of the ball, by a plain BFS over entry tuples with oracle_mul."""
+    dist = {IDENT: 0}
+    steps = {}
+    frontier = [IDENT]
+    for d in range(radius + 1):
+        nxt = []
+        for x in frontier:
+            steps[x] = [(oracle_mul(x, g), lab) for g, lab in zip(gens, labels)]
+            if d < radius:
+                for y, _ in steps[x]:
+                    if y not in dist:
+                        dist[y] = d + 1
+                        nxt.append(y)
+        frontier = nxt
+    order = sorted(dist, key=lambda e: (dist[e], bytes(e)))
+    pos = {e: i for i, e in enumerate(order)}
+    edges = sorted(
+        (pos[x], pos[y], lab)
+        for x, out in steps.items()
+        for y, lab in out
+        if y in pos and pos[x] < pos[y]
+    )
+    return order, [dist[e] for e in order], edges
 
 
 def oracle_adjugate(entries):
     a = entries
 
     def m2(r0, r1, c0, c1):
-        return GF16.mul(a[3 * r0 + c0], a[3 * r1 + c1]) ^ GF16.mul(
+        return f16_mul(a[3 * r0 + c0], a[3 * r1 + c1]) ^ f16_mul(
             a[3 * r0 + c1], a[3 * r1 + c0]
         )
 
@@ -172,18 +227,51 @@ def test_pgl_mul_associative_on_seeded_ball_sample(ball2):
         assert pgl_mul(pgl_mul(a, b), c) == pgl_mul(a, pgl_mul(b, c))
 
 
-def test_pgl_mul_agrees_with_oracle(sym):
-    rng = random.Random(7)
+def test_f16_oracle_is_a_field():
+    # the oracle's own axioms, so it can stand on its own against gf2k
+    for a in range(16):
+        assert f16_mul(a, 1) == a and f16_mul(a, 0) == 0
+        for b in range(16):
+            assert f16_mul(a, b) == f16_mul(b, a) < 16
+    assert all(f16_mul(a, f16_inv(a)) == 1 for a in range(1, 16))
+    assert f16_mul(0b1000, 0b10) == 0b0011  # t^4 = t + 1
+
+
+def test_pgl_mul_agrees_with_oracle(sym, ball2):
     mats = sym.matrices
-    for _ in range(500):
-        a = mats[rng.randrange(len(mats))]
-        b = mats[rng.randrange(len(mats))]
-        assert pgl_mul(a, b).entries == oracle_mul(a.entries, b.entries)
+    for a in mats:
+        for b in mats:
+            assert pgl_mul(a, b).entries == oracle_mul(a.entries, b.entries)
+    rng = random.Random(7)
+    verts = ball2.vertices
+    for _ in range(2000):
+        a = verts[rng.randrange(len(verts))]
+        b = verts[rng.randrange(len(verts))]
+        ab = pgl_mul(a, b)
+        assert ab.canonical
+        assert ab.entries == oracle_mul(a.entries, b.entries)
 
 
 def test_mismatched_specs_rejected():
     with pytest.raises(ValueError):
         pgl_mul(identity(GF16), identity(GF2))
+
+
+def test_field_above_table_degree_rejected():
+    gf512 = FieldSpec(0b1000010001)  # t^9 + t^4 + 1
+    assert gf512.degree == 9
+    # the field's own arithmetic works without tables ...
+    assert gf512.mul(gf512.inv(0b101), 0b101) == 1
+    # ... but projmat needs them, and says which degree it refused
+    with pytest.raises(ValueError, match="degree 9"):
+        matrix(gf512, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    ident = identity(gf512)
+    for op in (pgl_normalize, pgl_inv, lambda m: pgl_mul(m, m)):
+        with pytest.raises(ValueError, match="degree 9"):
+            op(ident)
+    empty = SymmetricGenerators(gf512, (), (), ())
+    with pytest.raises(ValueError, match="degree 9"):
+        cayley_ball(empty, 1)
 
 
 def test_matrix_input_validation():
@@ -309,6 +397,23 @@ def test_sphere_sizes_against_word_enumeration_oracle(sym):
     assert {m.entries for m in b3.vertices} == ball
 
 
+def test_ball_radius_four_matches_oracle_bfs(sym):
+    ball = cayley_ball(sym, 4)
+    gens = [m.entries for m in sym.matrices]
+    order, dist, edges = oracle_ball(gens, sym.labels, 4)
+    assert len(order) == 3585
+    assert [m.entries for m in ball.vertices] == order
+    assert all(m.canonical for m in ball.vertices)
+    assert list(ball.dist) == dist
+    assert list(ball.edges) == edges
+    col = ball.collision
+    assert col is not None and col.word_a != col.word_b
+    for word in (col.word_a, col.word_b):
+        # reduced: no generator next to its own inverse
+        assert all(sym.inverse_label(a) != b for a, b in zip(word, word[1:]))
+        assert oracle_word(dict(zip(sym.labels, gens)), word) == order[col.vertex]
+
+
 def test_collision_report(ball2):
     col = ball2.collision
     assert col is not None
@@ -360,10 +465,22 @@ def test_ball_vertex_symmetry_under_left_multiplication(ball2):
 
 
 def test_vertex_budget_enforced(sym):
-    with pytest.raises(BudgetExceededError):
+    # shells 0 and 1 hold 15 vertices, so 50 runs out in shell 2
+    with pytest.raises(BudgetExceededError) as exc:
         cayley_ball(sym, 2, vertex_budget=50)
-    with pytest.raises(BudgetExceededError):
+    assert str(exc.value) == (
+        "ball exceeds vertex budget 50 while growing shell 2 of radius 2: "
+        "50 vertices built, 35 of them in shell 2"
+    )
+    # shells 0..3 hold 673 vertices, so 2000 runs out in shell 4
+    with pytest.raises(BudgetExceededError) as exc:
         cayley_ball(sym, 9, vertex_budget=2000)
+    assert str(exc.value) == (
+        "ball exceeds vertex budget 2000 while growing shell 4 of radius 9: "
+        "2000 vertices built, 1327 of them in shell 4"
+    )
+    # a budget that the whole ball fits is no error
+    assert len(cayley_ball(sym, 2, vertex_budget=113)) == 113
 
 
 def test_ball_json_and_dot_deterministic(sym):

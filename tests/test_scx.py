@@ -93,6 +93,18 @@ def test_from_maximal_closes_downward():
     assert not c.has_simplex((4,)) if 4 not in c.vertices else True
 
 
+def test_simplices_sorted_once_and_reused():
+    c = Complex.from_maximal(range(5), [(3, 1, 4), (0, 2, 1), (4, 2)])
+    edges = c.simplices(1)
+    assert edges == ((0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4))
+    # one sort per dimension: later requests return the same tuple
+    assert c.simplices(1) is edges
+    assert c.simplices(7) == () and c.simplices(7) is c.simplices(7)
+    assert list(c.iter_simplices(1)) == list(edges) + [(0, 1, 2), (1, 3, 4)]
+    assert c.chambers() is c.simplices(2)
+    assert c.maximal_simplices() == ((2, 4), (0, 1, 2), (1, 3, 4))
+
+
 def test_clique_complex_small_graphs():
     tri = clique_complex([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
     assert tri.dimension == 2
