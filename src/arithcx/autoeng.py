@@ -451,11 +451,16 @@ def _search(
 ):
     """Yield index mappings a->b below the equitable partition p, which
     is left as it was found unless the caller stops early.  mode 'all'
-    or 'first'."""
-    found = 0
+    or 'first'.
 
-    def rec():
-        nonlocal found
+    The depth-first search keeps its path on an explicit stack, one
+    [a, candidate images of a, next candidate, trail mark] entry per
+    open node, so its depth is not bounded by Python's recursion limit.
+    """
+    found = 0
+    stack: list[list] = []
+    while True:
+        # enter a node
         stats["nodes"] = stats.get("nodes", 0) + 1
         c = p.target_cell()
         if c is None:
@@ -468,18 +473,23 @@ def _search(
                         "use the order computation"
                     )
                 yield mapping
+        else:
+            e = p.end[c]
+            stack.append([min(p.elems_a[c:e]), sorted(p.elems_b[c:e]), 0, len(p.trail)])
+        # advance to the next child of the deepest open node
+        while stack:
+            top = stack[-1]
+            a, cands, i, mark = top
+            if i:
+                p.undo(mark)  # leave the previous child
+            if i == len(cands) or (i and mode == "first" and found):
+                stack.pop()
+                continue
+            top[2] = i + 1
+            if p.refine([p.individualize(a, cands[i])]):
+                break
+        else:
             return
-        e = p.end[c]
-        a = min(p.elems_a[c:e])
-        for b in sorted(p.elems_b[c:e]):
-            mark = len(p.trail)
-            if p.refine([p.individualize(a, b)]):
-                yield from rec()
-            p.undo(mark)
-            if mode == "first" and found:
-                return
-
-    yield from rec()
 
 
 def _to_perm(sa: _Side, sb: _Side, mapping: Sequence[int]) -> VertexMap:
@@ -504,6 +514,16 @@ def _require_indices(
     if len(set(out.values())) != len(out):
         raise ValueError("required mapping is not injective")
     return out
+
+
+def _find_one(sa: _Side, sb: _Side, require: Mapping | None) -> VertexMap | None:
+    """The first verified witness sa -> sb under `require`, or None."""
+    p = _root(sa, sb, _require_indices(sa, sb, require, ()))
+    if p is None:
+        return None
+    for mapping in _search(sa, sb, p, "first", DEFAULT_CAP, {}):
+        return _to_perm(sa, sb, mapping)
+    return None
 
 
 def _find(links: dict[int, int], x: int) -> int:
@@ -532,12 +552,7 @@ def is_isomorphic(
     """
     sa = _Side(a, respect_colors)
     sb = sa if b is a else _Side(b, respect_colors)
-    p = _root(sa, sb, _require_indices(sa, sb, require, ()))
-    if p is None:
-        return None
-    for mapping in _search(sa, sb, p, "first", DEFAULT_CAP, {}):
-        return _to_perm(sa, sb, mapping)
-    return None
+    return _find_one(sa, sb, require)
 
 
 def automorphism_group(
@@ -721,7 +736,6 @@ def panel_flip_check(
     fix-one-swap-two flips on the hop-limited star around the edge."""
     if c.dimension != 2:
         raise ValueError("panel flips are defined for 2-dimensional complexes")
-    chambers = c.chambers()
     eligible = 0
     skipped = 0
     satisfied = 0
@@ -730,23 +744,22 @@ def panel_flip_check(
         if not marks.simplex_interior(edge):
             continue
         u, v = edge
-        es = set(edge)
         apexes = sorted(
-            next(iter(set(t) - es)) for t in chambers if es.issubset(t)
+            w for t in c.incident_maximal(u) if len(t) == 3 and v in t
+            for w in t if w != u and w != v
         )
         if len(apexes) != 3:
             skipped += 1
             continue
         eligible += 1
-        sub = induced_subcomplex(c, star_vertices(c, edge, hops))
+        # one engine index of the star serves all three choices
+        star = induced_subcomplex(c, star_vertices(c, edge, hops))
+        side = _Side(star, respect_colors)
         for i in range(3):
             w_fix = apexes[i]
             w_j, w_k = (apexes[j] for j in range(3) if j != i)
-            witness = is_isomorphic(
-                sub,
-                sub,
-                respect_colors=respect_colors,
-                require={u: u, v: v, w_fix: w_fix, w_j: w_k, w_k: w_j},
+            witness = _find_one(
+                side, side, {u: u, v: v, w_fix: w_fix, w_j: w_k, w_k: w_j}
             )
             if witness is not None:
                 satisfied += 1

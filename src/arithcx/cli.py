@@ -7,7 +7,10 @@ all internal orderings are canonical and the only randomness is the
 seeded chamber coloring of the rigidity command.
 
 Exit codes: 0 when every check passed, 1 when some check failed,
-2 on usage errors and exceeded budgets.
+2 on usage errors and exceeded budgets, 3 on any other error (an
+internal fault, or a report that cannot be written to --out).  An
+exceeded budget and every code-3 error print a JSON diagnostic naming
+the error's type and message in place of the report.
 """
 
 from __future__ import annotations
@@ -486,29 +489,38 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         parser.error(f"{args.name} has no DOT export")
 
 
+def _fail(args: argparse.Namespace, exc: Exception, code: int) -> int:
+    diagnostic = {
+        "schema": SCHEMA,
+        "command": args.name,
+        "config": _config(args),
+        "error": {"type": type(exc).__name__, "message": str(exc)},
+    }
+    sys.stdout.write(_render(diagnostic))
+    return code
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(args, parser)
     try:
         report, dot = args.handler(args)
+        text = _render(report)
+        if args.out:
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            (out / f"{args.name}.json").write_text(text)
+            if dot is not None:
+                (out / f"{args.name}.dot").write_text(dot)
     except (BudgetExceededError, CapExceededError) as exc:
-        diagnostic = {
-            "schema": SCHEMA,
-            "command": args.name,
-            "config": _config(args),
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        sys.stdout.write(_render(diagnostic))
-        return 2
-    text = _render(report)
+        return _fail(args, exc, 2)
+    except Exception as exc:
+        # the standard traceback on stderr, without importing the
+        # traceback module on every start
+        sys.excepthook(type(exc), exc, exc.__traceback__)
+        return _fail(args, exc, 3)
     sys.stdout.write(dot if dot is not None else text)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{args.name}.json").write_text(text)
-        if dot is not None:
-            (out / f"{args.name}.dot").write_text(dot)
     return 0 if all(c["status"] == "pass" for c in report["checks"]) else 1
 
 

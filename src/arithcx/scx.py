@@ -43,6 +43,13 @@ def _norm_simplex(s: Iterable[VertexId]) -> tuple:
 class Complex:
     """An abstract simplicial complex.
 
+    Local questions (chambers through a simplex, links, stars, full
+    subcomplexes) read one incidence index, which maps each vertex to
+    its position in `vertices` and to the maximal simplices containing
+    it, in `maximal_simplices()` order.  It is built from
+    `maximal_simplices()` when the first such question is asked, so a
+    complex that is never asked one never pays for it.
+
     Args:
         vertices: iterable of distinct vertex ids, order preserved.
         simplices: iterable of simplices (any dimensions); singletons
@@ -112,8 +119,8 @@ class Complex:
         else:
             self.chamber_colors = None
 
-        self._adj: dict | None = None
         self._maximal: tuple[tuple, ...] | None = None
+        self._incident: dict | None = None
 
     # -- structure ------------------------------------------------------
 
@@ -170,19 +177,36 @@ class Complex:
             self._maximal = tuple(out)
         return self._maximal
 
-    def adjacency(self) -> dict:
-        if self._adj is None:
-            adj = {v: set() for v in self._vertices}
-            for u, v in self._simplices.get(1, frozenset()):
-                adj[u].add(v)
-                adj[v].add(u)
-            self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        return self._adj
+    def _local_index(self) -> dict:
+        """vertex -> (its position in `vertices`, the maximal simplices
+        containing it), built on first use."""
+        if self._incident is None:
+            inc: dict = {v: (i, []) for i, v in enumerate(self._vertices)}
+            for t in self.maximal_simplices():
+                for v in t:
+                    inc[v][1].append(t)
+            self._incident = {v: (i, tuple(ts)) for v, (i, ts) in inc.items()}
+        return self._incident
+
+    def incident_maximal(self, v: VertexId) -> tuple[tuple, ...]:
+        """The maximal simplices containing v, in `maximal_simplices()`
+        order."""
+        entry = self._local_index().get(v)
+        if entry is None:
+            raise ValueError(f"unknown vertex {v!r}")
+        return entry[1]
+
+    def _in_order(self, vs: set) -> tuple:
+        """The vertex set vs in the order of `vertices`."""
+        index = self._local_index()
+        unknown = vs - index.keys()
+        if unknown:
+            raise ValueError(f"unknown vertices {unknown!r}")
+        return tuple(sorted(vs, key=lambda v: index[v][0]))
 
     def neighbors(self, v: VertexId) -> tuple:
-        if v not in self.adjacency():
-            raise ValueError(f"unknown vertex {v!r}")
-        return self.adjacency()[v]
+        """The vertices that share an edge with v, sorted."""
+        return tuple(sorted({x for t in self.incident_maximal(v) for x in t if x != v}))
 
     # -- equality and export ---------------------------------------------
 
@@ -229,12 +253,16 @@ class Complex:
         **kw,
     ) -> "Complex":
         """Build the downward closure of the given simplices."""
-        closed: set[tuple] = set()
-        for s in maximal:
-            t = _norm_simplex(s)
-            for k in range(1, len(t) + 1):
-                closed.update(combinations(t, k))
-        return cls(vertices, closed, **kw)
+        return cls(vertices, _closure(_norm_simplex(s) for s in maximal), **kw)
+
+
+def _closure(simplices: Iterable[tuple]) -> set[tuple]:
+    """Every nonempty face of the given sorted simplices."""
+    closed: set[tuple] = set()
+    for t in simplices:
+        for k in range(1, len(t) + 1):
+            closed.update(combinations(t, k))
+    return closed
 
 
 # ----------------------------------------------------------------------
@@ -285,21 +313,15 @@ def clique_complex(
 
 
 def link(c: Complex, v: VertexId) -> Complex:
-    """The link of a vertex: all simplices s with s + {v} in c.
+    """The link of a vertex: all simplices s with s + {v} in c, the
+    downward closure of m - {v} over the maximal simplices m at v.
 
     Vertex colors are restricted; chamber colors are dropped (the
     link's chambers are different simplices).
     """
-    if v not in set(c.vertices):
-        raise ValueError(f"unknown vertex {v!r}")
-    nbrs = set(c.neighbors(v))
-    keep = [u for u in c.vertices if u in nbrs]
-    simplices = []
-    for t in c.iter_simplices(min_dim=1):
-        if v in t:
-            rest = tuple(x for x in t if x != v)
-            if rest:
-                simplices.append(rest)
+    rests = [tuple(x for x in t if x != v) for t in c.incident_maximal(v)]
+    simplices = _closure(r for r in rests if r)
+    keep = c._in_order({x for r in rests for x in r})
     vc = None
     if c.vertex_colors is not None:
         vc = {u: c.vertex_colors[u] for u in keep if u in c.vertex_colors}
@@ -308,35 +330,35 @@ def link(c: Complex, v: VertexId) -> Complex:
 
 def star_vertices(c: Complex, seed: Iterable[VertexId], hops: int) -> tuple:
     """Vertices within `hops` steps of the seed set in the 1-skeleton."""
-    adj = c.adjacency()
     frontier = list(dict.fromkeys(seed))
     seen = set(frontier)
     for _ in range(hops):
         nxt = []
         for u in frontier:
-            for w in adj[u]:
+            for w in c.neighbors(u):
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
         frontier = nxt
-    return tuple(v for v in c.vertices if v in seen)
+    return c._in_order(seen)
 
 
 def induced_subcomplex(c: Complex, vertices: Iterable[VertexId]) -> Complex:
-    """Full subcomplex on a vertex subset.
+    """Full subcomplex on a vertex subset: the downward closure of the
+    intersections m & vertices over the maximal simplices m meeting it.
 
     Chamber colors are retained when every chamber of the result was a
     colored chamber of the original; otherwise they are dropped.
     """
     keep = set(vertices)
-    unknown = keep - set(c.vertices)
-    if unknown:
-        raise ValueError(f"unknown vertices {unknown!r}")
-    verts = tuple(v for v in c.vertices if v in keep)
-    simplices = [t for t in c.iter_simplices(min_dim=1) if keep.issuperset(t)]
+    verts = c._in_order(keep)
+    meeting: set[tuple] = set()
+    for v in verts:
+        meeting.update(c.incident_maximal(v))
+    simplices = _closure({tuple(filter(keep.__contains__, t)) for t in meeting})
     vc = None
     if c.vertex_colors is not None:
-        vc = {v: col for v, col in c.vertex_colors.items() if v in keep}
+        vc = {v: c.vertex_colors[v] for v in verts if v in c.vertex_colors}
     sub = Complex(verts, simplices, vertex_colors=vc)
     if c.chamber_colors is not None:
         retained = {
@@ -408,8 +430,8 @@ def chamber_count(c: Complex, s: Iterable[VertexId]) -> int:
     t = _norm_simplex(s)
     if not c.has_simplex(t):
         raise ValueError(f"unknown simplex {t!r}")
-    ts = set(t)
-    return sum(1 for ch in c.chambers() if ts.issubset(ch))
+    ts, size = set(t), c.dimension + 1
+    return sum(1 for m in c.incident_maximal(t[0]) if len(m) == size and ts.issubset(m))
 
 
 def purity_report(c: Complex, marks: InteriorMark) -> PurityReport:

@@ -41,6 +41,55 @@ def naive_automorphisms(c: Complex, respect_colors: bool = False) -> list[tuple]
     return sorted(out)
 
 
+def naive_chamber_count(c: Complex, s) -> int:
+    """Chambers containing s, by a scan of every chamber."""
+    if not c.has_simplex(s):
+        raise ValueError(f"unknown simplex {s!r}")
+    ts = set(s)
+    return sum(1 for ch in c.chambers() if ts.issubset(ch))
+
+
+def naive_link(c: Complex, v) -> Complex:
+    """The link of v, by a scan of every simplex for those holding v."""
+    if v not in set(c.vertices):
+        raise ValueError(f"unknown vertex {v!r}")
+    nbrs = {x for e in c.simplices(1) if v in e for x in e if x != v}
+    keep = [u for u in c.vertices if u in nbrs]
+    simplices = []
+    for t in c.iter_simplices(min_dim=1):
+        if v in t:
+            rest = tuple(x for x in t if x != v)
+            if rest:
+                simplices.append(rest)
+    vc = None
+    if c.vertex_colors is not None:
+        vc = {u: c.vertex_colors[u] for u in keep if u in c.vertex_colors}
+    return Complex(keep, simplices, vertex_colors=vc)
+
+
+def naive_induced_subcomplex(c: Complex, vertices) -> Complex:
+    """The full subcomplex on vertices, by a scan of every simplex for
+    those inside the set; chamber colors kept only when every chamber of
+    the result is a colored chamber of c."""
+    keep = set(vertices)
+    unknown = keep - set(c.vertices)
+    if unknown:
+        raise ValueError(f"unknown vertices {unknown!r}")
+    verts = tuple(v for v in c.vertices if v in keep)
+    simplices = [t for t in c.iter_simplices(min_dim=1) if keep.issuperset(t)]
+    vc = None
+    if c.vertex_colors is not None:
+        vc = {v: col for v, col in c.vertex_colors.items() if v in keep}
+    sub = Complex(verts, simplices, vertex_colors=vc)
+    if c.chamber_colors is not None:
+        retained = {
+            t: c.chamber_colors[t] for t in sub.chambers() if t in c.chamber_colors
+        }
+        if len(retained) == len(sub.chambers()):
+            sub = Complex(verts, simplices, vertex_colors=vc, chamber_colors=retained)
+    return sub
+
+
 def random_graph(rng, n: int, p: float) -> Complex:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Complex(range(n), edges)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -18,6 +19,7 @@ from arithcx.autoeng import (
 )
 from arithcx.errors import CapExceededError
 from arithcx.projmat import cayley_ball, lsv_generators, symmetrize
+from arithcx.qlat import lift_coloring
 from arithcx.scx import Complex, InteriorMark, clique_complex, fano_incidence_graph, link
 from oracles import (
     naive_automorphisms,
@@ -427,6 +429,27 @@ def test_chain_order_with_colors_and_fixing():
     k4 = Complex(range(4), K4_EDGES, chamber_colors=K4_MATCHING_COLORS)
     assert automorphism_order(k4, respect_colors=True).order == 4
     assert automorphism_order(cycle(4), fixed=[0]).order == 2
+
+
+def test_radius_four_tree_chain_work_is_pinned():
+    # the search's node order fixes these counts; any change to the order
+    # in which cells and candidates are tried shows up here
+    ball = lift_coloring(4)
+    fixed = [v for v in range(ball.vertex_count()) if ball.dist[v] <= 1]
+    grp = automorphism_order(ball.to_complex(), respect_colors=True, fixed=fixed)
+    assert grp.order == 4**186
+    assert grp.stats == {"mode": "chain", "searches": 372, "nodes": 69378}
+
+
+def test_search_depth_is_not_bounded_by_recursion_limit():
+    # a perfect matching with one pair pinned: each search level splits
+    # off one more edge, so the search path is about 1,200 levels deep
+    n = 2400
+    c = Complex(range(n), [(2 * i, 2 * i + 1) for i in range(n // 2)])
+    assert n // 2 > sys.getrecursionlimit() - 100
+    w = is_isomorphic(c, c, require={0: 1})
+    assert w is not None and w(0) == 1 and w(1) == 0
+    assert verify_permutation(c, w)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI golden runs, exit codes, exports, and determinism."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import arithcx
+import arithcx.cli
 from arithcx.autoeng import automorphism_group, automorphisms_fixing
 from arithcx.cli import main
 from arithcx.scx import Complex, color_chambers
@@ -109,6 +111,27 @@ def test_lsv_ball_radius_five_within_ceiling(capsys):
     assert rep["data"]["triangle_count"] == 46599
     assert ball["collision"] == {"vertex": 9, "word_a": [-2], "word_b": [1, 4]}
     assert elapsed < 60.0, f"lsv ball -r 5 took {elapsed:.1f}s >= 60s"
+
+
+def test_lsv_verify_radius_four_within_ceiling(capsys):
+    t0 = time.monotonic()
+    code, out = run(["lsv", "verify", "--radius", "4"], capsys)
+    elapsed = time.monotonic() - t0
+    rep = json.loads(out)
+    assert code == 0
+    assert all(c["status"] == "pass" for c in rep["checks"])
+    assert rep["data"]["vertex_count"] == 3585
+    assert rep["data"]["edge_count"] == 12551
+    assert rep["data"]["triangle_count"] == 8967
+    assert rep["data"]["panel_flips"] == {
+        "edges_eligible": 2247,
+        "edges_skipped": 0,
+        "choices_satisfied": 6741,
+    }
+    # sha256 of the report computed at 51c0f2c, before the incidence index
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "454a763dad830e14bc01b40ca7b776c51de3bee3bb414578edd0fd8704d8529a"
+    assert elapsed < 60.0, f"lsv verify -r 4 took {elapsed:.1f}s >= 60s"
 
 
 # ----------------------------------------------------------------------
@@ -239,6 +262,26 @@ def test_usage_errors_exit2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_internal_error_exit3_with_json_diagnostic(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(arithcx.cli, "cmd_lsv", broken)
+    code, rep = run_json(["lsv", "verify", "--radius", "1"], capsys)
+    assert code == 3
+    assert rep["command"] == "lsv-verify"
+    assert rep["error"] == {"type": "RuntimeError", "message": "engine fault"}
+    assert "checks" not in rep
+
+
+def test_unwritable_out_dir_exit3(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, rep = run_json(["tree", "quotient", "--out", str(blocker)], capsys)
+    assert code == 3
+    assert rep["error"]["type"] == "FileExistsError"
 
 
 @pytest.mark.parametrize(

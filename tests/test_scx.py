@@ -4,6 +4,8 @@ from collections import Counter, deque
 import pytest
 
 from arithcx.projmat import cayley_ball, lsv_generators, symmetrize
+from oracles import naive_chamber_count, naive_induced_subcomplex, naive_link
+
 from arithcx.scx import (
     Complex,
     InteriorMark,
@@ -103,6 +105,62 @@ def test_simplices_sorted_once_and_reused():
     assert list(c.iter_simplices(1)) == list(edges) + [(0, 1, 2), (1, 3, 4)]
     assert c.chambers() is c.simplices(2)
     assert c.maximal_simplices() == ((2, 4), (0, 1, 2), (1, 3, 4))
+
+
+def random_complex(rng, n: int) -> Complex:
+    """The closure of a few random simplices of dimension 0-3 on n
+    vertices listed in shuffled order: usually non-pure, with maximal
+    edges and isolated vertices; sometimes chamber- and vertex-colored."""
+    verts = list(range(n))
+    rng.shuffle(verts)
+    maximal = [
+        rng.sample(verts, rng.randrange(1, min(n, 4) + 1))
+        for _ in range(rng.randrange(n + 1))
+    ]
+    c = Complex.from_maximal(verts, maximal)
+    if rng.random() < 0.5:
+        c = color_chambers(c, {t: rng.choice("xy") for t in c.chambers()})
+    if rng.random() < 0.3:
+        c = Complex(
+            c.vertices,
+            c.iter_simplices(1),
+            vertex_colors={
+                v: rng.choice("ab") for v in c.vertices if rng.random() < 0.7
+            },
+            chamber_colors=c.chamber_colors,
+        )
+    return c
+
+
+def test_incidence_index_matches_whole_complex_scans():
+    rng = random.Random(2024)
+    seen = Counter()
+    for _ in range(300):
+        c = random_complex(rng, rng.randrange(1, 9))
+        pure = len({len(t) for t in c.maximal_simplices()}) == 1
+        seen["pure" if pure else "non-pure"] += 1
+        for v in c.vertices:
+            assert c.incident_maximal(v) == tuple(
+                t for t in c.maximal_simplices() if v in t
+            )
+            assert link(c, v) == naive_link(c, v)
+        for t in c.iter_simplices():
+            assert chamber_count(c, t) == naive_chamber_count(c, t)
+        for _ in range(4):
+            keep = rng.sample(c.vertices, rng.randrange(len(c.vertices) + 1))
+            sub = induced_subcomplex(c, keep)
+            assert sub == naive_induced_subcomplex(c, keep)
+            if c.chamber_colors is not None:
+                seen["colors kept" if sub.chamber_colors else "colors dropped"] += 1
+    # every case the index must get right came up
+    assert min(seen.values()) >= 20 and len(seen) == 4, seen
+
+
+def test_incident_maximal_unknown_vertex():
+    c = Complex.from_maximal(range(3), [(0, 1), (2,)])
+    assert c.incident_maximal(2) == ((2,),)
+    with pytest.raises(ValueError, match="unknown vertex"):
+        c.incident_maximal(7)
 
 
 def test_clique_complex_small_graphs():
