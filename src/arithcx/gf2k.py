@@ -2,17 +2,17 @@
 
 An element of F2[t]/<m(t)> is stored as an int whose bit i is the
 coefficient of t^i; the modulus m(t) uses the same encoding.  Addition
-is XOR, multiplication is carry-less product followed by reduction, and
-inversion is an exhaustive search over the nonzero elements.  Fields of
-degree at most 8 answer both from a multiplication table and an inverse
-table that `FieldSpec.tables()` builds on first use; `projmat` reads
-those tables directly.  The two fields the rest of the package relies
-on are module constants:
+is XOR.  A `FieldSpec` builds its full multiplication table (carry-less
+products reduced modulo m(t)) and its inverse table when it is made,
+and multiplication and inversion are lookups in them; `projmat` reads
+the same tables through `FieldSpec.tables()`.  The degree is capped at
+8, where the multiplication table has 65,536 entries.  The two fields
+the rest of the package relies on are module constants:
 
     GF2     m(t) = t + 1            mask 0b11
     GF16    m(t) = t^4 + t + 1      mask 0b10011
 
-Any other irreducible modulus up to degree 16 is accepted, which lets
+Any other irreducible modulus up to degree 8 is accepted, which lets
 tests cross-check GF(16) against an independently constructed copy.
 """
 
@@ -30,8 +30,7 @@ __all__ = [
     "parse_poly",
 ]
 
-_MAX_DEGREE = 16
-_TABLE_DEGREE = 8  # full mul/inv tables are built up to this degree
+_MAX_DEGREE = 8
 
 
 def _poly_mul_bits(a: int, b: int) -> int:
@@ -115,7 +114,7 @@ class FieldSpec:
     Raises
     ------
     ValueError
-        If the modulus is reducible or its degree is outside 1..16.
+        If the modulus is reducible or its degree is outside 1..8.
     """
 
     __slots__ = ("modulus", "degree", "size", "_tables")
@@ -132,8 +131,16 @@ class FieldSpec:
             )
         self.modulus = modulus
         self.degree = degree
-        self.size = 1 << degree
-        self._tables: tuple[list[list[int]], list[int]] | None = None
+        self.size = size = 1 << degree
+        mul_rows = [[0] * size for _ in range(size)]
+        for x in range(size):
+            row = mul_rows[x]
+            for y in range(x, size):
+                v = _poly_mod_bits(_poly_mul_bits(x, y), modulus)
+                row[y] = v
+                mul_rows[y][x] = v
+        inv = [0] + [row.index(1) for row in mul_rows[1:]]
+        self._tables = (mul_rows, inv)
 
     # fields with the same modulus are the same field
     def __eq__(self, other: object) -> bool:
@@ -149,53 +156,21 @@ class FieldSpec:
     # raw int arithmetic
 
     def tables(self) -> tuple[list[list[int]], list[int]]:
-        """Multiplication rows and inverse table, built on first use.
+        """Multiplication rows and inverse table.
 
         `mul_rows[a][b]` is a*b and `inv[a]` is 1/a (`inv[0]` is 0).
-        Only fields of degree at most 8 have tables; larger fields
-        raise ValueError.
         """
-        if self._tables is None:
-            if self.degree > _TABLE_DEGREE:
-                raise ValueError(
-                    f"no multiplication tables for degree {self.degree} "
-                    f"(tables stop at degree {_TABLE_DEGREE})"
-                )
-            size = self.size
-            mul_rows = [[0] * size for _ in range(size)]
-            for x in range(size):
-                row = mul_rows[x]
-                for y in range(x, size):
-                    v = _poly_mod_bits(_poly_mul_bits(x, y), self.modulus)
-                    row[y] = v
-                    mul_rows[y][x] = v
-            # inverse by exhaustive search over the nonzero elements
-            inv = [0] * size
-            for x in range(1, size):
-                inv[x] = mul_rows[x].index(1)
-            self._tables = (mul_rows, inv)
         return self._tables
-
-    def add(self, a: int, b: int) -> int:
-        """Sum of two elements given as bitmasks."""
-        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         """Product of two elements given as bitmasks."""
-        if self.degree <= _TABLE_DEGREE:
-            return (self._tables or self.tables())[0][a][b]
-        return _poly_mod_bits(_poly_mul_bits(a, b), self.modulus)
+        return self._tables[0][a][b]
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a nonzero element bitmask."""
         if a == 0:
             raise ValueError("zero has no multiplicative inverse")
-        if self.degree <= _TABLE_DEGREE:
-            return (self._tables or self.tables())[1][a]
-        for b in range(1, self.size):
-            if self.mul(a, b) == 1:
-                return b
-        raise AssertionError("unreachable for an irreducible modulus")
+        return self._tables[1][a]
 
     # ------------------------------------------------------------------
     # typed element API

@@ -9,10 +9,10 @@ package turns into simplicial complexes.
 
 All products go through one kernel, `_product`, which multiplies two
 row-major 9-tuples of entry bitmasks with the field's multiplication
-rows and normalizes by one table row.  It needs `FieldSpec.tables()`,
-so matrices are supported only over fields of degree at most 8; larger
-fields raise ValueError.  `cayley_ball` runs its breadth-first search
-on entry tuples and makes a `ProjMatrix` only for each returned vertex.
+rows (`FieldSpec.tables()`, XOR for addition) and normalizes by one
+table row.  The determinant, the adjugate and the action on P^2 read
+the same rows.  `cayley_ball` runs its breadth-first search on entry
+tuples and makes a `ProjMatrix` only for each returned vertex.
 
 References:
     Lubotzky, Samuels, Vishne.  "Explicit constructions of Ramanujan
@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
 from .gf2k import GF16, FieldElem, FieldSpec, format_poly, parse_poly
@@ -86,11 +86,8 @@ def matrix(spec: FieldSpec, rows: Sequence[Sequence]) -> ProjMatrix:
     """Build a (not yet canonical) matrix from 3x3 entries.
 
     Entries may be bitmask ints, FieldElem values, or polynomial
-    strings such as 't^2+1'.  Raises ValueError over a field without
-    multiplication tables (degree above 8), where no PGL3 arithmetic
-    is available.
+    strings such as 't^2+1'.
     """
-    spec.tables()
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise ValueError("expected a 3x3 entry table")
     bits = []
@@ -116,17 +113,16 @@ def identity(spec: FieldSpec) -> ProjMatrix:
 
 def determinant(m: ProjMatrix) -> FieldElem:
     """Determinant by cofactor expansion along the first row."""
-    s = m.spec
-    a = m.entries
+    mul_rows = m.spec.tables()[0]
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = m.entries
+    r3, r4, r5 = mul_rows[a3], mul_rows[a4], mul_rows[a5]
     # char 2: minus signs vanish
-    m00 = s.add(s.mul(a[4], a[8]), s.mul(a[5], a[7]))
-    m01 = s.add(s.mul(a[3], a[8]), s.mul(a[5], a[6]))
-    m02 = s.add(s.mul(a[3], a[7]), s.mul(a[4], a[6]))
-    det = s.add(
-        s.add(s.mul(a[0], m00), s.mul(a[1], m01)),
-        s.mul(a[2], m02),
+    det = (
+        mul_rows[a0][r4[a8] ^ r5[a7]]
+        ^ mul_rows[a1][r3[a8] ^ r5[a6]]
+        ^ mul_rows[a2][r3[a7] ^ r4[a6]]
     )
-    return FieldElem(det, s)
+    return FieldElem(det, m.spec)
 
 
 def _canonical(
@@ -138,7 +134,7 @@ def _canonical(
             return entries
         if b:
             return tuple(map(mul_rows[inv[b]].__getitem__, entries))
-    raise ValueError("zero matrix cannot be normalized")
+    raise ValueError("all-zero entries cannot be normalized")
 
 
 def _product(
@@ -194,14 +190,13 @@ def pgl_inv(m: ProjMatrix) -> ProjMatrix:
     """
     if not determinant(m):
         raise ValueError(f"singular matrix has no inverse: {m!r}")
-    s = m.spec
+    mul_rows, inv = m.spec.tables()
     a = m.entries
-    mul_, add_ = s.mul, s.add
 
     def minor(r0, r1, c0, c1):
-        return add_(
-            mul_(a[3 * r0 + c0], a[3 * r1 + c1]),
-            mul_(a[3 * r0 + c1], a[3 * r1 + c0]),
+        return (
+            mul_rows[a[3 * r0 + c0]][a[3 * r1 + c1]]
+            ^ mul_rows[a[3 * r0 + c1]][a[3 * r1 + c0]]
         )
 
     # adj[j][i] = minor with row i, column j removed (char 2: no signs)
@@ -210,7 +205,7 @@ def pgl_inv(m: ProjMatrix) -> ProjMatrix:
         minor(1, 2, 0, 2), minor(0, 2, 0, 2), minor(0, 1, 0, 2),
         minor(1, 2, 0, 1), minor(0, 2, 0, 1), minor(0, 1, 0, 1),
     )
-    return ProjMatrix(s, _canonical(*s.tables(), adj), canonical=True)
+    return ProjMatrix(m.spec, _canonical(mul_rows, inv, adj), canonical=True)
 
 
 # ----------------------------------------------------------------------
@@ -316,9 +311,6 @@ class SymmetricGenerators:
     def __len__(self) -> int:
         return len(self.matrices)
 
-    def __iter__(self) -> Iterator[ProjMatrix]:
-        return iter(self.matrices)
-
     def inverse_label(self, label: int) -> int:
         if abs(label) in self.self_inverse:
             return label
@@ -416,9 +408,6 @@ class CayleyBall:
                 "word_b": list(self.collision.word_b),
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     def to_dot(self) -> str:
         """1-skeleton in DOT; edge labels are signed generator indices."""
@@ -567,18 +556,15 @@ def proj_plane_points(spec: FieldSpec) -> tuple[tuple[int, int, int], ...]:
 
 
 def _act(m: ProjMatrix, p: tuple[int, int, int]) -> tuple[int, int, int]:
-    s = m.spec
+    """Canonical point m*p, for p a column vector."""
+    mul_rows, inv = m.spec.tables()
     a = m.entries
-    v = (
-        s.add(s.add(s.mul(a[0], p[0]), s.mul(a[1], p[1])), s.mul(a[2], p[2])),
-        s.add(s.add(s.mul(a[3], p[0]), s.mul(a[4], p[1])), s.mul(a[5], p[2])),
-        s.add(s.add(s.mul(a[6], p[0]), s.mul(a[7], p[1])), s.mul(a[8], p[2])),
-    )
-    for b in v:
-        if b:
-            lam = s.inv(b)
-            return (s.mul(lam, v[0]), s.mul(lam, v[1]), s.mul(lam, v[2]))
-    raise ValueError("projective image of a point cannot be zero")
+    x, y, z = mul_rows[p[0]], mul_rows[p[1]], mul_rows[p[2]]
+    return _canonical(mul_rows, inv, (
+        x[a[0]] ^ y[a[1]] ^ z[a[2]],
+        x[a[3]] ^ y[a[4]] ^ z[a[5]],
+        x[a[6]] ^ y[a[7]] ^ z[a[8]],
+    ))
 
 
 def projective_plane_orbit(

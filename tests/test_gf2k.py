@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from arithcx.gf2k import GF2, GF16, FieldSpec, format_poly, parse_poly
@@ -7,12 +9,51 @@ ONE = GF16.one
 ZERO = GF16.zero
 
 
+# ----------------------------------------------------------------------
+# independent oracles, written here and not read from gf2k: a plain
+# carry-less product, a shift-and-add product that reduces modulo m at
+# every step, and the irreducible moduli as the polynomials that are no
+# product of two polynomials of degree >= 1
+
+
+def clmul(a, b):
+    p = 0
+    for i in range(b.bit_length()):
+        if b >> i & 1:
+            p ^= a << i
+    return p
+
+
+def clmul_mod(a, b, m):
+    deg = m.bit_length() - 1
+    p = 0
+    while b:
+        if b & 1:
+            p ^= a
+        b >>= 1
+        a <<= 1
+        if a >> deg & 1:
+            a ^= m
+    return p
+
+
 def brute_inverse(spec, a):
     # oracle: scan every nonzero element for the inverse
     for b in range(1, spec.size):
-        if spec.mul(a, b) == 1:
+        if clmul_mod(a, b, spec.modulus) == 1:
             return b
     return None
+
+
+def irreducible_moduli(max_degree):
+    top = 1 << (max_degree + 1)
+    products = {
+        clmul(a, b)
+        for a in range(2, top)
+        for b in range(a, top)
+        if a.bit_length() + b.bit_length() - 2 <= max_degree
+    }
+    return [m for m in range(2, top) if m not in products]
 
 
 def test_modulus_validation():
@@ -24,6 +65,32 @@ def test_modulus_validation():
         FieldSpec(1)  # degree 0
     with pytest.raises(ValueError):
         FieldSpec(1 << 17 | 1)  # degree beyond the cap
+
+
+def test_tables_against_carryless_oracle_every_modulus():
+    moduli = irreducible_moduli(8)
+    by_degree = [sum(m.bit_length() - 1 == d for m in moduli) for d in range(1, 9)]
+    # the number of irreducible binary polynomials of degree 1..8
+    assert by_degree == [2, 1, 2, 3, 6, 9, 18, 30]
+    for m in range(2, 1 << 9):
+        if m not in moduli:
+            with pytest.raises(ValueError, match="reducible"):
+                FieldSpec(m)
+    rng = random.Random(20261018)
+    for m in moduli:
+        spec = FieldSpec(m)
+        q = spec.size
+        if spec.degree <= 6:
+            pairs = [(a, b) for a in range(q) for b in range(q)]
+        else:
+            pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+        for a, b in pairs:
+            assert spec.mul(a, b) == clmul_mod(a, b, m), (m, a, b)
+        for a in range(1, q):
+            b = spec.inv(a)
+            assert 0 < b < q and clmul_mod(a, b, m) == 1, (m, a)
+        with pytest.raises(ValueError):
+            spec.inv(0)
 
 
 def test_gf16_has_sixteen_elements():

@@ -5,12 +5,12 @@ from collections import deque
 
 import pytest
 
+from arithcx import projmat
 from arithcx.errors import BudgetExceededError
 from arithcx.gf2k import GF2, GF16, FieldSpec, format_poly, parse_poly
 from arithcx.projmat import (
     CayleyBall,
     GeneratorTable,
-    SymmetricGenerators,
     cayley_ball,
     determinant,
     identity,
@@ -66,6 +66,18 @@ def oracle_scale(entries):
             lam = f16_inv(b)
             return tuple(f16_mul(lam, e) for e in entries)
     raise ValueError("zero matrix")
+
+
+def oracle_act(entries, point):
+    # m times the column vector p, scaled to a canonical point
+    return oracle_scale(
+        tuple(
+            f16_mul(entries[3 * i], point[0])
+            ^ f16_mul(entries[3 * i + 1], point[1])
+            ^ f16_mul(entries[3 * i + 2], point[2])
+            for i in range(3)
+        )
+    )
 
 
 def oracle_mul(x, y):
@@ -172,6 +184,28 @@ def test_determinants_nonzero_with_leibniz_oracle():
         assert format_poly(d.bits) == "t^2+1"
 
 
+def test_determinant_matches_leibniz_on_seeded_ball_sample(ball2):
+    # ball elements with their entries scaled by a random nonzero
+    # scalar (det scales by its cube), and uniformly random entry tables,
+    # some of them singular
+    rng = random.Random(20261018)
+    verts = ball2.vertices
+    singular = 0
+    for _ in range(500):
+        m = verts[rng.randrange(len(verts))]
+        lam = rng.randrange(1, 16)
+        scaled = matrix(GF16, [[f16_mul(lam, e) for e in m.entries[r:r + 3]]
+                               for r in (0, 3, 6)])
+        d = determinant(scaled).bits
+        assert d == leibniz_det(scaled.entries) != 0
+        assert d == f16_mul(f16_mul(f16_mul(lam, lam), lam), determinant(m).bits)
+        entries = tuple(rng.randrange(16) for _ in range(9))
+        d = determinant(matrix(GF16, [entries[0:3], entries[3:6], entries[6:9]]))
+        assert d.bits == leibniz_det(entries)
+        singular += not d
+    assert 0 < singular < 500
+
+
 def test_normalize_scales_first_nonzero_to_one(table):
     raw = lsv_raw_matrices()
     m1 = table.matrices[0]
@@ -202,10 +236,12 @@ def test_scalar_multiples_normalize_identically(table):
             assert pgl_normalize(scaled) == pgl_normalize(m)
 
 
-def test_pgl_inv_matches_adjugate_oracle(table):
+def test_pgl_inv_matches_adjugate_oracle(table, ball2):
     m1 = table.matrices[0]
     inv1 = pgl_inv(m1)
     assert inv1.entries == oracle_adjugate(m1.entries)
+    for m in ball2.vertices:
+        assert pgl_inv(m).entries == oracle_adjugate(m.entries)
     # golden from the oracle run
     assert inv1.rows() == (
         ("1", "t^3+t^2", "t^3"),
@@ -258,20 +294,17 @@ def test_mismatched_specs_rejected():
 
 
 def test_field_above_table_degree_rejected():
-    gf512 = FieldSpec(0b1000010001)  # t^9 + t^4 + 1
-    assert gf512.degree == 9
-    # the field's own arithmetic works without tables ...
-    assert gf512.mul(gf512.inv(0b101), 0b101) == 1
-    # ... but projmat needs them, and says which degree it refused
-    with pytest.raises(ValueError, match="degree 9"):
-        matrix(gf512, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    ident = identity(gf512)
-    for op in (pgl_normalize, pgl_inv, lambda m: pgl_mul(m, m)):
-        with pytest.raises(ValueError, match="degree 9"):
-            op(ident)
-    empty = SymmetricGenerators(gf512, (), (), ())
-    with pytest.raises(ValueError, match="degree 9"):
-        cayley_ball(empty, 1)
+    # t^9 + t^4 + 1 is irreducible, but fields stop at degree 8
+    with pytest.raises(ValueError, match=r"1\.\.8, got 9"):
+        FieldSpec(0b1000010001)
+    # the same refusal for a generator table read from outside input
+    doc = {
+        "name": "gf512",
+        "field": {"modulus": "t^9+t^4+1"},
+        "matrices": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]],
+    }
+    with pytest.raises(ValueError, match=r"1\.\.8, got 9"):
+        GeneratorTable.from_json(json.dumps(doc))
 
 
 def test_matrix_input_validation():
@@ -484,11 +517,14 @@ def test_vertex_budget_enforced(sym):
 
 
 def test_ball_json_and_dot_deterministic(sym):
+    def to_json(ball):
+        return json.dumps(ball.to_json_dict(), indent=2, sort_keys=True)
+
     a = cayley_ball(sym, 1)
     b = cayley_ball(sym, 1)
-    assert a.to_json() == b.to_json()
+    assert to_json(a) == to_json(b)
     assert a.to_dot() == b.to_dot()
-    doc = json.loads(a.to_json())
+    doc = json.loads(to_json(a))
     assert doc["vertex_count"] == 15
     assert doc["sphere_sizes"] == [1, 14]
     assert len(doc["edges"]) == 35
@@ -503,6 +539,13 @@ def test_projective_plane_points_count():
     assert len(proj_plane_points(GF16)) == 273
     assert len(set(proj_plane_points(GF16))) == 273
     assert len(proj_plane_points(GF2)) == 7  # Fano plane
+
+
+def test_action_on_points_matches_oracle(sym):
+    # a transposed action has the same orbit sizes, so check every image
+    for m in sym.matrices:
+        for p in proj_plane_points(GF16):
+            assert projmat._act(m, p) == oracle_act(m.entries, p)
 
 
 def test_projective_plane_single_orbit(sym):
