@@ -142,21 +142,29 @@ class AutomorphismSet:
 
 
 class _Side:
-    """A complex indexed by the positions of its sorted vertex ids.
+    """A complex indexed by the positions of its sorted vertex ids, built
+    once for every search on it.
 
-    adj[i] holds one (edge label, neighbor) pair per incident edge; the
+    adj[i] holds one (label weight, neighbor) pair per incident edge.  The
     label is the edge's chamber color when edges are the chambers and
-    colors are respected, else "".
+    colors are respected, else "".  Each label weighs a distinct power of
+    a base above every degree, so the weight sum a vertex receives from a
+    splitter encodes the multiset of labels; sides with equal base-key
+    multisets share labels and maximum degree, hence weights.  elems, pos,
+    col and end arrange the vertices by base key: every search's root.
     """
 
-    __slots__ = ("ids", "idx", "adj", "simplices", "chamber_colors", "base_keys")
+    __slots__ = (
+        "ids", "idx", "adj", "simplices", "chamber_colors", "vertex_colors",
+        "base_keys", "elems", "pos", "col", "end",
+    )
 
     def __init__(self, c: Complex, respect_colors: bool) -> None:
         self.ids = _sorted_ids(c.vertices)
         self.idx = idx = {v: i for i, v in enumerate(self.ids)}
         n = len(self.ids)
         colors = c.chamber_colors if respect_colors and c.chamber_colors else {}
-        self.adj: list[list[tuple[str, int]]] = [[] for _ in range(n)]
+        labelled: list[list[tuple[str, int]]] = [[] for _ in range(n)]
         self.simplices: dict[int, frozenset] = {}
         self.chamber_colors: dict[tuple, str] = {}
         counts = [[0] * (c.dimension + 1) for _ in range(n)]
@@ -178,21 +186,27 @@ class _Side:
                     if colored:
                         incident_chamber[i].append(label)
                 if d == 1:
-                    self.adj[it[0]].append((label, it[1]))
-                    self.adj[it[1]].append((label, it[0]))
+                    labelled[it[0]].append((label, it[1]))
+                    labelled[it[1]].append((label, it[0]))
             if d:
                 self.simplices[d] = frozenset(fam)
 
-        vertex_colors = c.vertex_colors if respect_colors else None
+        vc = c.vertex_colors if respect_colors else None
+        self.vertex_colors = None if vc is None else [repr(vc.get(v)) for v in self.ids]
         self.base_keys: list[tuple] = [
             (
-                "" if vertex_colors is None else repr(vertex_colors.get(v)),
-                len(self.adj[i]),
+                "" if vc is None else self.vertex_colors[i],
+                len(labelled[i]),
                 tuple(counts[i][1:]),
                 tuple(sorted(incident_chamber[i])),
             )
-            for i, v in enumerate(self.ids)
+            for i in range(n)
         ]
+        labels = sorted({L for nbrs in labelled for L, _ in nbrs})
+        base = 1 + max(map(len, labelled), default=0)
+        weight = {L: base**i for i, L in enumerate(labels)}
+        self.adj = [[(weight[L], x) for L, x in nbrs] for nbrs in labelled]
+        self.elems, self.pos, self.col, self.end = _arrange(self.base_keys)
 
 
 class _Partition:
@@ -213,27 +227,13 @@ class _Partition:
         "col_a", "col_b", "end", "trail", "heap",
     )
 
-    def __init__(self, sa: _Side, sb: _Side, ka: list[int], kb: list[int]) -> None:
-        # ka and kb rank the base keys jointly and have equal histograms.
-        # Each label weighs a distinct power of a base above every degree,
-        # so the weight sum a vertex receives from a splitter encodes the
-        # multiset of labels.
-        labels = sorted({L for side in (sa, sb) for nbrs in side.adj for L, _ in nbrs})
-        base = 1 + max(map(len, sa.adj + sb.adj), default=0)
-        weight = {L: base**i for i, L in enumerate(labels)}
-        self.adj_a = [[(weight[L], x) for L, x in nbrs] for nbrs in sa.adj]
-        self.adj_b = self.adj_a if sb is sa else [
-            [(weight[L], x) for L, x in nbrs] for nbrs in sb.adj
-        ]
-        self.elems_a, self.pos_a, self.col_a = _arrange(ka)
-        self.elems_b, self.pos_b, self.col_b = _arrange(kb)
-        n = len(ka)
-        self.end = end = list(range(1, n + 1))
-        starts = sorted(set(self.col_a))
-        for s, e in zip(starts, starts[1:] + [n]):
-            end[s] = e
+    def __init__(self, sa: _Side, sb: _Side) -> None:
+        self.adj_a, self.adj_b = sa.adj, sb.adj
+        self.elems_a, self.pos_a, self.col_a = sa.elems[:], sa.pos[:], sa.col[:]
+        self.elems_b, self.pos_b, self.col_b = sb.elems[:], sb.pos[:], sb.col[:]
+        self.end = end = sa.end[:]
         self.trail: list[tuple[int, int]] = []
-        self.heap = [(end[s] - s, s) for s in starts if end[s] - s > 1]
+        self.heap = [(end[s] - s, s) for s in set(self.col_a) if end[s] - s > 1]
         heapq.heapify(self.heap)
 
     def undo(self, mark: int) -> None:
@@ -363,19 +363,20 @@ class _Partition:
         return True
 
 
-def _arrange(keys: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """Vertices sorted by key, their positions, and each one's color: the
-    first position holding its key."""
-    elems = sorted(range(len(keys)), key=keys.__getitem__)
-    pos = [0] * len(keys)
-    col = [0] * len(keys)
+def _arrange(keys: list) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Vertices sorted by key, their positions, each one's color (the
+    first position holding its key) and each cell's end."""
+    n = len(keys)
+    elems = sorted(range(n), key=keys.__getitem__)
+    pos, col, end = [0] * n, [0] * n, list(range(1, n + 1))
     start = 0
     for i, v in enumerate(elems):
         if keys[v] != keys[elems[start]]:
             start = i
         pos[v] = i
         col[v] = start
-    return elems, pos, col
+        end[start] = i + 1
+    return elems, pos, col, end
 
 
 def _hits(
@@ -398,17 +399,11 @@ def _hits(
 
 
 def _root(sa: _Side, sb: _Side, require: dict[int, int]) -> _Partition | None:
-    """The equitable partition refining the base keys, ranked jointly over
-    both sides, with each required pair individualized; None when the
-    sides cannot match."""
-    if len(sa.ids) != len(sb.ids):
+    """The equitable partition refining the base keys, with each required
+    pair individualized; None when the sides cannot match."""
+    if sb is not sa and Counter(sa.base_keys) != Counter(sb.base_keys):
         return None
-    rank = {k: i for i, k in enumerate(sorted(set(sa.base_keys) | set(sb.base_keys)))}
-    ka = [rank[k] for k in sa.base_keys]
-    kb = [rank[k] for k in sb.base_keys]
-    if Counter(ka) != Counter(kb):
-        return None
-    p = _Partition(sa, sb, ka, kb)
+    p = _Partition(sa, sb)
     for a_i, b_i in sorted(require.items()):
         if p.individualize(a_i, b_i) is None:
             return None
@@ -424,6 +419,10 @@ def _root(sa: _Side, sb: _Side, require: dict[int, int]) -> _Partition | None:
 
 def _leaf_ok(sa: _Side, sb: _Side, mapping: list[int]) -> bool:
     # exhaustive: every simplex must land on a simplex, colors included
+    va, vb = sa.vertex_colors, sb.vertex_colors
+    if va is not None or vb is not None:
+        if va is None or vb is None or [vb[j] for j in mapping] != va:
+            return False
     for d, fam in sa.simplices.items():
         target = sb.simplices.get(d, frozenset())
         if len(fam) != len(target):

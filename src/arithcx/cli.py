@@ -133,11 +133,7 @@ def _lsv_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
         "generator_determinants": [str(determinant(m)) for m in gens.matrices],
         "collision": None
         if ball.collision is None
-        else {
-            "vertex": ball.collision.vertex,
-            "word_a": list(ball.collision.word_a),
-            "word_b": list(ball.collision.word_b),
-        },
+        else ball.collision.to_json_dict(),
     }
 
     if r >= 2:

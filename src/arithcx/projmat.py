@@ -28,6 +28,7 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
 from .gf2k import GF16, FieldElem, FieldSpec, format_poly, parse_poly
+from .scx import dot_graph
 
 __all__ = [
     "ProjMatrix",
@@ -357,6 +358,13 @@ class CollisionReport:
     def lengths(self) -> tuple[int, int]:
         return (len(self.word_a), len(self.word_b))
 
+    def to_json_dict(self) -> dict:
+        return {
+            "vertex": self.vertex,
+            "word_a": list(self.word_a),
+            "word_b": list(self.word_b),
+        }
+
 
 @dataclass(frozen=True)
 class CayleyBall:
@@ -402,22 +410,16 @@ class CayleyBall:
             "edges": [list(e) for e in self.edges],
             "collision": None
             if self.collision is None
-            else {
-                "vertex": self.collision.vertex,
-                "word_a": list(self.collision.word_a),
-                "word_b": list(self.collision.word_b),
-            },
+            else self.collision.to_json_dict(),
         }
 
     def to_dot(self) -> str:
         """1-skeleton in DOT; edge labels are signed generator indices."""
-        lines = ["graph cayley_ball {"]
-        for i in range(len(self.vertices)):
-            lines.append(f'  v{i} [label="{i} (d={self.dist[i]})"];')
-        for u, v, lab in self.edges:
-            lines.append(f'  v{u} -- v{v} [label="{lab}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return dot_graph(
+            "cayley_ball",
+            ((f"v{i}", f'label="{i} (d={d})"') for i, d in enumerate(self.dist)),
+            ((f"v{u}", f"v{v}", f'label="{lab}"') for u, v, lab in self.edges),
+        )
 
 
 def cayley_ball(

@@ -30,7 +30,7 @@ from .autoeng import (
     verify_permutation,
 )
 from .errors import BudgetExceededError
-from .scx import Complex
+from .scx import Complex, dot_graph
 
 __all__ = [
     "Quaternion",
@@ -285,16 +285,12 @@ class ColoredTreeBall:
 
     def to_dot(self) -> str:
         render = {"A": "red", "B": "green", "C": "blue"}
-        lines = ["graph treeball {"]
-        for i, cls in enumerate(self.classes):
-            lines.append(f'  n{i} [label="{cls.rep}"];')
-        for u, v, g, color in self.edges:
-            lines.append(
-                f'  n{u} -- n{v} [label="{color}:{GENERATOR_NAMES[g]}", '
-                f'color={render[color]}];'
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        nodes = [(f"n{i}", f'label="{cls.rep}"') for i, cls in enumerate(self.classes)]
+        edges = [
+            (f"n{u}", f"n{v}", f'label="{c}:{GENERATOR_NAMES[g]}", color={render[c]}')
+            for u, v, g, c in self.edges
+        ]
+        return dot_graph("treeball", nodes, edges)
 
 
 def _edge_color(fiber_u: int, fiber_v: int) -> str:

@@ -27,6 +27,7 @@ __all__ = [
     "color_chambers",
     "serialize",
     "deserialize",
+    "dot_graph",
     "fano_incidence_graph",
 ]
 
@@ -228,22 +229,12 @@ class Complex:
     def to_dot(self) -> str:
         """1-skeleton in DOT, with chamber colors as edge labels when
         the complex is 1-dimensional and colored."""
-        lines = ["graph complex {"]
-        for v in self._vertices:
-            lines.append(f'  "{v}";')
-        edge_colors = (
-            self.chamber_colors
-            if self._dimension == 1 and self.chamber_colors
-            else {}
-        )
+        colored = self._dimension == 1 and self.chamber_colors
+        edges = []
         for u, v in self.simplices(1):
-            lab = edge_colors.get((u, v))
-            if lab is None:
-                lines.append(f'  "{u}" -- "{v}";')
-            else:
-                lines.append(f'  "{u}" -- "{v}" [label="{lab}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            lab = self.chamber_colors.get((u, v)) if colored else None
+            edges.append((f'"{u}"', f'"{v}"', "" if lab is None else f'label="{lab}"'))
+        return dot_graph("complex", [(f'"{v}"', "") for v in self._vertices], edges)
 
     @classmethod
     def from_maximal(
@@ -359,21 +350,15 @@ def induced_subcomplex(c: Complex, vertices: Iterable[VertexId]) -> Complex:
     vc = None
     if c.vertex_colors is not None:
         vc = {v: c.vertex_colors[v] for v in verts if v in c.vertex_colors}
-    sub = Complex(verts, simplices, vertex_colors=vc)
+    cc = None
     if c.chamber_colors is not None:
-        retained = {
-            t: c.chamber_colors[t]
-            for t in sub.chambers()
-            if t in c.chamber_colors
-        }
-        if len(retained) == len(sub.chambers()):
-            sub = Complex(
-                verts,
-                simplices,
-                vertex_colors=vc,
-                chamber_colors=retained,
-            )
-    return sub
+        # the result's chambers: its top-dimensional simplices, which are
+        # its vertices when it has no edges
+        top = max(map(len, simplices), default=0)
+        chambers = sorted(t for t in simplices if len(t) == top)
+        if all(t in c.chamber_colors for t in chambers):
+            cc = {t: c.chamber_colors[t] for t in chambers}
+    return Complex(verts, simplices, vertex_colors=vc, chamber_colors=cc)
 
 
 # ----------------------------------------------------------------------
@@ -505,6 +490,19 @@ def deserialize(text: str) -> Complex:
     return Complex(
         doc["vertices"], simplices, vertex_colors=vc, chamber_colors=cc
     )
+
+
+# ----------------------------------------------------------------------
+# export
+
+
+def dot_graph(name: str, nodes: Iterable[tuple], edges: Iterable[tuple]) -> str:
+    """An undirected DOT graph with one statement per (node, attrs) and
+    (u, v, attrs) row; ids come rendered, and attrs is a rendered
+    attribute list or "" for none."""
+    rows = [*nodes, *((f"{u} -- {v}", attrs) for u, v, attrs in edges)]
+    body = "".join(f"  {s} [{a}];\n" if a else f"  {s};\n" for s, a in rows)
+    return f"graph {name} {{\n{body}}}\n"
 
 
 # ----------------------------------------------------------------------

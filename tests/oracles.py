@@ -138,23 +138,36 @@ def relabel(c: Complex, perm: dict) -> Complex:
     )
 
 
+def labelled_edges(side) -> list[list[tuple[str, int]]]:
+    """Each vertex's (edge label, neighbor) pairs, rebuilt from an engine
+    side's edges and chamber colors: the label is the edge's chamber color
+    when edges are the colored chambers, else ""."""
+    nbrs: list[list[tuple[str, int]]] = [[] for _ in side.ids]
+    for u, v in side.simplices.get(1, ()):
+        label = side.chamber_colors.get((u, v), "")
+        nbrs[u].append((label, v))
+        nbrs[v].append((label, u))
+    return nbrs
+
+
 def naive_refine(sa, sb, ca: list[int], cb: list[int]):
     """Joint 1-WL refinement of two engine sides from scratch: every round
     re-keys every vertex by its color and the sorted (edge label, neighbor
-    color) pairs of its edges in `adj`, until the number of colors stops
-    growing.  Returns the stable (ca, cb), or None as soon as the color
-    histograms of the two sides differ."""
+    color) pairs of its edges, until the number of colors stops growing.
+    Returns the stable (ca, cb), or None as soon as the color histograms
+    of the two sides differ."""
     if Counter(ca) != Counter(cb):
         return None
+    adj_a, adj_b = labelled_edges(sa), labelled_edges(sb)
     ncolors = len(set(ca))
     while True:
         keys_a = [
             (ca[v], tuple(sorted((label, ca[u]) for label, u in nbrs)))
-            for v, nbrs in enumerate(sa.adj)
+            for v, nbrs in enumerate(adj_a)
         ]
         keys_b = [
             (cb[v], tuple(sorted((label, cb[u]) for label, u in nbrs)))
-            for v, nbrs in enumerate(sb.adj)
+            for v, nbrs in enumerate(adj_b)
         ]
         rank = {k: i for i, k in enumerate(sorted(set(keys_a) | set(keys_b)))}
         ca = [rank[k] for k in keys_a]

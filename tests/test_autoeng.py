@@ -8,6 +8,7 @@ from arithcx.autoeng import (
     AutomorphismSet,
     VertexMap,
     VertexPermutation,
+    _leaf_ok,
     _root,
     _Side,
     automorphism_group,
@@ -364,6 +365,24 @@ def test_verify_permutation_rejects_bad_maps():
     assert not verify_permutation(colored, rot, respect_colors=True)
 
 
+def test_leaf_check_enforces_vertex_colors():
+    # the rotation keeps every edge of the x,y,x,y 4-cycle but no vertex
+    # color; the leaf check must reject it on its own, without the root
+    # partition that separates the colors
+    colored = Complex(
+        range(4),
+        [(0, 1), (1, 2), (2, 3), (0, 3)],
+        vertex_colors={0: "x", 1: "y", 2: "x", 3: "y"},
+    )
+    side = _Side(colored, True)
+    assert not _leaf_ok(side, side, [1, 2, 3, 0])
+    assert _leaf_ok(side, side, [2, 3, 0, 1])
+    plain = _Side(colored, False)
+    assert _leaf_ok(plain, plain, [1, 2, 3, 0])
+    assert not _leaf_ok(side, plain, [0, 1, 2, 3])
+    assert not _leaf_ok(plain, side, [0, 1, 2, 3])
+
+
 # ----------------------------------------------------------------------
 # order without enumeration
 
@@ -439,6 +458,14 @@ def test_radius_four_tree_chain_work_is_pinned():
     grp = automorphism_order(ball.to_complex(), respect_colors=True, fixed=fixed)
     assert grp.order == 4**186
     assert grp.stats == {"mode": "chain", "searches": 372, "nodes": 69378}
+
+
+def test_radius_two_building_chain_work_is_pinned(ballcx):
+    # the building-side counterpart of the tree pin: uncolored, center
+    # fixed, order 336 * 2^8
+    grp = automorphism_order(ballcx, fixed=[0])
+    assert grp.order == 86016
+    assert grp.stats == {"mode": "chain", "searches": 14, "nodes": 101}
 
 
 def test_search_depth_is_not_bounded_by_recursion_limit():
