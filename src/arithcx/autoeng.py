@@ -440,23 +440,15 @@ def _leaf_ok(sa: _Side, sb: _Side, mapping: list[int]) -> bool:
     return True
 
 
-def _search(
-    sa: _Side,
-    sb: _Side,
-    p: _Partition,
-    mode: str,
-    cap: int,
-    stats: dict,
-):
-    """Yield index mappings a->b below the equitable partition p, which
-    is left as it was found unless the caller stops early.  mode 'all'
-    or 'first'.
+def _search(sa: _Side, sb: _Side, p: _Partition, stats: dict):
+    """Lazily yield the verified index mappings a->b below the equitable
+    partition p, which is left as it was found once the generator is
+    exhausted; a caller that stops early undoes p itself.
 
     The depth-first search keeps its path on an explicit stack, one
     [a, candidate images of a, next candidate, trail mark] entry per
     open node, so its depth is not bounded by Python's recursion limit.
     """
-    found = 0
     stack: list[list] = []
     while True:
         # enter a node
@@ -465,12 +457,6 @@ def _search(
         if c is None:
             mapping = p.mapping()
             if _leaf_ok(sa, sb, mapping):
-                found += 1
-                if mode == "all" and found > cap:
-                    raise CapExceededError(
-                        f"more than {cap} permutations; raise the cap or "
-                        "use the order computation"
-                    )
                 yield mapping
         else:
             e = p.end[c]
@@ -481,7 +467,7 @@ def _search(
             a, cands, i, mark = top
             if i:
                 p.undo(mark)  # leave the previous child
-            if i == len(cands) or (i and mode == "first" and found):
+            if i == len(cands):
                 stack.pop()
                 continue
             top[2] = i + 1
@@ -491,38 +477,38 @@ def _search(
             return
 
 
+def _first_leaf(
+    sa: _Side, sb: _Side, p: _Partition, pairs: Sequence[tuple[int, int]], stats: dict
+) -> list[int] | None:
+    """The first verified mapping below p once each index pair (a, b) is
+    individualized and refined in turn, or None; p is left as it was."""
+    mark = len(p.trail)
+    leaf = None
+    for a, b in pairs:
+        c = p.individualize(a, b)
+        if c is None or not p.refine([c]):
+            break
+    else:
+        leaf = next(_search(sa, sb, p, stats), None)
+    p.undo(mark)
+    return leaf
+
+
 def _to_perm(sa: _Side, sb: _Side, mapping: Sequence[int]) -> VertexMap:
     m = {sa.ids[i]: sb.ids[j] for i, j in enumerate(mapping)}
     cls = VertexPermutation if set(m) == set(m.values()) else VertexMap
     return cls(m)
 
 
-def _require_indices(
-    sa: _Side, sb: _Side, require: Mapping | None, fixed: Iterable
-) -> dict[int, int]:
+def _require_indices(sa: _Side, sb: _Side, require: Mapping | None) -> dict[int, int]:
     out: dict[int, int] = {}
-    for v in fixed:
-        if v not in sa.idx:
-            raise ValueError(f"fixed vertex {v!r} not in the complex")
-        out[sa.idx[v]] = sb.idx[v]
-    if require:
-        for a, b in require.items():
-            if a not in sa.idx or b not in sb.idx:
-                raise ValueError(f"required pair ({a!r}, {b!r}) not in the complexes")
-            out[sa.idx[a]] = sb.idx[b]
+    for a, b in (require or {}).items():
+        if a not in sa.idx or b not in sb.idx:
+            raise ValueError(f"required pair ({a!r}, {b!r}) not in the complexes")
+        out[sa.idx[a]] = sb.idx[b]
     if len(set(out.values())) != len(out):
         raise ValueError("required mapping is not injective")
     return out
-
-
-def _find_one(sa: _Side, sb: _Side, require: Mapping | None) -> VertexMap | None:
-    """The first verified witness sa -> sb under `require`, or None."""
-    p = _root(sa, sb, _require_indices(sa, sb, require, ()))
-    if p is None:
-        return None
-    for mapping in _search(sa, sb, p, "first", DEFAULT_CAP, {}):
-        return _to_perm(sa, sb, mapping)
-    return None
 
 
 def _find(links: dict[int, int], x: int) -> int:
@@ -551,7 +537,9 @@ def is_isomorphic(
     """
     sa = _Side(a, respect_colors)
     sb = sa if b is a else _Side(b, respect_colors)
-    return _find_one(sa, sb, require)
+    p = _root(sa, sb, _require_indices(sa, sb, require))
+    mapping = None if p is None else next(_search(sa, sb, p, {}), None)
+    return None if mapping is None else _to_perm(sa, sb, mapping)
 
 
 def automorphism_group(
@@ -576,12 +564,17 @@ def automorphisms_fixing(
 ) -> AutomorphismSet:
     """All (color-preserving) automorphisms fixing `fixed` pointwise."""
     side = _Side(c, respect_colors)
-    p = _root(side, side, _require_indices(side, side, None, fixed))
+    p = _root(side, side, _require_indices(side, side, {v: v for v in fixed}))
     assert p is not None  # identity is always present
     stats: dict = {"mode": "enumerate"}
-    perms = [
-        _to_perm(side, side, m) for m in _search(side, side, p, "all", cap, stats)
-    ]
+    perms: list[VertexPermutation] = []
+    for m in _search(side, side, p, stats):
+        if len(perms) == cap:
+            raise CapExceededError(
+                f"more than {cap} permutations; raise the cap or "
+                "use the order computation"
+            )
+        perms.append(_to_perm(side, side, m))
     perms.sort(key=lambda p: p._key)
     return AutomorphismSet(
         order=len(perms),
@@ -610,7 +603,7 @@ def automorphism_order(
     the refined partition is discrete: only the identity remains.
     """
     side = _Side(c, respect_colors)
-    p = _root(side, side, _require_indices(side, side, None, fixed))
+    p = _root(side, side, _require_indices(side, side, {v: v for v in fixed}))
     assert p is not None  # identity is always present
     n = len(side.ids)
     order = 1
@@ -630,12 +623,7 @@ def automorphism_order(
             if r == _find(orbit, v) or r in failed:
                 continue
             stats["searches"] += 1
-            mark = len(p.trail)
-            witness = None
-            if p.refine([p.individualize(v, w)]):
-                mappings = _search(side, side, p, "first", DEFAULT_CAP, stats)
-                witness = next(mappings, None)
-            p.undo(mark)
+            witness = _first_leaf(side, side, p, [(v, w)], stats)
             if witness is None:
                 failed.add(r)
                 continue
@@ -751,19 +739,19 @@ def panel_flip_check(
             skipped += 1
             continue
         eligible += 1
-        # one engine index of the star serves all three choices
+        # one engine index and one root partition, with the edge's ends
+        # fixed, serve all three choices of the star
         star = induced_subcomplex(c, star_vertices(c, edge, hops))
         side = _Side(star, respect_colors)
+        p = _root(side, side, {side.idx[x]: side.idx[x] for x in edge})
+        assert p is not None  # identity is always present
         for i in range(3):
-            w_fix = apexes[i]
-            w_j, w_k = (apexes[j] for j in range(3) if j != i)
-            witness = _find_one(
-                side, side, {u: u, v: v, w_fix: w_fix, w_j: w_k, w_k: w_j}
-            )
-            if witness is not None:
+            f = side.idx[apexes[i]]
+            j, k = (side.idx[apexes[x]] for x in range(3) if x != i)
+            if _first_leaf(side, side, p, [(f, f), (j, k), (k, j)], {}) is not None:
                 satisfied += 1
             else:
-                failures.append((edge, w_fix))
+                failures.append((edge, apexes[i]))
     return PanelFlipReport(
         hops=hops,
         edges_eligible=eligible,

@@ -473,26 +473,25 @@ def _fixed_ball_indices(ball: ColoredTreeBall, s: int) -> list[int]:
     return [i for i, d in enumerate(ball.dist) if d <= s]
 
 
-def color_automorphism_count(
-    r: int,
-    s: int,
-    *,
-    max_radius: int = 8,
-    enumeration_cap: int = 10**4,
-    check: bool = True,
-) -> ColorAutCount:
+# the largest radius color_automorphism_count accepts, and the largest
+# predicted count its engine cross-check still enumerates in full
+MAX_COUNT_RADIUS = 8
+ENUMERATION_CAP = 10**4
+
+
+def color_automorphism_count(r: int, s: int, *, check: bool = True) -> ColorAutCount:
     """Count color-preserving automorphisms of ball(r) fixing ball(s).
 
     Always exact: the factorized product is an integer no matter how
     large.  When `check` is set and the ball is small (r <= 3) the
     result is cross-validated by the search engine, by full enumeration
-    when the prediction is within `enumeration_cap` and by an
+    when the prediction is within ENUMERATION_CAP and by an
     orbit-stabilizer order computation regardless.
     """
     if not 0 <= s <= r:
         raise ValueError(f"need 0 <= s <= r, got r={r}, s={s}")
-    if r > max_radius:
-        raise ValueError(f"radius {r} exceeds the bound {max_radius}")
+    if r > MAX_COUNT_RADIUS:
+        raise ValueError(f"radius {r} exceeds the bound {MAX_COUNT_RADIUS}")
     root_choices = 8 if s == 0 and r >= 1 else 1
     sites = sum(6 * 5 ** (d - 1) for d in range(max(s, 1), r))
     count = root_choices * 4**sites
@@ -503,9 +502,9 @@ def color_automorphism_count(
         ball = lift_coloring(r)
         cx = ball.to_complex()
         fixed = _fixed_ball_indices(ball, s)
-        if count <= enumeration_cap:
+        if count <= ENUMERATION_CAP:
             enumerated = automorphisms_fixing(
-                cx, fixed, respect_colors=True, cap=enumeration_cap
+                cx, fixed, respect_colors=True, cap=ENUMERATION_CAP
             ).order
         chain_order = automorphism_order(
             cx, respect_colors=True, fixed=fixed

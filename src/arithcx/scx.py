@@ -399,15 +399,12 @@ class PurityReport:
 
     `pure` means every interior maximal simplex has the same dimension
     (vacuously true when there are none); `dimension` is that shared
-    top dimension.  The panel fields give min/max chamber counts over
-    the interior codimension-1 simplices of the whole complex.
+    top dimension.
     """
 
     interior_maximal_by_dim: dict[int, int]
     pure: bool
     dimension: int | None
-    panel_chambers_min: int | None
-    panel_chambers_max: int | None
 
 
 def chamber_count(c: Complex, s: Iterable[VertexId]) -> int:
@@ -426,16 +423,7 @@ def purity_report(c: Complex, marks: InteriorMark) -> PurityReport:
             by_dim[len(t) - 1] = by_dim.get(len(t) - 1, 0) + 1
     pure = len(by_dim) <= 1
     dimension = max(by_dim) if by_dim else None
-    pmin = pmax = None
-    if c.dimension >= 1:
-        counts = [
-            chamber_count(c, t)
-            for t in c.simplices(c.dimension - 1)
-            if marks.simplex_interior(t)
-        ]
-        if counts:
-            pmin, pmax = min(counts), max(counts)
-    return PurityReport(by_dim, pure, dimension, pmin, pmax)
+    return PurityReport(by_dim, pure, dimension)
 
 
 # ----------------------------------------------------------------------

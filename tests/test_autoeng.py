@@ -21,7 +21,16 @@ from arithcx.autoeng import (
 from arithcx.errors import CapExceededError
 from arithcx.projmat import cayley_ball, lsv_generators, symmetrize
 from arithcx.qlat import lift_coloring
-from arithcx.scx import Complex, InteriorMark, clique_complex, fano_incidence_graph, link
+from arithcx.scx import (
+    Complex,
+    InteriorMark,
+    clique_complex,
+    color_chambers,
+    fano_incidence_graph,
+    induced_subcomplex,
+    link,
+    star_vertices,
+)
 from oracles import (
     naive_automorphisms,
     naive_refine,
@@ -528,3 +537,110 @@ def test_panel_flips_on_radius_two_ball(ball2, ballcx):
     assert rep.edges_eligible == 35 and rep.edges_skipped == 0
     assert rep.choices_total == 105 and rep.choices_satisfied == 105
     assert rep.fraction == 1.0
+
+
+def fresh_root_flips(c, marks, hops):
+    """panel_flip_check's colored verdicts with a fresh root per choice:
+    one is_isomorphic call pinning the edge, the fixed apex and the swap."""
+    satisfied, failures = 0, []
+    for edge in c.simplices(1):
+        if not marks.simplex_interior(edge):
+            continue
+        apexes = sorted(
+            w for t in c.simplices(2) if set(edge) <= set(t) for w in t if w not in edge
+        )
+        if len(apexes) != 3:
+            continue
+        star = induced_subcomplex(c, star_vertices(c, edge, hops))
+        u, v = edge
+        for f in apexes:
+            j, k = (w for w in apexes if w != f)
+            require = {u: u, v: v, f: f, j: k, k: j}
+            if is_isomorphic(star, star, require=require, respect_colors=True):
+                satisfied += 1
+            else:
+                failures.append((edge, f))
+    return satisfied, tuple(failures)
+
+
+def test_panel_flips_match_fresh_root_choices(ball2, ballcx):
+    # each star's three choices share one root partition; the verdicts
+    # must equal those of a fresh root with all five vertices pinned
+    verts, _ = ball2.graph()
+    marks = InteriorMark.from_distances(dict(zip(verts, ball2.dist)), 2)
+    cases = [(ballcx, marks, 1)]
+    rng = random.Random(440)
+    for _ in range(2):
+        colors = {t: rng.randrange(2) for t in ballcx.chambers()}
+        cases.append((color_chambers(ballcx, colors), marks, 1))
+    for i in range(12):
+        g = random_two_complex(rng, rng.randint(5, 8), 0.8, 0.8)
+        if g.dimension == 2:
+            g = random_coloring(rng, g, 2) if i % 2 else g
+            cases.append((g, InteriorMark.all_interior(g), 1 + i % 2))
+    # swapping 2 and 3 moves the pendant edges (0, 5), (2, 5) only onto
+    # (1, 6), (3, 6): every flip would have to swap the edge's own ends
+    book = three_page_book()
+    twisted = Complex(
+        range(7), list(book.iter_simplices(1)) + [(0, 5), (2, 5), (1, 6), (3, 6)]
+    )
+    cases.append((twisted, InteriorMark.all_interior(twisted), 1))
+    total_satisfied = total_failed = 0
+    for c, marks, hops in cases:
+        rep = panel_flip_check(c, marks, hops=hops, respect_colors=True)
+        satisfied, failures = fresh_root_flips(c, marks, hops)
+        assert (rep.choices_satisfied, rep.failures) == (satisfied, failures)
+        assert rep.choices_total == satisfied + len(failures)
+        total_satisfied += satisfied
+        total_failed += len(failures)
+    assert total_satisfied >= 20 and total_failed >= 20
+
+
+# ----------------------------------------------------------------------
+# an outside oracle: networkx's VF2 matcher
+
+
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+def vf2_automorphism_count(nx, c, label=lambda v: None, edge_colors=False):
+    """Automorphisms of c's 1-skeleton that keep every vertex label and,
+    when edge_colors is set, every edge's chamber color."""
+    g = nx.Graph()
+    g.add_nodes_from((v, {"label": label(v)}) for v in c.vertices)
+    g.add_edges_from(
+        (u, v, {"color": c.chamber_colors[(u, v)] if edge_colors else None})
+        for u, v in c.simplices(1)
+    )
+    same = lambda key: lambda x, y: x[key] == y[key]  # noqa: E731
+    matcher = nx.algorithms.isomorphism.GraphMatcher(
+        g, g, node_match=same("label"), edge_match=same("color")
+    )
+    return sum(1 for _ in matcher.isomorphisms_iter())
+
+
+def test_vf2_heawood_group(nx):
+    hea = fano_incidence_graph()
+    assert vf2_automorphism_count(nx, hea) == 336
+    assert automorphism_group(hea).order == 336
+
+
+def test_vf2_radius_one_building_ball_with_center_fixed(nx):
+    # a clique complex: its automorphisms are those of its 1-skeleton
+    ball = cayley_ball(symmetrize(lsv_generators()), 1)
+    verts, edges = ball.graph()
+    cx = clique_complex(list(verts), edges, max_dim=3)
+    assert vf2_automorphism_count(nx, cx, label=lambda v: v == 0) == 336
+    assert automorphisms_fixing(cx, [0]).order == 336
+    assert automorphism_order(cx, fixed=[0]).order == 336
+
+
+def test_vf2_colored_tree_with_inner_ball_fixed(nx):
+    ball = lift_coloring(2)
+    cx = ball.to_complex()
+    fixed = [v for v in range(ball.vertex_count()) if ball.dist[v] <= 1]
+    label = lambda v: v if ball.dist[v] <= 1 else None  # noqa: E731
+    assert vf2_automorphism_count(nx, cx, label=label, edge_colors=True) == 4096
+    assert automorphisms_fixing(cx, fixed, respect_colors=True).order == 4096
