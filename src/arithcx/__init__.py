@@ -4,7 +4,8 @@ Two explicit objects are built and interrogated here: the clique complex
 of a Cayley ball of PGL3(GF(16)) on the seven LSV generator matrices,
 and the 6-regular tree spanned by the norm-5 integer quaternions with a
 3-edge-coloring lifted from its Z/4Z quotient.  A small backtracking
-engine counts (color-preserving) automorphisms of either one.
+engine counts the automorphisms of either one, preserving its chamber
+colors whenever it has them.
 """
 
 from .autoeng import (

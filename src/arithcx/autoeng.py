@@ -2,9 +2,10 @@
 
 The search works on one ordered partition of the vertices of both
 complexes, kept equitable: within a cell, every vertex receives the same
-multiset of edge labels from every cell.  The edge label is the chamber
-color of the edge whenever edges are the chambers.  The root partition
-comes from the vertex color, per-dimension incident simplex counts and
+multiset of edge labels from every cell.  A complex's chamber colors,
+when it has them, are part of it and always respected: the edge label
+is the chamber color of the edge whenever edges are the chambers, and
+the root partition comes from per-dimension incident simplex counts and
 the multiset of incident chamber colors.  Refinement is driven by a
 worklist of splitter cells (Paige and Tarjan; McKay and Piperno): a
 splitter splits each cell by the multiset of labels it sends there, and
@@ -15,8 +16,8 @@ of the other.
 Each search node individualizes one pair of vertices in the smallest
 non-singleton cell and refines from its parent's partition with the new
 cell as the only splitter; leaving the node undoes its splits.  Every
-emitted bijection is verified against the full simplex family and all
-color data before it is returned: refinement only prunes, it never
+emitted bijection is verified against the full simplex family and the
+chamber colors before it is returned: refinement only prunes, it never
 vouches.
 
 Counting without enumeration is done by an orbit-stabilizer chain of
@@ -146,8 +147,8 @@ class _Side:
     once for every search on it.
 
     adj[i] holds one (label weight, neighbor) pair per incident edge.  The
-    label is the edge's chamber color when edges are the chambers and
-    colors are respected, else "".  Each label weighs a distinct power of
+    label is the edge's chamber color when edges are the colored
+    chambers, else "".  Each label weighs a distinct power of
     a base above every degree, so the weight sum a vertex receives from a
     splitter encodes the multiset of labels; sides with equal base-key
     multisets share labels and maximum degree, hence weights.  elems, pos,
@@ -155,15 +156,15 @@ class _Side:
     """
 
     __slots__ = (
-        "ids", "idx", "adj", "simplices", "chamber_colors", "vertex_colors",
-        "base_keys", "elems", "pos", "col", "end",
+        "ids", "idx", "adj", "simplices", "chamber_colors", "base_keys",
+        "elems", "pos", "col", "end",
     )
 
-    def __init__(self, c: Complex, respect_colors: bool) -> None:
+    def __init__(self, c: Complex) -> None:
         self.ids = _sorted_ids(c.vertices)
         self.idx = idx = {v: i for i, v in enumerate(self.ids)}
         n = len(self.ids)
-        colors = c.chamber_colors if respect_colors and c.chamber_colors else {}
+        colors = c.chamber_colors or {}
         labelled: list[list[tuple[str, int]]] = [[] for _ in range(n)]
         self.simplices: dict[int, frozenset] = {}
         self.chamber_colors: dict[tuple, str] = {}
@@ -190,12 +191,8 @@ class _Side:
                     labelled[it[1]].append((label, it[0]))
             if d:
                 self.simplices[d] = frozenset(fam)
-
-        vc = c.vertex_colors if respect_colors else None
-        self.vertex_colors = None if vc is None else [repr(vc.get(v)) for v in self.ids]
         self.base_keys: list[tuple] = [
             (
-                "" if vc is None else self.vertex_colors[i],
                 len(labelled[i]),
                 tuple(counts[i][1:]),
                 tuple(sorted(incident_chamber[i])),
@@ -419,10 +416,6 @@ def _root(sa: _Side, sb: _Side, require: dict[int, int]) -> _Partition | None:
 
 def _leaf_ok(sa: _Side, sb: _Side, mapping: list[int]) -> bool:
     # exhaustive: every simplex must land on a simplex, colors included
-    va, vb = sa.vertex_colors, sb.vertex_colors
-    if va is not None or vb is not None:
-        if va is None or vb is None or [vb[j] for j in mapping] != va:
-            return False
     for d, fam in sa.simplices.items():
         target = sb.simplices.get(d, frozenset())
         if len(fam) != len(target):
@@ -527,43 +520,39 @@ def is_isomorphic(
     a: Complex,
     b: Complex,
     *,
-    respect_colors: bool = False,
     require: Mapping | None = None,
 ) -> VertexMap | None:
-    """A verified witness bijection a -> b, or None when none exists.
+    """A verified witness bijection a -> b that maps chamber colors onto
+    chamber colors, or None when none exists.
 
     `require` pins chosen vertices of a to chosen images in b.  The
     witness is a VertexPermutation when the two vertex sets coincide.
     """
-    sa = _Side(a, respect_colors)
-    sb = sa if b is a else _Side(b, respect_colors)
+    sa = _Side(a)
+    sb = sa if b is a else _Side(b)
     p = _root(sa, sb, _require_indices(sa, sb, require))
     mapping = None if p is None else next(_search(sa, sb, p, {}), None)
     return None if mapping is None else _to_perm(sa, sb, mapping)
 
 
-def automorphism_group(
-    c: Complex,
-    *,
-    respect_colors: bool = False,
-    cap: int = DEFAULT_CAP,
-) -> AutomorphismSet:
-    """Complete enumeration of the (color-preserving) automorphisms.
+def automorphism_group(c: Complex, *, cap: int = DEFAULT_CAP) -> AutomorphismSet:
+    """Complete enumeration of the automorphisms, which preserve the
+    chamber colors when c has them.
 
     Raises CapExceededError when the group is larger than `cap`.
     """
-    return automorphisms_fixing(c, (), respect_colors=respect_colors, cap=cap)
+    return automorphisms_fixing(c, (), cap=cap)
 
 
 def automorphisms_fixing(
     c: Complex,
     fixed: Iterable,
     *,
-    respect_colors: bool = False,
     cap: int = DEFAULT_CAP,
 ) -> AutomorphismSet:
-    """All (color-preserving) automorphisms fixing `fixed` pointwise."""
-    side = _Side(c, respect_colors)
+    """All automorphisms fixing `fixed` pointwise, preserving the chamber
+    colors when c has them."""
+    side = _Side(c)
     p = _root(side, side, _require_indices(side, side, {v: v for v in fixed}))
     assert p is not None  # identity is always present
     stats: dict = {"mode": "enumerate"}
@@ -585,13 +574,10 @@ def automorphisms_fixing(
     )
 
 
-def automorphism_order(
-    c: Complex,
-    *,
-    respect_colors: bool = False,
-    fixed: Iterable = (),
-) -> AutomorphismSet:
-    """Exact group order via an orbit-stabilizer chain, no enumeration.
+def automorphism_order(c: Complex, *, fixed: Iterable = ()) -> AutomorphismSet:
+    """Exact order of the group of automorphisms fixing `fixed`
+    pointwise (preserving the chamber colors when c has them) via an
+    orbit-stabilizer chain, no enumeration.
 
     Level by level, the chain fixes one more vertex v and multiplies the
     order by the size of v's orbit under the stabilizer of the vertices
@@ -602,7 +588,7 @@ def automorphism_order(
     orbit with v or with a w whose search failed.  The chain stops once
     the refined partition is discrete: only the identity remains.
     """
-    side = _Side(c, respect_colors)
+    side = _Side(c)
     p = _root(side, side, _require_indices(side, side, {v: v for v in fixed}))
     assert p is not None  # identity is always present
     n = len(side.ids)
@@ -653,11 +639,10 @@ def verify_permutation(
     c: Complex,
     perm: VertexPermutation,
     *,
-    respect_colors: bool = False,
     fixed: Iterable = (),
 ) -> bool:
-    """Exhaustively check that perm is a (color-preserving) automorphism
-    of c fixing `fixed` pointwise."""
+    """Exhaustively check that perm is an automorphism of c fixing
+    `fixed` pointwise, preserving the chamber colors when c has them."""
     if set(perm.domain()) != set(c.vertices):
         return False
     for v in fixed:
@@ -670,15 +655,10 @@ def verify_permutation(
         for t in fam:
             if perm.apply_simplex(t) not in fam:
                 return False
-    if respect_colors:
-        if c.vertex_colors is not None:
-            for v in c.vertices:
-                if c.vertex_colors.get(v) != c.vertex_colors.get(perm(v)):
-                    return False
-        if c.chamber_colors is not None:
-            for t, col in c.chamber_colors.items():
-                if c.chamber_colors.get(perm.apply_simplex(t)) != col:
-                    return False
+    if c.chamber_colors is not None:
+        for t, col in c.chamber_colors.items():
+            if c.chamber_colors.get(perm.apply_simplex(t)) != col:
+                return False
     return True
 
 
@@ -717,10 +697,10 @@ def panel_flip_check(
     marks: InteriorMark,
     *,
     hops: int = 1,
-    respect_colors: bool = False,
 ) -> PanelFlipReport:
     """For every interior edge with exactly 3 chambers, try all three
-    fix-one-swap-two flips on the hop-limited star around the edge."""
+    fix-one-swap-two flips on the hop-limited star around the edge; a
+    flip must preserve the star's chamber colors when it has them."""
     if c.dimension != 2:
         raise ValueError("panel flips are defined for 2-dimensional complexes")
     eligible = 0
@@ -742,7 +722,7 @@ def panel_flip_check(
         # one engine index and one root partition, with the edge's ends
         # fixed, serve all three choices of the star
         star = induced_subcomplex(c, star_vertices(c, edge, hops))
-        side = _Side(star, respect_colors)
+        side = _Side(star)
         p = _root(side, side, {side.idx[x]: side.idx[x] for x in edge})
         assert p is not None  # identity is always present
         for i in range(3):

@@ -38,6 +38,7 @@ from .projmat import (
     symmetrize,
 )
 from .qlat import (
+    MAX_WORD_LENGTH,
     color_automorphism_count,
     free_group_check,
     lift_coloring,
@@ -206,9 +207,7 @@ def _quotient_checks() -> list:
         for i, u in enumerate(qg.vertices)
         for v in qg.vertices[i + 1 :]
     )
-    klein = automorphisms_fixing(
-        qg.to_complex(), (), respect_colors=True, cap=1000
-    ).order
+    klein = automorphisms_fixing(qg.to_complex(), (), cap=1000).order
     return [
         _check("quotient-vertices", len(qg.vertices), 4),
         _check("quotient-edge-orbits", len(qg.edges), 12),
@@ -229,7 +228,7 @@ def _flip_checks(ball, cx, s: int) -> tuple[list, dict]:
     fixes_inner = all(
         flip(i) == i for i in range(ball.vertex_count()) if ball.dist[i] <= s
     )
-    verified = verify_permutation(cx, flip, respect_colors=True)
+    verified = verify_permutation(cx, flip)
     checks = [
         _check("flip-nontrivial", not flip.is_identity(), True),
         _check("flip-involution", flip.compose(flip).is_identity(), True),
@@ -253,7 +252,7 @@ def _tree_experiment(args: argparse.Namespace) -> tuple[dict, str | None]:
     ball = lift_coloring(r, vertex_budget=args.budget)
     cx = ball.to_complex()
 
-    limit = min(r, 7)
+    limit = min(r, MAX_WORD_LENGTH)
     counts = free_group_check(limit)
     expected_counts = {l: 6 * 5 ** (l - 1) for l in range(1, limit + 1)}
     checks = [_check("free-group-counts", counts, expected_counts)]
@@ -360,9 +359,7 @@ def cmd_rigidity_contrast(args: argparse.Namespace) -> tuple[dict, str | None]:
         sizes: dict[int, int] = {}
         for c in assignment.values():
             sizes[c] = sizes.get(c, 0) + 1
-        grp = automorphisms_fixing(
-            colored, [center], respect_colors=True, cap=args.budget
-        )
+        grp = automorphisms_fixing(colored, [center], cap=args.budget)
         order = grp.order
         checks = [_check("color-group-order", order, 1)]
         data["coloring"] = {"classes": {str(k): v for k, v in sorted(sizes.items())}}

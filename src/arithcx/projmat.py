@@ -21,7 +21,6 @@ References:
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -236,23 +235,6 @@ class GeneratorTable:
 
     def __len__(self) -> int:
         return len(self.matrices)
-
-    def to_json(self) -> str:
-        doc = {
-            "name": self.name,
-            "field": {"modulus": format_poly(self.fieldspec.modulus)},
-            "matrices": [m.rows() for m in self.matrices],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "GeneratorTable":
-        doc = json.loads(text)
-        spec = FieldSpec(parse_poly(doc["field"]["modulus"]))
-        mats = tuple(
-            pgl_normalize(matrix(spec, rows)) for rows in doc["matrices"]
-        )
-        return cls(doc["name"], spec, mats)
 
 
 # The seven LSV generators for PGL3 over GF(16), as printed in the

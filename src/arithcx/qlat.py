@@ -23,12 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .autoeng import (
-    VertexPermutation,
-    automorphism_order,
-    automorphisms_fixing,
-    verify_permutation,
-)
+from .autoeng import VertexPermutation, automorphism_order, automorphisms_fixing
 from .errors import BudgetExceededError
 from .scx import Complex, dot_graph
 
@@ -224,14 +219,18 @@ def _reduced_words(limit: int) -> Iterator[tuple[int, list[tuple[tuple[int, ...]
         level = nxt
 
 
-def free_group_check(limit: int, *, bound: int = 7) -> dict[int, int]:
+# the longest reduced words free_group_check counts
+MAX_WORD_LENGTH = 7
+
+
+def free_group_check(limit: int) -> dict[int, int]:
     """Distinct class counts over reduced words of lengths 1..limit.
 
     The generators act freely at scale `limit` iff the count at every
     length l equals 6 * 5**(l-1), i.e. no two reduced words collide.
     """
-    if not 1 <= limit <= bound:
-        raise ValueError(f"limit must be within 1..{bound}, got {limit}")
+    if not 1 <= limit <= MAX_WORD_LENGTH:
+        raise ValueError(f"limit must be within 1..{MAX_WORD_LENGTH}, got {limit}")
     counts: dict[int, int] = {}
     for length, pairs in _reduced_words(limit):
         counts[length] = len({cls for _, cls in pairs})
@@ -503,12 +502,8 @@ def color_automorphism_count(r: int, s: int, *, check: bool = True) -> ColorAutC
         cx = ball.to_complex()
         fixed = _fixed_ball_indices(ball, s)
         if count <= ENUMERATION_CAP:
-            enumerated = automorphisms_fixing(
-                cx, fixed, respect_colors=True, cap=ENUMERATION_CAP
-            ).order
-        chain_order = automorphism_order(
-            cx, respect_colors=True, fixed=fixed
-        ).order
+            enumerated = automorphisms_fixing(cx, fixed, cap=ENUMERATION_CAP).order
+        chain_order = automorphism_order(cx, fixed=fixed).order
     return ColorAutCount(
         r=r,
         s=s,
@@ -533,7 +528,8 @@ def ray_flip(ball: ColoredTreeBall, v: int) -> VertexPermutation:
     The pair of rays is the first fully-outward entry of
     SAME_COLOR_PAIRS, so the (a1, conj(a3)) pair whenever both edges
     point outward.  Raises ValueError when v has no same-colored
-    outward pair inside the ball.
+    outward pair inside the ball.  The flip is not verified here:
+    `verify_permutation` on `ball.to_complex()` is its check.
     """
     if not 0 <= v < ball.vertex_count():
         raise ValueError(f"no vertex {v} in the ball")
@@ -571,7 +567,4 @@ def ray_flip(ball: ColoredTreeBall, v: int) -> VertexPermutation:
                 match(w1, w2)
 
     match(c1, c2)
-    perm = VertexPermutation(mapping)
-    if not verify_permutation(ball.to_complex(), perm, respect_colors=True):
-        raise AssertionError("constructed flip failed verification")
-    return perm
+    return VertexPermutation(mapping)

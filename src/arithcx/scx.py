@@ -1,15 +1,14 @@
-"""Finite abstract simplicial complexes with colors and locality marks.
+"""Finite abstract simplicial complexes with chamber colors and
+locality marks.
 
 A Complex stores its full downward-closed simplex family grouped by
-dimension, optional vertex colors, and an optional total coloring of
-its chambers (the top-dimensional simplices).  Vertex ids are opaque
-but must be hashable, orderable within one complex, and JSON-stable
-(ints or strings) if the complex is to be serialized.
+dimension and an optional total coloring of its chambers (the
+top-dimensional simplices).  Vertex ids are opaque but must be
+hashable and orderable within one complex.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
@@ -25,8 +24,6 @@ __all__ = [
     "chamber_count",
     "purity_report",
     "color_chambers",
-    "serialize",
-    "deserialize",
     "dot_graph",
     "fano_incidence_graph",
 ]
@@ -56,7 +53,6 @@ class Complex:
         simplices: iterable of simplices (any dimensions); singletons
             for every vertex are added automatically and downward
             closure is validated.
-        vertex_colors: optional map vertex -> color.
         chamber_colors: optional map simplex -> color, total on the
             top-dimensional simplices.
     """
@@ -66,7 +62,6 @@ class Complex:
         vertices: Iterable[VertexId],
         simplices: Iterable[Iterable[VertexId]] = (),
         *,
-        vertex_colors: Mapping[VertexId, object] | None = None,
         chamber_colors: Mapping[Iterable[VertexId], object] | None = None,
     ) -> None:
         self._vertices = tuple(vertices)
@@ -99,14 +94,6 @@ class Complex:
         self._dimension = max(self._simplices) if self._simplices else -1
         # each dimension sorted on first request, then reused
         self._sorted: dict[int, tuple[tuple, ...]] = {}
-
-        if vertex_colors is not None:
-            unknown = set(vertex_colors) - vset
-            if unknown:
-                raise ValueError(f"vertex colors for unknown vertices {unknown!r}")
-            self.vertex_colors: dict | None = dict(vertex_colors)
-        else:
-            self.vertex_colors = None
 
         if chamber_colors is not None:
             norm = {_norm_simplex(s): c for s, c in chamber_colors.items()}
@@ -216,7 +203,6 @@ class Complex:
             isinstance(other, Complex)
             and self._vertices == other._vertices
             and self._simplices == other._simplices
-            and self.vertex_colors == other.vertex_colors
             and self.chamber_colors == other.chamber_colors
         )
 
@@ -307,16 +293,12 @@ def link(c: Complex, v: VertexId) -> Complex:
     """The link of a vertex: all simplices s with s + {v} in c, the
     downward closure of m - {v} over the maximal simplices m at v.
 
-    Vertex colors are restricted; chamber colors are dropped (the
-    link's chambers are different simplices).
+    Chamber colors are dropped: the link's chambers are different
+    simplices.
     """
     rests = [tuple(x for x in t if x != v) for t in c.incident_maximal(v)]
     simplices = _closure(r for r in rests if r)
-    keep = c._in_order({x for r in rests for x in r})
-    vc = None
-    if c.vertex_colors is not None:
-        vc = {u: c.vertex_colors[u] for u in keep if u in c.vertex_colors}
-    return Complex(keep, simplices, vertex_colors=vc)
+    return Complex(c._in_order({x for r in rests for x in r}), simplices)
 
 
 def star_vertices(c: Complex, seed: Iterable[VertexId], hops: int) -> tuple:
@@ -347,9 +329,6 @@ def induced_subcomplex(c: Complex, vertices: Iterable[VertexId]) -> Complex:
     for v in verts:
         meeting.update(c.incident_maximal(v))
     simplices = _closure({tuple(filter(keep.__contains__, t)) for t in meeting})
-    vc = None
-    if c.vertex_colors is not None:
-        vc = {v: c.vertex_colors[v] for v in verts if v in c.vertex_colors}
     cc = None
     if c.chamber_colors is not None:
         # the result's chambers: its top-dimensional simplices, which are
@@ -358,7 +337,7 @@ def induced_subcomplex(c: Complex, vertices: Iterable[VertexId]) -> Complex:
         chambers = sorted(t for t in simplices if len(t) == top)
         if all(t in c.chamber_colors for t in chambers):
             cc = {t: c.chamber_colors[t] for t in chambers}
-    return Complex(verts, simplices, vertex_colors=vc, chamber_colors=cc)
+    return Complex(verts, simplices, chamber_colors=cc)
 
 
 # ----------------------------------------------------------------------
@@ -435,48 +414,7 @@ def color_chambers(c: Complex, assignment: Mapping) -> Complex:
     return Complex(
         c.vertices,
         list(c.iter_simplices(min_dim=1)),
-        vertex_colors=c.vertex_colors,
         chamber_colors=dict(assignment),
-    )
-
-
-# ----------------------------------------------------------------------
-# serialization
-
-
-def serialize(c: Complex) -> str:
-    doc: dict = {
-        "vertices": list(c.vertices),
-        "simplices": {
-            str(d): [list(t) for t in c.simplices(d)]
-            for d in c.dims()
-            if d >= 1
-        },
-    }
-    if c.vertex_colors is not None:
-        doc["vertex_colors"] = [
-            [v, c.vertex_colors[v]] for v in sorted(c.vertex_colors)
-        ]
-    if c.chamber_colors is not None:
-        doc["chamber_colors"] = [
-            [list(t), c.chamber_colors[t]] for t in sorted(c.chamber_colors)
-        ]
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def deserialize(text: str) -> Complex:
-    doc = json.loads(text)
-    simplices = [
-        tuple(t) for lists in doc.get("simplices", {}).values() for t in lists
-    ]
-    vc = None
-    if "vertex_colors" in doc:
-        vc = {v: col for v, col in doc["vertex_colors"]}
-    cc = None
-    if "chamber_colors" in doc:
-        cc = {tuple(t): col for t, col in doc["chamber_colors"]}
-    return Complex(
-        doc["vertices"], simplices, vertex_colors=vc, chamber_colors=cc
     )
 
 

@@ -6,8 +6,9 @@ from collections import Counter
 from arithcx.scx import Complex
 
 
-def naive_automorphisms(c: Complex, respect_colors: bool = False) -> list[tuple]:
-    """Filter all |V|! candidate bijections; exact but tiny-only.
+def naive_automorphisms(c: Complex) -> list[tuple]:
+    """Filter all |V|! candidate bijections, keeping the chamber colors
+    when c has them; exact but tiny-only.
 
     Returns the sorted image tuples over sorted(vertices).
     """
@@ -26,16 +27,11 @@ def naive_automorphisms(c: Complex, respect_colors: bool = False) -> list[tuple]
                     break
             if not ok:
                 break
-        if ok and respect_colors:
-            if c.vertex_colors is not None:
-                ok = all(
-                    c.vertex_colors.get(v) == c.vertex_colors.get(m[v]) for v in ids
-                )
-            if ok and c.chamber_colors is not None:
-                ok = all(
-                    c.chamber_colors.get(tuple(sorted(m[v] for v in t))) == col
-                    for t, col in c.chamber_colors.items()
-                )
+        if ok and c.chamber_colors is not None:
+            ok = all(
+                c.chamber_colors.get(tuple(sorted(m[v] for v in t))) == col
+                for t, col in c.chamber_colors.items()
+            )
         if ok:
             out.append(tuple(m[v] for v in ids))
     return sorted(out)
@@ -61,10 +57,7 @@ def naive_link(c: Complex, v) -> Complex:
             rest = tuple(x for x in t if x != v)
             if rest:
                 simplices.append(rest)
-    vc = None
-    if c.vertex_colors is not None:
-        vc = {u: c.vertex_colors[u] for u in keep if u in c.vertex_colors}
-    return Complex(keep, simplices, vertex_colors=vc)
+    return Complex(keep, simplices)
 
 
 def naive_induced_subcomplex(c: Complex, vertices) -> Complex:
@@ -77,16 +70,13 @@ def naive_induced_subcomplex(c: Complex, vertices) -> Complex:
         raise ValueError(f"unknown vertices {unknown!r}")
     verts = tuple(v for v in c.vertices if v in keep)
     simplices = [t for t in c.iter_simplices(min_dim=1) if keep.issuperset(t)]
-    vc = None
-    if c.vertex_colors is not None:
-        vc = {v: col for v, col in c.vertex_colors.items() if v in keep}
-    sub = Complex(verts, simplices, vertex_colors=vc)
+    sub = Complex(verts, simplices)
     if c.chamber_colors is not None:
         retained = {
             t: c.chamber_colors[t] for t in sub.chambers() if t in c.chamber_colors
         }
         if len(retained) == len(sub.chambers()):
-            sub = Complex(verts, simplices, vertex_colors=vc, chamber_colors=retained)
+            sub = Complex(verts, simplices, chamber_colors=retained)
     return sub
 
 
@@ -106,17 +96,13 @@ def random_two_complex(rng, n: int, p: float, pt: float) -> Complex:
     return Complex(range(n), edges + tris)
 
 
-def random_coloring(rng, c: Complex, k: int, color_vertices: bool = False) -> Complex:
-    """c with each chamber given one of k colors, and each vertex one of
-    k colors too when color_vertices is set."""
+def random_coloring(rng, c: Complex, k: int) -> Complex:
+    """c with each chamber given one of k colors."""
     palette = "ABC"[:k]
     return Complex(
         c.vertices,
         c.iter_simplices(1),
         chamber_colors={t: rng.choice(palette) for t in c.chambers()},
-        vertex_colors={v: rng.choice(palette) for v in c.vertices}
-        if color_vertices
-        else None,
     )
 
 
@@ -132,9 +118,6 @@ def relabel(c: Complex, perm: dict) -> Complex:
         chamber_colors=None
         if c.chamber_colors is None
         else {image(t): col for t, col in c.chamber_colors.items()},
-        vertex_colors=None
-        if c.vertex_colors is None
-        else {perm[v]: col for v, col in c.vertex_colors.items()},
     )
 
 

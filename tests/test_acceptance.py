@@ -257,7 +257,7 @@ def test_criterion_5_tree_color_group_growth_and_flips():
         assert not flip.is_identity()
         assert flip.compose(flip).is_identity()
         assert all(flip(u) == u for u in range(n) if ball.dist[u] <= ball.dist[v])
-        assert verify_permutation(cx, flip, respect_colors=True)
+        assert verify_permutation(cx, flip)
     _done(5, t0, 300.0, "counts 4096 = 4^6 < 4^36 < 4^186 (enumerated, "
           "chained, formula), verified involution flips at all 37 sites")
 
@@ -273,7 +273,7 @@ def test_criterion_6_rigidity_contrast():
     for seed in range(100):
         rng = random.Random(seed)
         colored = color_chambers(cx, {t: rng.randrange(2) for t in chambers})
-        grp = automorphisms_fixing(colored, [0], respect_colors=True)
+        grp = automorphisms_fixing(colored, [0])
         trivial += grp.order == 1
     assert trivial >= 95
 

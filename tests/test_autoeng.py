@@ -53,9 +53,18 @@ def cycle(n):
     return Complex(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
-def engine_images(c, respect_colors=False):
+def edge_colored_cycle():
+    """The 4-cycle with its edges, the chambers, colored x, y, x, y."""
+    return Complex(
+        range(4),
+        [(0, 1), (1, 2), (2, 3), (0, 3)],
+        chamber_colors={(0, 1): "x", (1, 2): "y", (2, 3): "x", (0, 3): "y"},
+    )
+
+
+def engine_images(c):
     ids = sorted(c.vertices)
-    grp = automorphism_group(c, respect_colors=respect_colors)
+    grp = automorphism_group(c)
     return sorted(tuple(p(v) for v in ids) for p in grp.perms)
 
 
@@ -125,45 +134,30 @@ def test_engine_matches_naive_on_random_two_complexes():
         assert engine_images(g) == naive_automorphisms(g)
 
 
-def test_engine_matches_naive_with_vertex_colors():
-    rng = random.Random(426)
-    for _ in range(15):
-        n = rng.randint(2, 6)
-        g0 = random_graph(rng, n, 0.5)
-        g = Complex(
-            range(n),
-            g0.simplices(1),
-            vertex_colors={v: rng.randint(0, 1) for v in range(n)},
-        )
-        colored = engine_images(g, respect_colors=True)
-        assert colored == naive_automorphisms(g, respect_colors=True)
-        assert set(colored) <= set(engine_images(g, respect_colors=False))
-
-
 def assert_colored_engine_matches_naive(c):
-    expected = naive_automorphisms(c, respect_colors=True)
-    assert engine_images(c, respect_colors=True) == expected
-    assert automorphism_order(c, respect_colors=True).order == len(expected)
+    expected = naive_automorphisms(c)
+    assert engine_images(c) == expected
+    assert automorphism_order(c).order == len(expected)
 
 
 def test_engine_matches_naive_on_edge_colored_graphs():
     # edges are the chambers, so chamber colors become edge labels
     rng = random.Random(430)
-    for i in range(60):
+    for _ in range(60):
         g = random_graph(rng, rng.randint(2, 7), rng.uniform(0.3, 0.9))
         while g.dimension < 1:
             g = random_graph(rng, rng.randint(2, 7), rng.uniform(0.3, 0.9))
-        c = random_coloring(rng, g, rng.choice((2, 3)), color_vertices=i % 4 == 0)
+        c = random_coloring(rng, g, rng.choice((2, 3)))
         assert_colored_engine_matches_naive(c)
 
 
 def test_engine_matches_naive_on_chamber_colored_two_complexes():
     rng = random.Random(431)
-    for i in range(30):
+    for _ in range(30):
         g = random_two_complex(rng, rng.randint(3, 7), 0.7, 0.7)
         while g.dimension < 2:
             g = random_two_complex(rng, rng.randint(3, 7), 0.7, 0.7)
-        c = random_coloring(rng, g, rng.choice((2, 3)), color_vertices=i % 4 == 0)
+        c = random_coloring(rng, g, rng.choice((2, 3)))
         assert_colored_engine_matches_naive(c)
 
 
@@ -208,7 +202,7 @@ def test_refine_matches_naive_refine():
             g = random_two_complex(rng, n, rng.uniform(0.4, 0.9), 0.7)
         colors = i % 3 != 0 and g.dimension >= 1
         if colors:
-            g = random_coloring(rng, g, rng.choice((2, 3)), color_vertices=i % 4 == 1)
+            g = random_coloring(rng, g, rng.choice((2, 3)))
         perm = dict(zip(range(n), rng.sample(range(n), n)))
         if i % 2:
             other = random_graph(rng, n, rng.uniform(0.2, 0.8))
@@ -216,25 +210,25 @@ def test_refine_matches_naive_refine():
             other = random_two_complex(rng, n, rng.uniform(0.4, 0.9), 0.7)
         if colors and other.dimension >= 1:
             other = random_coloring(rng, other, rng.choice((2, 3)))
-        sa = _Side(g, colors)
+        sa = _Side(g)
         a = rng.randrange(n)
         for b_complex, b in (
             (relabel(g, perm), perm[a]),  # isomorphic, a pair in one orbit
             (relabel(g, perm), rng.randrange(n)),  # isomorphic, any pair
             (other, rng.randrange(n)),  # independent, mostly not isomorphic
         ):
-            assert_refine_matches_naive(sa, _Side(b_complex, colors), a, b)
+            assert_refine_matches_naive(sa, _Side(b_complex), a, b)
 
 
 def test_matching_colored_k4_is_klein_four():
     k4 = Complex(range(4), K4_EDGES, chamber_colors=K4_MATCHING_COLORS)
-    grp = automorphism_group(k4, respect_colors=True)
+    grp = automorphism_group(k4)
     assert grp.order == 4 and grp.complete
     images = sorted(tuple(p(v) for v in range(4)) for p in grp.perms)
     assert images == [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
-    assert images == naive_automorphisms(k4, respect_colors=True)
+    assert images == naive_automorphisms(k4)
     # dropping the colors restores the full symmetric group
-    assert automorphism_group(k4, respect_colors=False).order == 24
+    assert automorphism_group(Complex(range(4), K4_EDGES)).order == 24
 
 
 def test_group_closure_on_k4():
@@ -365,31 +359,23 @@ def test_verify_permutation_rejects_bad_maps():
     assert verify_permutation(c4, rot)
     assert not verify_permutation(c4, rot, fixed=[0])
     assert not verify_permutation(c4, VertexPermutation({0: 0, 1: 1}))
-    colored = Complex(
-        range(4),
-        [(0, 1), (1, 2), (2, 3), (0, 3)],
-        vertex_colors={0: "x", 1: "y", 2: "x", 3: "y"},
-    )
-    assert verify_permutation(colored, rot.compose(rot), respect_colors=True)
-    assert not verify_permutation(colored, rot, respect_colors=True)
+    # the rotation keeps every edge of the x,y,x,y 4-cycle but no edge
+    # color; turning twice keeps both
+    colored = edge_colored_cycle()
+    assert verify_permutation(colored, rot.compose(rot))
+    assert not verify_permutation(colored, rot)
 
 
-def test_leaf_check_enforces_vertex_colors():
-    # the rotation keeps every edge of the x,y,x,y 4-cycle but no vertex
-    # color; the leaf check must reject it on its own, without the root
-    # partition that separates the colors
-    colored = Complex(
-        range(4),
-        [(0, 1), (1, 2), (2, 3), (0, 3)],
-        vertex_colors={0: "x", 1: "y", 2: "x", 3: "y"},
-    )
-    side = _Side(colored, True)
+def test_leaf_check_enforces_chamber_colors():
+    # the leaf check must reject the rotation of the x,y,x,y 4-cycle on
+    # its own, without the refinement that separates the edge colors
+    side = _Side(edge_colored_cycle())
     assert not _leaf_ok(side, side, [1, 2, 3, 0])
     assert _leaf_ok(side, side, [2, 3, 0, 1])
-    plain = _Side(colored, False)
+    plain = _Side(cycle(4))
     assert _leaf_ok(plain, plain, [1, 2, 3, 0])
-    assert not _leaf_ok(side, plain, [0, 1, 2, 3])
-    assert not _leaf_ok(plain, side, [0, 1, 2, 3])
+    assert is_isomorphic(edge_colored_cycle(), cycle(4)) is None
+    assert is_isomorphic(cycle(4), edge_colored_cycle()) is None
 
 
 # ----------------------------------------------------------------------
@@ -417,37 +403,36 @@ def assert_orbit_pruned(chain):
 
 def test_chain_order_matches_enumeration():
     cases = [
-        (cycle(5), False),
-        (Complex(range(4), K4_EDGES), False),
-        (fano_incidence_graph(), False),
-        (Complex(range(4), K4_EDGES, chamber_colors=K4_MATCHING_COLORS), True),
+        cycle(5),
+        Complex(range(4), K4_EDGES),
+        fano_incidence_graph(),
+        Complex(range(4), K4_EDGES, chamber_colors=K4_MATCHING_COLORS),
     ]
     rng = random.Random(428)
     for _ in range(10):
-        cases.append((random_graph(rng, rng.randint(1, 7), 0.5), False))
+        cases.append(random_graph(rng, rng.randint(1, 7), 0.5))
     for i in range(24):
         n = rng.randint(3, 7)
         g = random_graph(rng, n, 0.7) if i % 2 else random_two_complex(rng, n, 0.7, 0.7)
         if g.dimension < 1:
             continue
-        c = random_coloring(rng, g, rng.choice((1, 2)), color_vertices=i % 3 == 0)
-        cases.append((c, True))
-    for c, colors in cases:
+        cases.append(random_coloring(rng, g, rng.choice((1, 2))))
+    for c in cases:
         ids = list(c.vertices)
         fixed_sets = [[], rng.sample(ids, min(len(ids), rng.randint(1, 2)))]
         for fixed in fixed_sets:
-            chain = automorphism_order(c, respect_colors=colors, fixed=fixed)
-            enum = automorphisms_fixing(c, fixed, respect_colors=colors)
+            chain = automorphism_order(c, fixed=fixed)
+            enum = automorphisms_fixing(c, fixed)
             assert chain.order == enum.order
             assert not chain.complete and chain.perms is None
             for p in chain.generators:
-                assert verify_permutation(c, p, respect_colors=colors, fixed=fixed)
+                assert verify_permutation(c, p, fixed=fixed)
             assert_orbit_pruned(chain)
             if len(ids) <= 7:
                 at = {v: i for i, v in enumerate(sorted(ids))}
                 naive = [
                     img
-                    for img in naive_automorphisms(c, respect_colors=colors)
+                    for img in naive_automorphisms(c)
                     if all(img[at[v]] == v for v in fixed)
                 ]
                 assert chain.order == len(naive)
@@ -455,7 +440,7 @@ def test_chain_order_matches_enumeration():
 
 def test_chain_order_with_colors_and_fixing():
     k4 = Complex(range(4), K4_EDGES, chamber_colors=K4_MATCHING_COLORS)
-    assert automorphism_order(k4, respect_colors=True).order == 4
+    assert automorphism_order(k4).order == 4
     assert automorphism_order(cycle(4), fixed=[0]).order == 2
 
 
@@ -464,7 +449,7 @@ def test_radius_four_tree_chain_work_is_pinned():
     # in which cells and candidates are tried shows up here
     ball = lift_coloring(4)
     fixed = [v for v in range(ball.vertex_count()) if ball.dist[v] <= 1]
-    grp = automorphism_order(ball.to_complex(), respect_colors=True, fixed=fixed)
+    grp = automorphism_order(ball.to_complex(), fixed=fixed)
     assert grp.order == 4**186
     assert grp.stats == {"mode": "chain", "searches": 372, "nodes": 69378}
 
@@ -509,7 +494,7 @@ def test_panel_flips_on_plain_book():
 def test_panel_flips_blocked_by_distinct_colors():
     book = three_page_book({(0, 1, 2): "r", (0, 1, 3): "g", (0, 1, 4): "b"})
     rep = panel_flip_check(
-        book, InteriorMark.all_interior(book), hops=1, respect_colors=True
+        book, InteriorMark.all_interior(book), hops=1
     )
     assert rep.fraction == 0.0 and len(rep.failures) == 3
 
@@ -556,7 +541,7 @@ def fresh_root_flips(c, marks, hops):
         for f in apexes:
             j, k = (w for w in apexes if w != f)
             require = {u: u, v: v, f: f, j: k, k: j}
-            if is_isomorphic(star, star, require=require, respect_colors=True):
+            if is_isomorphic(star, star, require=require):
                 satisfied += 1
             else:
                 failures.append((edge, f))
@@ -587,7 +572,7 @@ def test_panel_flips_match_fresh_root_choices(ball2, ballcx):
     cases.append((twisted, InteriorMark.all_interior(twisted), 1))
     total_satisfied = total_failed = 0
     for c, marks, hops in cases:
-        rep = panel_flip_check(c, marks, hops=hops, respect_colors=True)
+        rep = panel_flip_check(c, marks, hops=hops)
         satisfied, failures = fresh_root_flips(c, marks, hops)
         assert (rep.choices_satisfied, rep.failures) == (satisfied, failures)
         assert rep.choices_total == satisfied + len(failures)
@@ -643,4 +628,4 @@ def test_vf2_colored_tree_with_inner_ball_fixed(nx):
     fixed = [v for v in range(ball.vertex_count()) if ball.dist[v] <= 1]
     label = lambda v: v if ball.dist[v] <= 1 else None  # noqa: E731
     assert vf2_automorphism_count(nx, cx, label=label, edge_colors=True) == 4096
-    assert automorphisms_fixing(cx, fixed, respect_colors=True).order == 4096
+    assert automorphisms_fixing(cx, fixed).order == 4096

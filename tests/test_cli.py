@@ -239,7 +239,7 @@ def test_vacuous_coloring_single_chamber_equals_stabilizer():
     plain = automorphism_group(tri).order
     colored = color_chambers(tri, {(0, 1, 2): 1})
     assert plain == 6
-    assert automorphisms_fixing(colored, (), respect_colors=True).order == plain
+    assert automorphisms_fixing(colored, ()).order == plain
 
 
 # ----------------------------------------------------------------------

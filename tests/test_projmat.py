@@ -297,14 +297,6 @@ def test_field_above_table_degree_rejected():
     # t^9 + t^4 + 1 is irreducible, but fields stop at degree 8
     with pytest.raises(ValueError, match=r"1\.\.8, got 9"):
         FieldSpec(0b1000010001)
-    # the same refusal for a generator table read from outside input
-    doc = {
-        "name": "gf512",
-        "field": {"modulus": "t^9+t^4+1"},
-        "matrices": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]],
-    }
-    with pytest.raises(ValueError, match=r"1\.\.8, got 9"):
-        GeneratorTable.from_json(json.dumps(doc))
 
 
 def test_matrix_input_validation():
@@ -321,9 +313,6 @@ def test_generator_table_validation(table):
         GeneratorTable("dup", GF16, (table.matrices[0], table.matrices[0]))
     with pytest.raises(ValueError):
         GeneratorTable("raw", GF16, (lsv_raw_matrices()[0],))
-    rt = GeneratorTable.from_json(table.to_json())
-    assert rt.matrices == table.matrices
-    assert rt.name == table.name
 
 
 # ----------------------------------------------------------------------

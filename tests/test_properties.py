@@ -26,8 +26,8 @@ from arithcx.scx import Complex
 
 @st.composite
 def complexes(draw):
-    """A complex on 1..7 vertices with edges and triangles, and whether
-    its chamber (and maybe vertex) colors are drawn and respected."""
+    """A complex on 1..7 vertices with edges and triangles, its chambers
+    colored or not."""
     n = draw(st.integers(1, 7))
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -39,18 +39,14 @@ def complexes(draw):
     ]
     chosen = draw(st.lists(st.sampled_from(tris), unique=True)) if tris else []
     c = Complex(range(n), edges + chosen)
-    colors = c.dimension >= 1 and draw(st.booleans())
-    if colors:
+    if c.dimension >= 1 and draw(st.booleans()):
         palette = st.sampled_from("AB")
         c = Complex(
             range(n),
             edges + chosen,
             chamber_colors={t: draw(palette) for t in c.chambers()},
-            vertex_colors={v: draw(palette) for v in range(n)}
-            if draw(st.booleans())
-            else None,
         )
-    return c, colors
+    return c
 
 
 def with_edge(c: Complex, e: tuple) -> Complex:
@@ -61,35 +57,34 @@ def with_edge(c: Complex, e: tuple) -> Complex:
         c.vertices,
         list(c.iter_simplices(1)) + [e],
         chamber_colors=colors,
-        vertex_colors=c.vertex_colors,
     )
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_orders_and_isomorphism_survive_relabelling(data):
-    c, colors = data.draw(complexes())
+    c = data.draw(complexes())
     perm = dict(zip(c.vertices, data.draw(st.permutations(c.vertices))))
     d = relabel(c, perm)
 
-    order = automorphism_group(c, respect_colors=colors).order
-    assert automorphism_group(d, respect_colors=colors).order == order
-    assert automorphism_order(c, respect_colors=colors).order == order
-    assert automorphism_order(d, respect_colors=colors).order == order
+    order = automorphism_group(c).order
+    assert automorphism_group(d).order == order
+    assert automorphism_order(c).order == order
+    assert automorphism_order(d).order == order
 
-    w = is_isomorphic(c, d, respect_colors=colors)
+    w = is_isomorphic(c, d)
     assert w is not None
     back = VertexPermutation({b: a for a, b in perm.items()})
-    assert verify_permutation(c, back.compose(w), respect_colors=colors)
+    assert verify_permutation(c, back.compose(w))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_one_extra_edge_is_not_isomorphic(data):
-    c, colors = data.draw(complexes())
+    c = data.draw(complexes())
     missing = [e for e in itertools.combinations(c.vertices, 2) if not c.has_simplex(e)]
     assume(missing)
     bigger = with_edge(c, data.draw(st.sampled_from(missing)))
     perm = dict(zip(c.vertices, data.draw(st.permutations(c.vertices))))
-    assert is_isomorphic(c, relabel(bigger, perm), respect_colors=colors) is None
-    assert is_isomorphic(relabel(bigger, perm), c, respect_colors=colors) is None
+    assert is_isomorphic(c, relabel(bigger, perm)) is None
+    assert is_isomorphic(relabel(bigger, perm), c) is None

@@ -12,12 +12,10 @@ from arithcx.scx import (
     chamber_count,
     clique_complex,
     color_chambers,
-    deserialize,
     fano_incidence_graph,
     induced_subcomplex,
     link,
     purity_report,
-    serialize,
     star_vertices,
 )
 
@@ -110,7 +108,7 @@ def test_simplices_sorted_once_and_reused():
 def random_complex(rng, n: int) -> Complex:
     """The closure of a few random simplices of dimension 0-3 on n
     vertices listed in shuffled order: usually non-pure, with maximal
-    edges and isolated vertices; sometimes chamber- and vertex-colored."""
+    edges and isolated vertices; sometimes chamber-colored."""
     verts = list(range(n))
     rng.shuffle(verts)
     maximal = [
@@ -120,15 +118,6 @@ def random_complex(rng, n: int) -> Complex:
     c = Complex.from_maximal(verts, maximal)
     if rng.random() < 0.5:
         c = color_chambers(c, {t: rng.choice("xy") for t in c.chambers()})
-    if rng.random() < 0.3:
-        c = Complex(
-            c.vertices,
-            c.iter_simplices(1),
-            vertex_colors={
-                v: rng.choice("ab") for v in c.vertices if rng.random() < 0.7
-            },
-            chamber_colors=c.chamber_colors,
-        )
     return c
 
 
@@ -279,28 +268,6 @@ def test_seeded_two_coloring_of_ball_chambers_golden(ballcx):
     sizes = Counter(colored.chamber_colors.values())
     # golden from the first oracle run, seed 0
     assert dict(sizes) == {0: 123, 1: 108}
-
-
-# ----------------------------------------------------------------------
-# serialization
-
-
-def test_serialize_round_trip_plain(ballcx):
-    assert deserialize(serialize(ballcx)) == ballcx
-    assert serialize(ballcx) == serialize(ballcx)
-
-
-def test_serialize_round_trip_colored():
-    c = Complex(
-        ["a", "b", "c"],
-        [("a", "b"), ("b", "c")],
-        vertex_colors={"a": 1, "b": 1, "c": 2},
-        chamber_colors={("a", "b"): "A", ("b", "c"): "B"},
-    )
-    rt = deserialize(serialize(c))
-    assert rt == c
-    assert rt.vertex_colors == c.vertex_colors
-    assert rt.chamber_colors == c.chamber_colors
 
 
 # ----------------------------------------------------------------------
