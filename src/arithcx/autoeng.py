@@ -86,9 +86,6 @@ class VertexMap:
         """self after other: (self.compose(other))(v) = self(other(v))."""
         return type(self)({v: self._map[other(v)] for v in other.domain()})
 
-    def inverse(self) -> "VertexMap":
-        return type(self)({v: k for k, v in self._map.items()})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, VertexMap) and other._key == self._key
 

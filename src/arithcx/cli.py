@@ -57,7 +57,7 @@ from .scx import (
 
 SCHEMA = "arithcx-report/1"
 
-__all__ = ["main", "build_parser", "cmd_lsv", "cmd_tree", "cmd_rigidity_contrast"]
+__all__ = ["main", "build_parser", "cmd_rigidity_contrast"]
 
 
 def _check(name: str, value, expected, ok: bool | None = None) -> dict:
@@ -100,12 +100,6 @@ def _lsv_ball_complex(args: argparse.Namespace):
 
 # ----------------------------------------------------------------------
 # lsv
-
-
-def cmd_lsv(args: argparse.Namespace) -> tuple[dict, str | None]:
-    if args.subcmd == "ball":
-        return _lsv_ball(args)
-    return _lsv_verify(args)
 
 
 def _lsv_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
@@ -189,14 +183,6 @@ def _lsv_ball(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 # ----------------------------------------------------------------------
 # tree
-
-
-def cmd_tree(args: argparse.Namespace) -> tuple[dict, str | None]:
-    if args.subcmd == "quotient":
-        return _tree_quotient(args)
-    if args.subcmd == "flip":
-        return _tree_flip(args)
-    return _tree_experiment(args)
 
 
 def _quotient_checks() -> list:
@@ -427,22 +413,22 @@ def build_parser() -> argparse.ArgumentParser:
     lsv_sub = lsv.add_subparsers(dest="subcmd", required=True)
     p = lsv_sub.add_parser("verify", help="build the ball and run all checks")
     _add_common(p, radius=2)
-    p.set_defaults(handler=cmd_lsv, name="lsv-verify", has_dot=False)
+    p.set_defaults(handler=_lsv_verify, name="lsv-verify", has_dot=False)
     p = lsv_sub.add_parser("ball", help="export the Cayley ball")
     _add_common(p, radius=2)
-    p.set_defaults(handler=cmd_lsv, name="lsv-ball", has_dot=True)
+    p.set_defaults(handler=_lsv_ball, name="lsv-ball", has_dot=True)
 
     tree = sub.add_parser("tree", help="rank-one tree commands")
     tree_sub = tree.add_subparsers(dest="subcmd", required=True)
     p = tree_sub.add_parser("experiment", help="growth of color automorphisms")
     _add_common(p, radius=3, fix_radius=1)
-    p.set_defaults(handler=cmd_tree, name="tree-experiment", has_dot=True)
+    p.set_defaults(handler=_tree_experiment, name="tree-experiment", has_dot=True)
     p = tree_sub.add_parser("quotient", help="the Z/4Z quotient multigraph")
     _add_common(p)
-    p.set_defaults(handler=cmd_tree, name="tree-quotient", has_dot=True)
+    p.set_defaults(handler=_tree_quotient, name="tree-quotient", has_dot=True)
     p = tree_sub.add_parser("flip", help="an explicit subtree-swap witness")
     _add_common(p, radius=3, fix_radius=1)
-    p.set_defaults(handler=cmd_tree, name="tree-flip", has_dot=True)
+    p.set_defaults(handler=_tree_flip, name="tree-flip", has_dot=True)
 
     p = sub.add_parser(
         "rigidity", help="colored building ball vs the flexible tree"

@@ -181,9 +181,6 @@ class FieldSpec:
             raise ValueError(f"bitmask {bits} out of range for {self!r}")
         return FieldElem(bits, self)
 
-    def parse(self, text: str) -> "FieldElem":
-        return self.elem(parse_poly(text))
-
     def elements(self) -> Iterator["FieldElem"]:
         for bits in range(self.size):
             yield FieldElem(bits, self)

@@ -1,9 +1,9 @@
 """Finite abstract simplicial complexes with chamber colors and
 locality marks.
 
-A Complex stores its full downward-closed simplex family grouped by
-dimension and an optional total coloring of its chambers (the
-top-dimensional simplices).  Vertex ids are opaque but must be
+A Complex stores the downward closure of the simplices it is given,
+grouped by dimension, and an optional total coloring of its chambers
+(the top-dimensional simplices).  Vertex ids are opaque but must be
 hashable and orderable within one complex.
 """
 
@@ -39,7 +39,8 @@ def _norm_simplex(s: Iterable[VertexId]) -> tuple:
 
 
 class Complex:
-    """An abstract simplicial complex.
+    """An abstract simplicial complex, generated by the given
+    simplices: it holds every face of each of them.
 
     Local questions (chambers through a simplex, links, stars, full
     subcomplexes) read one incidence index, which maps each vertex to
@@ -50,9 +51,9 @@ class Complex:
 
     Args:
         vertices: iterable of distinct vertex ids, order preserved.
-        simplices: iterable of simplices (any dimensions); singletons
-            for every vertex are added automatically and downward
-            closure is validated.
+        simplices: iterable of simplices (any dimensions) that
+            generate the complex: every face of a given simplex is
+            added, and so is the singleton of every vertex.
         chamber_colors: optional map simplex -> color, total on the
             top-dimensional simplices.
     """
@@ -77,17 +78,12 @@ class Complex:
                 if v not in vset:
                     raise ValueError(f"unknown vertex {v!r} in simplex {t!r}")
             by_dim.setdefault(len(t) - 1, set()).add(t)
-        # downward closure: every facet of a simplex must be present
-        for d in sorted(by_dim, reverse=True):
-            if d == 0:
-                continue
+        # downward closure, top dimension first: each facet of a simplex
+        # joins the dimension below before that dimension is read
+        for d in range(max(by_dim), 0, -1):
             lower = by_dim.setdefault(d - 1, set())
             for t in by_dim[d]:
-                for face in combinations(t, d):
-                    if face not in lower:
-                        raise ValueError(
-                            f"missing face {face!r} of simplex {t!r}"
-                        )
+                lower.update(combinations(t, d))
         self._simplices: dict[int, frozenset[tuple]] = {
             d: frozenset(ss) for d, ss in by_dim.items() if ss
         }
@@ -222,25 +218,6 @@ class Complex:
             edges.append((f'"{u}"', f'"{v}"', "" if lab is None else f'label="{lab}"'))
         return dot_graph("complex", [(f'"{v}"', "") for v in self._vertices], edges)
 
-    @classmethod
-    def from_maximal(
-        cls,
-        vertices: Iterable[VertexId],
-        maximal: Iterable[Iterable[VertexId]],
-        **kw,
-    ) -> "Complex":
-        """Build the downward closure of the given simplices."""
-        return cls(vertices, _closure(_norm_simplex(s) for s in maximal), **kw)
-
-
-def _closure(simplices: Iterable[tuple]) -> set[tuple]:
-    """Every nonempty face of the given sorted simplices."""
-    closed: set[tuple] = set()
-    for t in simplices:
-        for k in range(1, len(t) + 1):
-            closed.update(combinations(t, k))
-    return closed
-
 
 # ----------------------------------------------------------------------
 # construction helpers
@@ -291,14 +268,13 @@ def clique_complex(
 
 def link(c: Complex, v: VertexId) -> Complex:
     """The link of a vertex: all simplices s with s + {v} in c, the
-    downward closure of m - {v} over the maximal simplices m at v.
+    complex generated by m - {v} over the maximal simplices m at v.
 
     Chamber colors are dropped: the link's chambers are different
     simplices.
     """
     rests = [tuple(x for x in t if x != v) for t in c.incident_maximal(v)]
-    simplices = _closure(r for r in rests if r)
-    return Complex(c._in_order({x for r in rests for x in r}), simplices)
+    return Complex(c._in_order({x for r in rests for x in r}), [r for r in rests if r])
 
 
 def star_vertices(c: Complex, seed: Iterable[VertexId], hops: int) -> tuple:
@@ -317,7 +293,7 @@ def star_vertices(c: Complex, seed: Iterable[VertexId], hops: int) -> tuple:
 
 
 def induced_subcomplex(c: Complex, vertices: Iterable[VertexId]) -> Complex:
-    """Full subcomplex on a vertex subset: the downward closure of the
+    """Full subcomplex on a vertex subset: the complex generated by the
     intersections m & vertices over the maximal simplices m meeting it.
 
     Chamber colors are retained when every chamber of the result was a
@@ -328,16 +304,16 @@ def induced_subcomplex(c: Complex, vertices: Iterable[VertexId]) -> Complex:
     meeting: set[tuple] = set()
     for v in verts:
         meeting.update(c.incident_maximal(v))
-    simplices = _closure({tuple(filter(keep.__contains__, t)) for t in meeting})
+    parts = {tuple(filter(keep.__contains__, t)) for t in meeting}
     cc = None
     if c.chamber_colors is not None:
-        # the result's chambers: its top-dimensional simplices, which are
+        # the result's chambers are the longest intersections, which are
         # its vertices when it has no edges
-        top = max(map(len, simplices), default=0)
-        chambers = sorted(t for t in simplices if len(t) == top)
+        top = max(map(len, parts), default=0)
+        chambers = sorted(t for t in parts if len(t) == top)
         if all(t in c.chamber_colors for t in chambers):
             cc = {t: c.chamber_colors[t] for t in chambers}
-    return Complex(verts, simplices, chamber_colors=cc)
+    return Complex(verts, parts, chamber_colors=cc)
 
 
 # ----------------------------------------------------------------------
@@ -360,13 +336,6 @@ class InteriorMark:
         cls, distances: Mapping[VertexId, int], radius: int
     ) -> "InteriorMark":
         return cls({v: d <= radius - 1 for v, d in distances.items()})
-
-    @classmethod
-    def all_interior(cls, c: Complex) -> "InteriorMark":
-        return cls({v: True for v in c.vertices})
-
-    def vertex_interior(self, v: VertexId) -> bool:
-        return bool(self.flags.get(v, False))
 
     def simplex_interior(self, s: Iterable[VertexId]) -> bool:
         return all(self.flags.get(v, False) for v in s)

@@ -268,7 +268,7 @@ def test_internal_error_exit3_with_json_diagnostic(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("engine fault")
 
-    monkeypatch.setattr(arithcx.cli, "cmd_lsv", broken)
+    monkeypatch.setattr(arithcx.cli, "_lsv_verify", broken)
     code, rep = run_json(["lsv", "verify", "--radius", "1"], capsys)
     assert code == 3
     assert rep["command"] == "lsv-verify"

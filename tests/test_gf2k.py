@@ -4,7 +4,13 @@ import pytest
 
 from arithcx.gf2k import GF2, GF16, FieldSpec, format_poly, parse_poly
 
-T = GF16.parse("t")
+
+def elem(text: str):
+    """The GF(16) element written as a polynomial in t."""
+    return GF16.elem(parse_poly(text))
+
+
+T = elem("t")
 ONE = GF16.one
 ZERO = GF16.zero
 
@@ -124,12 +130,12 @@ def test_multiplication_ring_axioms_exhaustive():
 def test_spec_examples():
     t = T
     assert t + t == ZERO
-    assert t + ONE == GF16.parse("t+1")
-    assert GF16.parse("t^3+1") + GF16.parse("t^3+t") == GF16.parse("t+1")
+    assert t + ONE == elem("t+1")
+    assert elem("t^3+1") + elem("t^3+t") == elem("t+1")
     # t * t^3 = t^4 = t + 1 under m(t) = t^4 + t + 1
-    assert t * GF16.parse("t^3") == GF16.parse("t+1")
+    assert t * elem("t^3") == elem("t+1")
     assert ONE.inv() == ONE
-    assert t.inv() == GF16.parse("t^3+1")
+    assert t.inv() == elem("t^3+1")
     for a in GF16.elements():
         assert a * ONE == a
 

@@ -9,7 +9,6 @@ from arithcx import projmat
 from arithcx.errors import BudgetExceededError
 from arithcx.gf2k import GF2, GF16, FieldSpec, format_poly, parse_poly
 from arithcx.projmat import (
-    CayleyBall,
     GeneratorTable,
     cayley_ball,
     determinant,

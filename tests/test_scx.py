@@ -1,5 +1,6 @@
 import random
 from collections import Counter, deque
+from itertools import combinations
 
 import pytest
 
@@ -74,18 +75,22 @@ def is_bipartite(vertices, adj):
 # basic construction
 
 
-def test_downward_closure_validated():
-    Complex([1, 2, 3], [(1, 2), (1, 3), (2, 3), (1, 2, 3)])
-    with pytest.raises(ValueError):
-        Complex([1, 2, 3], [(1, 2, 3)])  # faces missing
+def test_constructor_closes_downward():
+    closed = Complex([1, 2, 3], [(1, 2), (1, 3), (2, 3), (1, 2, 3)])
+    # the faces of a given simplex are added, not required
+    assert Complex([1, 2, 3], [(1, 2, 3)]) == closed
     with pytest.raises(ValueError):
         Complex([1, 2], [(1, 2), (1, 2, 3)])  # unknown vertex
     with pytest.raises(ValueError):
         Complex([1, 1], [])  # repeated vertex
+    with pytest.raises(ValueError):
+        Complex([1, 2], [(1, 1)])  # repeated vertex in a simplex
+    with pytest.raises(ValueError, match="empty simplex"):
+        Complex([1, 2], [(1, 2), ()])
 
 
-def test_from_maximal_closes_downward():
-    c = Complex.from_maximal(range(4), [(0, 1, 2, 3)])
+def test_constructor_closes_a_tetrahedron():
+    c = Complex(range(4), [(0, 1, 2, 3)])
     assert c.dimension == 3
     assert c.simplex_count(2) == 4
     assert c.simplex_count(1) == 6
@@ -94,7 +99,7 @@ def test_from_maximal_closes_downward():
 
 
 def test_simplices_sorted_once_and_reused():
-    c = Complex.from_maximal(range(5), [(3, 1, 4), (0, 2, 1), (4, 2)])
+    c = Complex(range(5), [(3, 1, 4), (0, 2, 1), (4, 2)])
     edges = c.simplices(1)
     assert edges == ((0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4))
     # one sort per dimension: later requests return the same tuple
@@ -115,7 +120,12 @@ def random_complex(rng, n: int) -> Complex:
         rng.sample(verts, rng.randrange(1, min(n, 4) + 1))
         for _ in range(rng.randrange(n + 1))
     ]
-    c = Complex.from_maximal(verts, maximal)
+    c = Complex(verts, maximal)
+    # the constructor closes downward: every face given explicitly
+    # builds the same complex
+    faces = {f for m in maximal for k in range(1, len(m) + 1) for f in combinations(m, k)}
+    closed = Complex(verts, faces)
+    assert c == closed and c.maximal_simplices() == closed.maximal_simplices()
     if rng.random() < 0.5:
         c = color_chambers(c, {t: rng.choice("xy") for t in c.chambers()})
     return c
@@ -146,7 +156,7 @@ def test_incidence_index_matches_whole_complex_scans():
 
 
 def test_incident_maximal_unknown_vertex():
-    c = Complex.from_maximal(range(3), [(0, 1), (2,)])
+    c = Complex(range(3), [(0, 1), (2,)])
     assert c.incident_maximal(2) == ((2,),)
     with pytest.raises(ValueError, match="unknown vertex"):
         c.incident_maximal(7)
@@ -220,8 +230,8 @@ def test_chamber_count_examples():
 
 
 def test_purity_tetrahedron_boundary():
-    c = Complex.from_maximal(range(4), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-    rep = purity_report(c, InteriorMark.all_interior(c))
+    c = Complex(range(4), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    rep = purity_report(c, InteriorMark({v: True for v in c.vertices}))
     assert rep.pure
     assert rep.dimension == 2
     assert rep.interior_maximal_by_dim == {2: 4}
@@ -231,18 +241,18 @@ def test_purity_tetrahedron_boundary():
 
 def test_purity_detects_isolated_vertex():
     c = Complex([0, 1, 2, 9], [(0, 1), (1, 2), (0, 2), (0, 1, 2)])
-    rep = purity_report(c, InteriorMark.all_interior(c))
+    rep = purity_report(c, InteriorMark({v: True for v in c.vertices}))
     assert not rep.pure
     assert rep.interior_maximal_by_dim == {0: 1, 2: 1}
 
 
 def test_interior_marks_from_distances():
     marks = InteriorMark.from_distances({0: 0, 1: 1, 2: 2}, 2)
-    assert marks.vertex_interior(0) and marks.vertex_interior(1)
-    assert not marks.vertex_interior(2)
+    assert marks.simplex_interior((0,)) and marks.simplex_interior((1,))
+    assert not marks.simplex_interior((2,))
     assert marks.simplex_interior((0, 1))
     assert not marks.simplex_interior((1, 2))
-    assert not marks.vertex_interior(77)  # unknown defaults to boundary
+    assert not marks.simplex_interior((77,))  # unknown defaults to boundary
 
 
 # ----------------------------------------------------------------------
@@ -348,7 +358,7 @@ def test_star_and_induced(ballcx):
 
 
 def test_induced_keeps_total_chamber_colors():
-    c = Complex.from_maximal(
+    c = Complex(
         range(4),
         [(0, 1, 2), (1, 2, 3)],
     )
