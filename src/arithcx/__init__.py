@@ -13,7 +13,6 @@ from .autoeng import (
     PanelFlipReport,
     VertexMap,
     VertexPermutation,
-    automorphism_group,
     automorphism_order,
     automorphisms_fixing,
     is_isomorphic,
@@ -91,7 +90,6 @@ __all__ = [
     "VertexPermutation",
     "AutomorphismSet",
     "PanelFlipReport",
-    "automorphism_group",
     "automorphisms_fixing",
     "automorphism_order",
     "is_isomorphic",

@@ -15,10 +15,13 @@ of the other.
 
 Each search node individualizes one pair of vertices in the smallest
 non-singleton cell and refines from its parent's partition with the new
-cell as the only splitter; leaving the node undoes its splits.  Every
-emitted bijection is verified against the full simplex family and the
-chamber colors before it is returned: refinement only prunes, it never
-vouches.
+cell as the only splitter; leaving the node undoes its splits.  Each
+side holds its simplices once, as one labelled family per dimension
+(the chamber color on the colored chambers, "" elsewhere), and every
+emitted bijection is verified against every family of both sides,
+labels included, before it is returned: refinement only prunes, it
+never vouches.  A witness is a VertexMap, one dict from vertex id to
+image id.
 
 Counting without enumeration is done by an orbit-stabilizer chain of
 find-one searches, which stays exact for groups far beyond any
@@ -42,7 +45,6 @@ __all__ = [
     "VertexPermutation",
     "AutomorphismSet",
     "PanelFlipReport",
-    "automorphism_group",
     "automorphisms_fixing",
     "automorphism_order",
     "is_isomorphic",
@@ -53,52 +55,48 @@ __all__ = [
 DEFAULT_CAP = 10**6
 
 
-def _sorted_ids(ids: Iterable) -> list:
-    ids = list(ids)
-    try:
-        return sorted(ids)
-    except TypeError:
-        return sorted(ids, key=repr)
-
-
 class VertexMap:
-    """An injective map between vertex id sets."""
+    """An injective map between vertex id sets, held as one dict.
 
-    __slots__ = ("_map", "_key")
+    Equality and hashing read the dict alone, so insertion order does not
+    matter; `domain`, `moved`, `repr` and `to_json_dict` sort the vertex
+    ids when they are asked.
+    """
+
+    __slots__ = ("_map",)
 
     def __init__(self, mapping: Mapping) -> None:
         m = dict(mapping)
         if len(set(m.values())) != len(m):
             raise ValueError("mapping is not injective")
         self._map = m
-        self._key = tuple((k, m[k]) for k in _sorted_ids(m))
 
     def __call__(self, v):
         return self._map[v]
 
     def domain(self) -> tuple:
-        return tuple(k for k, _ in self._key)
+        return tuple(sorted(self._map))
 
     def apply_simplex(self, s: Iterable) -> tuple:
         return tuple(sorted(self._map[v] for v in s))
 
     def compose(self, other: "VertexMap") -> "VertexMap":
         """self after other: (self.compose(other))(v) = self(other(v))."""
-        return type(self)({v: self._map[other(v)] for v in other.domain()})
+        return type(self)({v: self._map[w] for v, w in other._map.items()})
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, VertexMap) and other._key == self._key
+        return isinstance(other, VertexMap) and other._map == self._map
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(frozenset(self._map.items()))
 
     def __repr__(self) -> str:
-        mv = {k: v for k, v in self._key if k != v}
+        mv = {k: v for k, v in sorted(self._map.items()) if k != v}
         name = type(self).__name__
         return f"{name}(moves={mv!r})" if mv else f"{name}(id)"
 
     def to_json_dict(self) -> dict:
-        return {"mapping": [[k, v] for k, v in self._key]}
+        return {"mapping": [[k, v] for k, v in sorted(self._map.items())]}
 
 
 class VertexPermutation(VertexMap):
@@ -115,21 +113,19 @@ class VertexPermutation(VertexMap):
         return all(k == v for k, v in self._map.items())
 
     def moved(self) -> tuple:
-        return tuple(k for k, v in self._key if k != v)
+        return tuple(sorted(k for k, v in self._map.items() if k != v))
 
 
 @dataclass(frozen=True)
 class AutomorphismSet:
     """Result of an automorphism computation.
 
-    When `complete` is True, `perms` holds the whole group (sorted
-    canonically) and `order == len(perms)`.  Otherwise `perms` is None
-    and `order` was computed by an orbit-stabilizer chain whose
-    witnesses are in `generators`.
+    After an enumeration, `perms` holds the whole group (sorted
+    canonically) and `order == len(perms)`.  After an orbit-stabilizer
+    chain, `perms` is None and the chain's witnesses are in `generators`.
     """
 
     order: int
-    complete: bool
     perms: tuple[VertexPermutation, ...] | None
     generators: tuple[VertexPermutation, ...]
     stats: dict = field(default_factory=dict, compare=False)
@@ -143,28 +139,34 @@ class _Side:
     """A complex indexed by the positions of its sorted vertex ids, built
     once for every search on it.
 
-    adj[i] holds one (label weight, neighbor) pair per incident edge.  The
-    label is the edge's chamber color when edges are the colored
-    chambers, else "".  Each label weighs a distinct power of
-    a base above every degree, so the weight sum a vertex receives from a
-    splitter encodes the multiset of labels; sides with equal base-key
-    multisets share labels and maximum degree, hence weights.  elems, pos,
-    col and end arrange the vertices by base key: every search's root.
+    simplices[d] maps each index simplex of dimension d to its label:
+    repr(color) on the colored chambers, "" everywhere else.  Vertices are
+    left out unless they are the colored chambers, since a bijection maps
+    vertices onto vertices.  Ids are sorted and a complex stores its
+    simplices sorted, so the index simplices come out sorted too.
+    keys[i], vertex i's base key, is its number of incident simplices of
+    each dimension from 1 up and the sorted labels of its incident
+    colored chambers.
+
+    adj[i] holds one (label weight, neighbor) pair per incident edge.
+    Each label weighs a distinct power of a base above every degree, so
+    the weight sum a vertex receives from a splitter encodes the multiset
+    of labels; sides with equal base-key multisets share labels and
+    maximum degree, hence weights.  elems, pos, col and end arrange the
+    vertices by base key: every search's root.
     """
 
     __slots__ = (
-        "ids", "idx", "adj", "simplices", "chamber_colors", "base_keys",
-        "elems", "pos", "col", "end",
+        "ids", "idx", "adj", "simplices", "keys", "elems", "pos", "col", "end",
     )
 
     def __init__(self, c: Complex) -> None:
-        self.ids = _sorted_ids(c.vertices)
+        self.ids = sorted(c.vertices)
         self.idx = idx = {v: i for i, v in enumerate(self.ids)}
         n = len(self.ids)
         colors = c.chamber_colors or {}
         labelled: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-        self.simplices: dict[int, frozenset] = {}
-        self.chamber_colors: dict[tuple, str] = {}
+        self.simplices: dict[int, dict[tuple, str]] = {}
         counts = [[0] * (c.dimension + 1) for _ in range(n)]
         incident_chamber: list[list[str]] = [[] for _ in range(n)]
         # one sweep: index each simplex, count incidences, label edges
@@ -172,13 +174,10 @@ class _Side:
             colored = bool(colors) and d == c.dimension
             if d == 0 and not colored:
                 continue
-            fam = []
+            self.simplices[d] = fam = {}
             for t in c.simplices(d):
-                it = tuple(sorted(idx[v] for v in t))
-                fam.append(it)
-                label = repr(colors[t]) if colored else ""
-                if colored:
-                    self.chamber_colors[it] = label
+                it = tuple(map(idx.__getitem__, t))
+                fam[it] = label = repr(colors[t]) if colored else ""
                 for i in it:
                     counts[i][d] += 1
                     if colored:
@@ -186,21 +185,15 @@ class _Side:
                 if d == 1:
                     labelled[it[0]].append((label, it[1]))
                     labelled[it[1]].append((label, it[0]))
-            if d:
-                self.simplices[d] = frozenset(fam)
-        self.base_keys: list[tuple] = [
-            (
-                len(labelled[i]),
-                tuple(counts[i][1:]),
-                tuple(sorted(incident_chamber[i])),
-            )
+        self.keys: list[tuple] = [
+            (tuple(counts[i][1:]), tuple(sorted(incident_chamber[i])))
             for i in range(n)
         ]
         labels = sorted({L for nbrs in labelled for L, _ in nbrs})
         base = 1 + max(map(len, labelled), default=0)
         weight = {L: base**i for i, L in enumerate(labels)}
         self.adj = [[(weight[L], x) for L, x in nbrs] for nbrs in labelled]
-        self.elems, self.pos, self.col, self.end = _arrange(self.base_keys)
+        self.elems, self.pos, self.col, self.end = _arrange(self.keys)
 
 
 class _Partition:
@@ -395,7 +388,7 @@ def _hits(
 def _root(sa: _Side, sb: _Side, require: dict[int, int]) -> _Partition | None:
     """The equitable partition refining the base keys, with each required
     pair individualized; None when the sides cannot match."""
-    if sb is not sa and Counter(sa.base_keys) != Counter(sb.base_keys):
+    if sb is not sa and Counter(sa.keys) != Counter(sb.keys):
         return None
     p = _Partition(sa, sb)
     for a_i, b_i in sorted(require.items()):
@@ -412,20 +405,18 @@ def _root(sa: _Side, sb: _Side, require: dict[int, int]) -> _Partition | None:
 
 
 def _leaf_ok(sa: _Side, sb: _Side, mapping: list[int]) -> bool:
-    # exhaustive: every simplex must land on a simplex, colors included
+    """Exhaustive: the families have the same dimensions and sizes, and
+    every simplex lands on a simplex with the same label, so the
+    (injective) image of each family is the other side's family."""
+    if sa.simplices.keys() != sb.simplices.keys():
+        return False
+    image = mapping.__getitem__
     for d, fam in sa.simplices.items():
-        target = sb.simplices.get(d, frozenset())
+        target = sb.simplices[d]
         if len(fam) != len(target):
             return False
-        for t in fam:
-            if tuple(sorted(mapping[v] for v in t)) not in target:
-                return False
-    if sa.chamber_colors or sb.chamber_colors:
-        if len(sa.chamber_colors) != len(sb.chamber_colors):
-            return False
-        for t, col in sa.chamber_colors.items():
-            it = tuple(sorted(mapping[v] for v in t))
-            if sb.chamber_colors.get(it) != col:
+        for t, label in fam.items():
+            if target.get(tuple(sorted(map(image, t)))) != label:
                 return False
     return True
 
@@ -485,9 +476,8 @@ def _first_leaf(
 
 
 def _to_perm(sa: _Side, sb: _Side, mapping: Sequence[int]) -> VertexMap:
-    m = {sa.ids[i]: sb.ids[j] for i, j in enumerate(mapping)}
-    cls = VertexPermutation if set(m) == set(m.values()) else VertexMap
-    return cls(m)
+    cls = VertexPermutation if sa.ids == sb.ids else VertexMap
+    return cls({sa.ids[i]: sb.ids[j] for i, j in enumerate(mapping)})
 
 
 def _require_indices(sa: _Side, sb: _Side, require: Mapping | None) -> dict[int, int]:
@@ -532,15 +522,6 @@ def is_isomorphic(
     return None if mapping is None else _to_perm(sa, sb, mapping)
 
 
-def automorphism_group(c: Complex, *, cap: int = DEFAULT_CAP) -> AutomorphismSet:
-    """Complete enumeration of the automorphisms, which preserve the
-    chamber colors when c has them.
-
-    Raises CapExceededError when the group is larger than `cap`.
-    """
-    return automorphisms_fixing(c, (), cap=cap)
-
-
 def automorphisms_fixing(
     c: Complex,
     fixed: Iterable,
@@ -548,24 +529,27 @@ def automorphisms_fixing(
     cap: int = DEFAULT_CAP,
 ) -> AutomorphismSet:
     """All automorphisms fixing `fixed` pointwise, preserving the chamber
-    colors when c has them."""
+    colors when c has them; `fixed=()` enumerates the whole group.
+
+    Raises CapExceededError when there are more than `cap` of them.
+    """
     side = _Side(c)
     p = _root(side, side, _require_indices(side, side, {v: v for v in fixed}))
     assert p is not None  # identity is always present
     stats: dict = {"mode": "enumerate"}
-    perms: list[VertexPermutation] = []
+    maps: list[list[int]] = []
     for m in _search(side, side, p, stats):
-        if len(perms) == cap:
+        if len(maps) == cap:
             raise CapExceededError(
                 f"more than {cap} permutations; raise the cap or "
                 "use the order computation"
             )
-        perms.append(_to_perm(side, side, m))
-    perms.sort(key=lambda p: p._key)
+        maps.append(m)
+    # ids are sorted, so this sorts the witnesses by their (id, image) pairs
+    maps.sort()
     return AutomorphismSet(
-        order=len(perms),
-        complete=True,
-        perms=tuple(perms),
+        order=len(maps),
+        perms=tuple(_to_perm(side, side, m) for m in maps),
         generators=(),
         stats=stats,
     )
@@ -625,7 +609,6 @@ def automorphism_order(c: Complex, *, fixed: Iterable = ()) -> AutomorphismSet:
         assert ok  # identity is always present
     return AutomorphismSet(
         order=order,
-        complete=False,
         perms=None,
         generators=tuple(gens),
         stats=stats,
@@ -672,7 +655,6 @@ class PanelFlipReport:
     hop-limited star that swaps the other two.
     """
 
-    hops: int
     edges_eligible: int
     edges_skipped: int
     choices_satisfied: int
@@ -730,7 +712,6 @@ def panel_flip_check(
             else:
                 failures.append((edge, apexes[i]))
     return PanelFlipReport(
-        hops=hops,
         edges_eligible=eligible,
         edges_skipped=skipped,
         choices_satisfied=satisfied,

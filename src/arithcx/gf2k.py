@@ -19,7 +19,6 @@ tests cross-check GF(16) against an independently constructed copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 __all__ = [
     "FieldSpec",
@@ -171,27 +170,6 @@ class FieldSpec:
         if a == 0:
             raise ValueError("zero has no multiplicative inverse")
         return self._tables[1][a]
-
-    # ------------------------------------------------------------------
-    # typed element API
-
-    def elem(self, bits: int) -> "FieldElem":
-        """Wrap a bitmask as a checked element of this field."""
-        if not 0 <= bits < self.size:
-            raise ValueError(f"bitmask {bits} out of range for {self!r}")
-        return FieldElem(bits, self)
-
-    def elements(self) -> Iterator["FieldElem"]:
-        for bits in range(self.size):
-            yield FieldElem(bits, self)
-
-    @property
-    def zero(self) -> "FieldElem":
-        return FieldElem(0, self)
-
-    @property
-    def one(self) -> "FieldElem":
-        return FieldElem(1, self)
 
 
 @dataclass(frozen=True, slots=True)

@@ -65,9 +65,6 @@ class ProjMatrix:
     entries: tuple[int, int, int, int, int, int, int, int, int]
     canonical: bool = False
 
-    def entry(self, i: int, j: int) -> FieldElem:
-        return FieldElem(self.entries[3 * i + j], self.spec)
-
     def rows(self) -> tuple[tuple[str, str, str], ...]:
         """Entries as polynomial strings, row by row."""
         e = [format_poly(b) for b in self.entries]
@@ -335,10 +332,6 @@ class CollisionReport:
     vertex: int
     word_a: tuple[int, ...]
     word_b: tuple[int, ...]
-
-    @property
-    def lengths(self) -> tuple[int, int]:
-        return (len(self.word_a), len(self.word_b))
 
     def to_json_dict(self) -> dict:
         return {

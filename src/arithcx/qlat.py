@@ -74,9 +74,6 @@ class Quaternion:
     def __bool__(self) -> bool:
         return bool(self.a0 or self.a1 or self.a2 or self.a3)
 
-    def conj(self) -> "Quaternion":
-        return Quaternion(self.a0, -self.a1, -self.a2, -self.a3)
-
     def norm(self) -> int:
         return self.a0**2 + self.a1**2 + self.a2**2 + self.a3**2
 
@@ -170,10 +167,6 @@ class LambdaClass:
 
     def __mul__(self, other: "LambdaClass") -> "LambdaClass":
         return canonical_rep(self.rep * other.rep)
-
-    def inverse(self) -> "LambdaClass":
-        # rep * conj(rep) is the scalar norm(rep), a power of 5
-        return canonical_rep(self.rep.conj())
 
     def is_identity(self) -> bool:
         return self.rep == Quaternion(1, 0, 0, 0)

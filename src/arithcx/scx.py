@@ -277,19 +277,18 @@ def link(c: Complex, v: VertexId) -> Complex:
     return Complex(c._in_order({x for r in rests for x in r}), [r for r in rests if r])
 
 
-def star_vertices(c: Complex, seed: Iterable[VertexId], hops: int) -> tuple:
-    """Vertices within `hops` steps of the seed set in the 1-skeleton."""
-    frontier = list(dict.fromkeys(seed))
-    seen = set(frontier)
+def star_vertices(c: Complex, seed: Iterable[VertexId], hops: int) -> frozenset:
+    """Vertices within `hops` steps of the seed set in the 1-skeleton,
+    unordered: `induced_subcomplex` puts them in `vertices` order."""
+    seen = set(seed)
+    unknown = seen - c._local_index().keys()
+    if unknown:
+        raise ValueError(f"unknown vertices {unknown!r}")
+    frontier = seen
     for _ in range(hops):
-        nxt = []
-        for u in frontier:
-            for w in c.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return c._in_order(seen)
+        frontier = {w for u in frontier for w in c.neighbors(u)} - seen
+        seen |= frontier
+    return frozenset(seen)
 
 
 def induced_subcomplex(c: Complex, vertices: Iterable[VertexId]) -> Complex:

@@ -123,11 +123,10 @@ def relabel(c: Complex, perm: dict) -> Complex:
 
 def labelled_edges(side) -> list[list[tuple[str, int]]]:
     """Each vertex's (edge label, neighbor) pairs, rebuilt from an engine
-    side's edges and chamber colors: the label is the edge's chamber color
+    side's labelled edge family: the label is the edge's chamber color
     when edges are the colored chambers, else ""."""
     nbrs: list[list[tuple[str, int]]] = [[] for _ in side.ids]
-    for u, v in side.simplices.get(1, ()):
-        label = side.chamber_colors.get((u, v), "")
+    for (u, v), label in side.simplices.get(1, {}).items():
         nbrs[u].append((label, v))
         nbrs[v].append((label, u))
     return nbrs

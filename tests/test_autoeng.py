@@ -10,7 +10,6 @@ from arithcx.autoeng import (
     _leaf_ok,
     _root,
     _Side,
-    automorphism_group,
     automorphism_order,
     automorphisms_fixing,
     is_isomorphic,
@@ -63,7 +62,7 @@ def edge_colored_cycle():
 
 def engine_images(c):
     ids = sorted(c.vertices)
-    grp = automorphism_group(c)
+    grp = automorphisms_fixing(c, ())
     return sorted(tuple(p(v) for v in ids) for p in grp.perms)
 
 
@@ -167,9 +166,9 @@ def joint_cells(ca, cb):
 
 
 def assert_refine_matches_naive(sa, sb, a, b):
-    rank = {k: i for i, k in enumerate(sorted(set(sa.base_keys) | set(sb.base_keys)))}
-    ca = [rank[k] for k in sa.base_keys]
-    cb = [rank[k] for k in sb.base_keys]
+    rank = {k: i for i, k in enumerate(sorted(set(sa.keys) | set(sb.keys)))}
+    ca = [rank[k] for k in sa.keys]
+    cb = [rank[k] for k in sb.keys]
     p = _root(sa, sb, {})
     naive = naive_refine(sa, sb, ca, cb)
     assert (p is None) == (naive is None)
@@ -219,17 +218,17 @@ def test_refine_matches_naive_refine():
 
 def test_matching_colored_k4_is_klein_four():
     k4 = Complex(range(4), K4_EDGES, chamber_colors=K4_MATCHING_COLORS)
-    grp = automorphism_group(k4)
-    assert grp.order == 4 and grp.complete
+    grp = automorphisms_fixing(k4, ())
+    assert grp.order == 4 and grp.perms is not None
     images = sorted(tuple(p(v) for v in range(4)) for p in grp.perms)
     assert images == [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
     assert images == naive_automorphisms(k4)
     # dropping the colors restores the full symmetric group
-    assert automorphism_group(Complex(range(4), K4_EDGES)).order == 24
+    assert automorphisms_fixing(Complex(range(4), K4_EDGES), ()).order == 24
 
 
 def test_group_closure_on_k4():
-    grp = automorphism_group(Complex(range(4), K4_EDGES))
+    grp = automorphisms_fixing(Complex(range(4), K4_EDGES), ())
     perms = set(grp.perms)
     assert len(perms) == 24
     for p in grp.perms:
@@ -239,32 +238,32 @@ def test_group_closure_on_k4():
 
 
 def test_heawood_group_order_336():
-    grp = automorphism_group(fano_incidence_graph())
+    grp = automorphisms_fixing(fano_incidence_graph(), ())
     assert grp.order == 336
-    assert grp.complete and len(grp.perms) == 336
+    assert len(grp.perms) == 336
     for p in grp.perms[:10]:
         assert verify_permutation(fano_incidence_graph(), p)
 
 
 def test_single_vertex_and_empty():
-    one = automorphism_group(Complex([7]))
+    one = automorphisms_fixing(Complex([7]), ())
     assert one.order == 1 and one.perms[0].is_identity()
-    empty = automorphism_group(Complex([]))
+    empty = automorphisms_fixing(Complex([]), ())
     assert empty.order == 1 and empty.perms[0].domain() == ()
 
 
 def test_enumeration_is_deterministic():
     g = fano_incidence_graph()
-    a = automorphism_group(g)
-    b = automorphism_group(g)
+    a = automorphisms_fixing(g, ())
+    b = automorphisms_fixing(g, ())
     assert a.perms == b.perms
 
 
 def test_cap_exceeded():
     k6 = Complex(range(6), list(itertools.combinations(range(6), 2)))
     with pytest.raises(CapExceededError):
-        automorphism_group(k6, cap=10)
-    assert automorphism_group(k6, cap=720).order == 720
+        automorphisms_fixing(k6, (), cap=10)
+    assert automorphisms_fixing(k6, (), cap=720).order == 720
 
 
 # ----------------------------------------------------------------------
@@ -375,6 +374,49 @@ def test_leaf_check_enforces_chamber_colors():
     assert is_isomorphic(cycle(4), edge_colored_cycle()) is None
 
 
+def test_leaf_check_compares_every_dimension_of_both_sides():
+    # the hollow triangle has no 2-simplex to map onto the filled one's
+    hollow = _Side(Complex(range(3), [(0, 1), (1, 2), (0, 2)]))
+    filled = _Side(Complex(range(3), [(0, 1, 2)]))
+    assert not _leaf_ok(hollow, filled, [0, 1, 2])
+    assert not _leaf_ok(filled, hollow, [0, 1, 2])
+    assert _leaf_ok(filled, filled, [2, 0, 1])
+
+
+def test_leaf_check_rejects_label_mismatch_both_ways():
+    # the same simplices, colored on one side only: each direction fails
+    for c in (
+        Complex(range(3), [(0, 1, 2)]),
+        Complex(range(3), [(0, 1), (1, 2), (0, 2)]),
+        Complex(range(3)),
+    ):
+        colored = _Side(color_chambers(c, {t: "x" for t in c.chambers()}))
+        plain = _Side(c)
+        assert _leaf_ok(colored, colored, [0, 1, 2])
+        assert not _leaf_ok(colored, plain, [0, 1, 2])
+        assert not _leaf_ok(plain, colored, [0, 1, 2])
+
+
+def test_enumeration_sorted_by_json_mapping():
+    # ids 8..11 sort differently as numbers and as reprs
+    for c in (
+        fano_incidence_graph(),
+        Complex([10, 8, 11, 9], [(8, 9), (9, 10), (10, 11), (8, 11)]),
+        Complex([3, 1, 0, 2], K4_EDGES),
+    ):
+        maps = [p.to_json_dict()["mapping"] for p in automorphisms_fixing(c, ()).perms]
+        assert len(maps) > 1 and maps == sorted(maps)
+
+
+def test_vertex_maps_equal_by_dict_alone():
+    a = VertexMap({0: 1, 1: 0, 2: 2})
+    b = VertexPermutation({2: 2, 1: 0, 0: 1})
+    assert a == b and b == a and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != VertexMap({0: 0, 1: 1, 2: 2})
+    assert a.domain() == b.domain() == (0, 1, 2) and b.moved() == (0, 1)
+
+
 # ----------------------------------------------------------------------
 # order without enumeration
 
@@ -421,7 +463,7 @@ def test_chain_order_matches_enumeration():
             chain = automorphism_order(c, fixed=fixed)
             enum = automorphisms_fixing(c, fixed)
             assert chain.order == enum.order
-            assert not chain.complete and chain.perms is None
+            assert chain.perms is None
             for p in chain.generators:
                 assert verify_permutation(c, p, fixed=fixed)
             assert_orbit_pruned(chain)
@@ -608,7 +650,7 @@ def vf2_automorphism_count(nx, c, label=lambda v: None, edge_colors=False):
 def test_vf2_heawood_group(nx):
     hea = fano_incidence_graph()
     assert vf2_automorphism_count(nx, hea) == 336
-    assert automorphism_group(hea).order == 336
+    assert automorphisms_fixing(hea, ()).order == 336
 
 
 def test_vf2_radius_one_building_ball_with_center_fixed(nx):

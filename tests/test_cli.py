@@ -13,7 +13,7 @@ import pytest
 
 import arithcx
 import arithcx.cli
-from arithcx.autoeng import automorphism_group, automorphisms_fixing
+from arithcx.autoeng import automorphisms_fixing
 from arithcx.cli import main
 from arithcx.scx import Complex, color_chambers
 
@@ -236,7 +236,7 @@ def test_vacuous_coloring_single_chamber_equals_stabilizer():
     # one triangle: any chamber coloring is constant, so the colored
     # count must equal the plain stabilizer order
     tri = Complex([0, 1, 2], [(0, 1), (0, 2), (1, 2), (0, 1, 2)])
-    plain = automorphism_group(tri).order
+    plain = automorphisms_fixing(tri, ()).order
     colored = color_chambers(tri, {(0, 1, 2): 1})
     assert plain == 6
     assert automorphisms_fixing(colored, ()).order == plain

@@ -44,3 +44,90 @@ def test_no_unused_imports():
         for line, name in unused_imports(ast.parse(path.read_text(), str(path)))
     ]
     assert found == []
+
+
+USERS = sorted(
+    [*(ROOT / "src" / "arithcx").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+)
+
+
+def public_functions(tree: ast.Module) -> list[tuple[str | None, str]]:
+    """(class or None, name) for each public module-level function and
+    each public method defined directly in a module-level class."""
+    out: list[tuple[str | None, str]] = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out.append((None, node.name))
+        elif isinstance(node, ast.ClassDef):
+            out += [
+                (node.name, f.name) for f in node.body if isinstance(f, ast.FunctionDef)
+            ]
+    return [(cls, name) for cls, name in out if not name.startswith("_")]
+
+
+def read_names(trees: list[ast.Module]) -> tuple[set[str], set[str]]:
+    """The names read as plain names and the names read as attributes."""
+    names: set[str] = set()
+    attrs: set[str] = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+    return names, attrs
+
+
+def callerless(
+    defining: dict[str, ast.Module], users: list[ast.Module], spanned: set[str]
+) -> list[str]:
+    """"module.[Class.]name" for each public function or method that no
+    user reads: a function may be read as a name or an attribute, a
+    method only as an attribute, and a spanned name counts as read."""
+    names, attrs = read_names(users)
+    return sorted(
+        ".".join(p for p in (module, cls, name) if p)
+        for module, tree in defining.items()
+        for cls, name in public_functions(tree)
+        if name not in spanned and name not in attrs and (cls or name not in names)
+    )
+
+
+def spanned_names() -> set[str]:
+    """Every function name in perfbench/spans.py's SPANNED, which the
+    tracer looks up by name."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SPANNED" for t in node.targets
+        ):
+            return {f for fs in ast.literal_eval(node.value).values() for f in fs}
+    raise AssertionError("perfbench/spans.py defines no SPANNED")
+
+
+def test_scan_flags_a_callerless_function():
+    lib = ast.parse(
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "def traced(): pass\n"
+        "def _private(): pass\n"
+        "class K:\n"
+        "    def m(self): pass\n"
+        "    def dead(self): pass\n"
+    )
+    # a method read only as a plain name has no caller
+    user = ast.parse("used()\nk.m\ndead()\n")
+    assert callerless({"lib": lib}, [user], {"traced"}) == ["lib.K.dead", "lib.unused"]
+
+
+def test_no_callerless_functions():
+    assert len(USERS) > 10
+    spanned = spanned_names()
+    assert "main" in spanned
+    defining = {
+        path.stem: ast.parse(path.read_text(), str(path))
+        for path in USERS
+        if path.parent.name == "arithcx"
+    }
+    users = [ast.parse(path.read_text(), str(path)) for path in USERS]
+    assert callerless(defining, users, spanned) == []

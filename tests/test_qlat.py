@@ -4,7 +4,7 @@ from collections import Counter, deque
 
 import pytest
 
-from arithcx.autoeng import automorphism_group, automorphisms_fixing, verify_permutation
+from arithcx.autoeng import automorphisms_fixing, verify_permutation
 from arithcx.errors import BudgetExceededError
 from arithcx.qlat import (
     FIBER_IMAGE,
@@ -20,6 +20,10 @@ from arithcx.qlat import (
     quotient_graph,
     ray_flip,
 )
+
+
+def conj(q):
+    return Quaternion(q.a0, -q.a1, -q.a2, -q.a3)
 
 
 def random_quaternion(rng, lo=-9, hi=9):
@@ -87,7 +91,7 @@ def test_norm_multiplicative_and_conj_identity():
         a, b = random_quaternion(rng, -5, 5), random_quaternion(rng, -5, 5)
         assert (a * b).norm() == a.norm() * b.norm()
     a = random_quaternion(rng)
-    assert a * a.conj() == Quaternion(a.norm(), 0, 0, 0)
+    assert a * conj(a) == Quaternion(a.norm(), 0, 0, 0)
 
 
 def test_quaternion_str():
@@ -118,7 +122,7 @@ def test_norm5_generators_golden():
 def test_generator_tables_consistent():
     gens = norm5_generators()
     for i in range(6):
-        assert gens[GENERATOR_INVERSE[i]] == gens[i].conj()
+        assert gens[GENERATOR_INVERSE[i]] == conj(gens[i])
         assert canonical_rep(gens[i] * gens[GENERATOR_INVERSE[i]]).is_identity()
         assert FIBER_IMAGE[GENERATOR_INVERSE[i]] == (-FIBER_IMAGE[i]) % 4
 
@@ -146,7 +150,8 @@ def test_class_inverse():
     rng = random.Random(317)
     for _ in range(50):
         cls = canonical_rep(random_norm5_word_product(rng))
-        assert (cls * cls.inverse()).is_identity()
+        # rep * conj(rep) is the scalar norm(rep), a power of 5
+        assert (cls * canonical_rep(conj(cls.rep))).is_identity()
 
 
 def test_free_group_counts():
@@ -244,7 +249,7 @@ def test_quotient_graph_golden():
 
 def test_quotient_colored_automorphisms_klein_four():
     k4 = quotient_graph().to_complex()
-    grp = automorphism_group(k4)
+    grp = automorphisms_fixing(k4, ())
     assert grp.order == 4
     images = sorted(tuple(p(v) for v in range(4)) for p in grp.perms)
     assert images == [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]

@@ -353,8 +353,12 @@ def test_star_and_induced(ballcx):
     assert len(sub.vertices) == 15
     assert sub.simplex_count(1) == 35
     assert sub.simplex_count(2) == 21
+    assert sub.vertices == tuple(v for v in ballcx.vertices if v in w)
     with pytest.raises(ValueError):
         induced_subcomplex(ballcx, [10**9])
+    for hops in (0, 1):
+        with pytest.raises(ValueError):
+            star_vertices(ballcx, (0, 10**9), hops)
 
 
 def test_induced_keeps_total_chamber_colors():
