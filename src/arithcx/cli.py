@@ -88,8 +88,92 @@ def _report(command: str, args: argparse.Namespace, checks: list, data: dict) ->
     }
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# the JSON text of each scalar type, by exact type
+_SCALARS = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_KINDS = {*_SCALARS, dict, list, tuple}
+
+
+def _json_type(o) -> type | None:
+    """The type json encodes an instance of a subclass as: the first of
+    its checks that o passes, or None when it has none."""
+    for t in (str, int, float, list, tuple, dict):
+        if isinstance(o, t):
+            return t
+    return None
+
+
+def _key_text(k) -> str:
+    """A dict key quoted the way json quotes it."""
+    kind = type(k) if type(k) in _SCALARS else _json_type(k)
+    if kind is str:
+        return _ESCAPE(k)
+    if kind not in _SCALARS:
+        raise TypeError(
+            f"keys must be str, int, float, bool or None, not {k.__class__.__name__}"
+        )
+    return f'"{_SCALARS[kind](k)}"'
+
+
+def _text(o, nl: str) -> str:
+    """The JSON text of o; nl is the newline and indent of the line o
+    starts on."""
+    kind = type(o)
+    if kind not in _KINDS:
+        kind = _json_type(o)
+        if kind is None:
+            raise TypeError(
+                f"Object of type {o.__class__.__name__} is not JSON serializable"
+            )
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(o)
+    if not o:
+        return "{}" if kind is dict else "[]"
+    inner = nl + "  "
+    if kind is dict:
+        # one join per dict, so that no large value text is copied twice;
+        # the items are sorted before any key is converted, as json does
+        parts = ["{" + inner]
+        for k, v in sorted(o.items()):
+            parts += (_key_text(k), ": ", _text(v, inner), "," + inner)
+        parts[-1] = nl + "}"
+        return "".join(parts)
+    try:
+        items = [_SCALARS[type(x)](x) for x in o]
+    except KeyError:  # a container or a subclass among the items
+        items = [_text(x, inner) for x in o]
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
 def _render(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(report, indent=2, sort_keys=True)` and a newline.
+
+    json's indenting encoder runs in pure Python and keeps a chunk per
+    token until its final join.  Here each container's text is joined
+    once from its items' texts, a list of scalars in one join, and
+    strings go through json's C escaper.
+    """
+    return _text(report, "\n") + "\n"
 
 
 def _lsv_ball_complex(args: argparse.Namespace):
@@ -176,7 +260,11 @@ def _lsv_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 def _lsv_ball(args: argparse.Namespace) -> tuple[dict, str | None]:
     ball, cx = _lsv_ball_complex(args)
-    data = {"ball": ball.to_json_dict(), "triangle_count": cx.simplex_count(2)}
+    triangles = cx.simplex_count(2)
+    # only the triangle count is reported: the complex, the largest
+    # object here, is freed before the report is built and rendered
+    del cx
+    data = {"ball": ball.to_json_dict(), "triangle_count": triangles}
     dot = ball.to_dot() if args.format == "dot" else None
     return _report("lsv-ball", args, [], data), dot
 
@@ -470,7 +558,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     _validate(args, parser)
     try:
         report, dot = args.handler(args)
-        text = _render(report)
+        # the JSON text is unused when stdout gets DOT and there is no --out
+        text = _render(report) if dot is None or args.out else None
         if args.out:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)

@@ -3,11 +3,12 @@
 An element of F2[t]/<m(t)> is stored as an int whose bit i is the
 coefficient of t^i; the modulus m(t) uses the same encoding.  Addition
 is XOR.  A `FieldSpec` builds its full multiplication table (carry-less
-products reduced modulo m(t)) and its inverse table when it is made,
-and multiplication and inversion are lookups in them; `projmat` reads
-the same tables through `FieldSpec.tables()`.  The degree is capped at
-8, where the multiplication table has 65,536 entries.  The two fields
-the rest of the package relies on are module constants:
+products reduced modulo m(t)), its inverse table and the name of every
+element when it is made, and multiplication and inversion are lookups
+in them; `projmat` reads the same tables through `FieldSpec.tables()`
+and `FieldSpec.names`.  The degree is capped at 8, where the
+multiplication table has 65,536 entries.  The two fields the rest of
+the package relies on are module constants:
 
     GF2     m(t) = t + 1            mask 0b11
     GF16    m(t) = t^4 + t + 1      mask 0b10011
@@ -104,6 +105,9 @@ def parse_poly(text: str) -> int:
 class FieldSpec:
     """A binary field GF(2^k) = F2[t]/<m(t)>.
 
+    Besides its multiplication and inverse tables it holds `names`,
+    where `names[b]` is `format_poly(b)` for each of the 2^k elements.
+
     Parameters
     ----------
     modulus : int
@@ -116,7 +120,7 @@ class FieldSpec:
         If the modulus is reducible or its degree is outside 1..8.
     """
 
-    __slots__ = ("modulus", "degree", "size", "_tables")
+    __slots__ = ("modulus", "degree", "size", "names", "_tables")
 
     def __init__(self, modulus: int) -> None:
         degree = modulus.bit_length() - 1
@@ -140,6 +144,7 @@ class FieldSpec:
                 mul_rows[y][x] = v
         inv = [0] + [row.index(1) for row in mul_rows[1:]]
         self._tables = (mul_rows, inv)
+        self.names = tuple(map(format_poly, range(size)))
 
     # fields with the same modulus are the same field
     def __eq__(self, other: object) -> bool:

@@ -67,8 +67,9 @@ class ProjMatrix:
 
     def rows(self) -> tuple[tuple[str, str, str], ...]:
         """Entries as polynomial strings, row by row."""
-        e = [format_poly(b) for b in self.entries]
-        return (tuple(e[0:3]), tuple(e[3:6]), tuple(e[6:9]))
+        n = self.spec.names
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = self.entries
+        return ((n[a0], n[a1], n[a2]), (n[a3], n[a4], n[a5]), (n[a6], n[a7], n[a8]))
 
     def encode(self) -> bytes:
         """Canonical byte encoding used for reproducible orderings."""

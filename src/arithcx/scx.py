@@ -235,34 +235,30 @@ def clique_complex(
     if max_dim < 1:
         raise ValueError("max_dim must be >= 1")
     verts = tuple(vertices)
-    vset = set(verts)
-    adj: dict[VertexId, set] = {v: set() for v in verts}
-    seen = set()
+    # each vertex's neighbours with a larger id: an edge is stored once,
+    # from its smaller end, and a clique grows only by vertices above
+    # all of its own, so each clique is found once and already sorted
+    forward: dict[VertexId, set] = {v: set() for v in verts}
     for u, v in edges:
         if u == v:
             raise ValueError(f"loop at {u!r}: input graph must be simple")
-        if u not in vset or v not in vset:
+        if u not in forward or v not in forward:
             raise ValueError(f"edge ({u!r}, {v!r}) has an unknown endpoint")
-        key = _norm_simplex((u, v))
-        if key in seen:
-            raise ValueError(f"repeated edge {key!r}: input graph must be simple")
-        seen.add(key)
-        adj[u].add(v)
-        adj[v].add(u)
-    simplices: list[tuple] = sorted(seen)
-    current = simplices[:]
-    for _ in range(2, max_dim + 1):
-        nxt = []
-        for t in current:
-            common = set.intersection(*(adj[x] for x in t)) if t else set()
-            last = t[-1]
-            for w in sorted(common):
-                if w > last:
-                    nxt.append(t + (w,))
-        if not nxt:
-            break
-        simplices.extend(nxt)
-        current = nxt
+        if v < u:
+            u, v = v, u
+        if v in forward[u]:
+            raise ValueError(f"repeated edge {(u, v)!r}: input graph must be simple")
+        forward[u].add(v)
+    simplices: list[tuple] = []
+    # (clique, the forward neighbours common to all its vertices)
+    stack = [((v,), forward[v]) for v in verts]
+    while stack:
+        t, common = stack.pop()
+        for w in common:
+            s = t + (w,)
+            simplices.append(s)
+            if len(s) <= max_dim:
+                stack.append((s, common & forward[w]))
     return Complex(verts, simplices)
 
 

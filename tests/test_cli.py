@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+from collections import OrderedDict, namedtuple
 from pathlib import Path
 
 import pytest
@@ -313,6 +314,52 @@ def test_out_dir_writes_report_and_dot(tmp_path, capsys):
     assert code == 0
     # json on stdout and in the file, no dot written this time
     assert (sub / "tree-quotient.json").read_text() == out
+
+
+def test_json_rendered_only_when_written(monkeypatch, tmp_path, capsys):
+    rendered = []
+    render = arithcx.cli._render
+    monkeypatch.setattr(arithcx.cli, "_render", lambda r: rendered.append(r) or render(r))
+    code, out = run(["tree", "quotient", "--format", "dot"], capsys)
+    assert code == 0 and out.startswith("graph complex")
+    assert rendered == []
+    code, _ = run(["tree", "quotient", "--format", "dot", "--out", str(tmp_path)], capsys)
+    assert code == 0 and len(rendered) == 1
+    code, _ = run(["tree", "quotient"], capsys)
+    assert code == 0 and len(rendered) == 2
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"a": {1, 2}},  # a set value
+        {(1, 2): "x"},  # a tuple key
+        {1: "x", "a": "y"},  # int and str keys cannot be sorted together
+        {"a": [1, b"bytes"]},
+        [object()],
+    ],
+)
+def test_render_raises_type_error_where_json_does(obj):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        arithcx.cli._render(obj)
+    assert str(got.value) == str(expected.value)
+
+
+def test_render_encodes_subclasses_as_json_does():
+    class Label(str):
+        pass
+
+    class Small(int):
+        pass
+
+    pair = namedtuple("pair", "u v")
+    obj = OrderedDict(
+        b=[pair(1, Label("x")), Small(3)],
+        a={Label("k"): pair(0, 1), "j": {Small(2): [], 1: True}},
+    )
+    assert arithcx.cli._render(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(

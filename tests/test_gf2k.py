@@ -3,6 +3,7 @@ import random
 import pytest
 
 from arithcx.gf2k import GF2, GF16, FieldElem, FieldSpec, format_poly, parse_poly
+from arithcx.projmat import identity, lsv_generators, matrix
 
 
 def elem(text: str):
@@ -101,6 +102,10 @@ def test_tables_against_carryless_oracle_every_modulus():
             assert 0 < b < q and clmul_mod(a, b, m) == 1, (m, a)
         with pytest.raises(ValueError):
             spec.inv(0)
+        assert len(spec.names) == q
+        for b in range(q):
+            assert spec.names[b] == format_poly(b), (m, b)
+            assert parse_poly(spec.names[b]) == b, (m, b)
 
 
 def test_gf16_has_sixteen_elements():
@@ -221,3 +226,17 @@ def test_independent_gf16_copy():
     # elements of the two copies do not mix
     with pytest.raises(ValueError):
         FieldElem(1, other) + ONE
+
+
+def test_matrix_rows_read_the_name_table():
+    rng = random.Random(20261019)
+    big = FieldSpec(0b100011011)  # t^8 + t^4 + t^3 + t + 1
+    cases = [identity(GF16), *lsv_generators().matrices]
+    cases += [
+        matrix(spec, [[rng.randrange(spec.size) for _ in range(3)] for _ in range(3)])
+        for spec in (GF2, GF16, big)
+        for _ in range(3)
+    ]
+    for m in cases:
+        e = [format_poly(b) for b in m.entries]
+        assert m.rows() == (tuple(e[0:3]), tuple(e[3:6]), tuple(e[6:9]))

@@ -1,10 +1,12 @@
-"""Property tests: engine verdicts do not depend on vertex names.
+"""Property tests: engine verdicts do not depend on vertex names, and
+the CLI's report renderer writes what json.dumps writes.
 
 hypothesis is not a declared dependency, so the module is skipped when
 it is missing.
 """
 
 import itertools
+import json
 
 import pytest
 
@@ -21,6 +23,7 @@ from arithcx.autoeng import (
     is_isomorphic,
     verify_permutation,
 )
+from arithcx.cli import _render
 from arithcx.scx import Complex
 
 
@@ -88,3 +91,25 @@ def test_one_extra_edge_is_not_isomorphic(data):
     perm = dict(zip(c.vertices, data.draw(st.permutations(c.vertices))))
     assert is_isomorphic(c, relabel(bigger, perm)) is None
     assert is_isomorphic(relabel(bigger, perm), c) is None
+
+
+_TEXT = st.text() | st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'))
+_NUMBERS = st.integers(-(2**200), 2**200) | st.booleans() | st.floats()
+_SCALARS = st.none() | _NUMBERS | _TEXT
+
+
+def _containers(children):
+    return (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(_TEXT, children, max_size=5)
+        # int, bool and float keys sort together, and nan keys too
+        | st.dictionaries(_NUMBERS, children, max_size=5)
+        | st.dictionaries(st.none(), children, max_size=1)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(_SCALARS, _containers, max_leaves=40))
+def test_render_matches_json_dumps(obj):
+    assert _render(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -181,10 +181,53 @@ def test_clique_complex_small_graphs():
 def test_clique_complex_rejects_non_simple():
     with pytest.raises(ValueError):
         clique_complex([0, 1], [(0, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="repeated edge"):
         clique_complex([0, 1], [(0, 1), (1, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="repeated edge"):
+        clique_complex([0, 1], [(1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="repeated edge"):
+        clique_complex([0, 1, 2], [(2, 1), (0, 1), (2, 1)])
+    with pytest.raises(ValueError, match="unknown endpoint"):
         clique_complex([0, 1], [(0, 2)])
+    with pytest.raises(ValueError, match="max_dim"):
+        clique_complex([0, 1], [(0, 1)], max_dim=0)
+
+
+def brute_force_cliques(vertices, edges, max_dim):
+    """dim -> the sorted cliques of dim+1 vertices, from every subset."""
+    es = {frozenset(e) for e in edges}
+    out = {}
+    for k in range(1, max_dim + 2):
+        found = [
+            t
+            for t in combinations(sorted(vertices), k)
+            if all(frozenset(p) in es for p in combinations(t, 2))
+        ]
+        if found:
+            out[k - 1] = tuple(found)
+    return out
+
+
+def test_clique_complex_matches_brute_force_enumeration():
+    rng = random.Random(20261018)
+    for trial in range(60):
+        n = rng.randint(1, 9)
+        ids = list(range(n)) if trial % 2 else [f"v{i}" for i in range(n)]
+        rng.shuffle(ids)
+        density = rng.random()
+        edges = [
+            (u, v) if rng.random() < 0.5 else (v, u)
+            for u, v in combinations(ids, 2)
+            if rng.random() < density
+        ]
+        rng.shuffle(edges)
+        for max_dim in range(1, 5):
+            cx = clique_complex(ids, edges, max_dim=max_dim)
+            expect = brute_force_cliques(ids, edges, max_dim)
+            assert cx.vertices == tuple(ids)
+            assert cx.dims() == tuple(expect)
+            for d, cliques in expect.items():
+                assert cx.simplices(d) == cliques, (trial, max_dim, d)
 
 
 def test_link_of_clique_complex_matches_neighbor_subgraph():
