@@ -7,12 +7,17 @@ seven Lubotzky-Samuels-Vishne generator matrices over GF(16) and grows
 breadth-first Cayley balls around the identity, which the rest of the
 package turns into simplicial complexes.
 
-All products go through one kernel, `_product`, which multiplies two
-row-major 9-tuples of entry bitmasks with the field's multiplication
-rows (`FieldSpec.tables()`, XOR for addition) and normalizes by one
-table row.  The determinant, the adjugate and the action on P^2 read
-the same rows.  `cayley_ball` runs its breadth-first search on entry
-tuples and makes a `ProjMatrix` only for each returned vertex.
+General products go through one kernel, `_product`, which multiplies
+two row-major 9-tuples of entry bitmasks with the field's
+multiplication rows (`FieldSpec.tables()`, XOR for addition) and
+normalizes by one table row.  The determinant, the adjugate and the
+action on P^2 read the same rows.  `cayley_ball` instead multiplies by
+generator tables built in each call: for each generator g, each
+nonzero scalar c and each row j of g, a q-entry list of the rows
+x*c*g_j, each packed into one int.  That is 3*(q-1) lists of q entries,
+3*q*(q-1) entries, per generator (10,080 for 14 generators over
+GF(16)).  Its breadth-first search holds each vertex as one packed int
+and makes a `ProjMatrix` only for each returned vertex.
 
 References:
     Lubotzky, Samuels, Vishne.  "Explicit constructions of Ramanujan
@@ -140,8 +145,8 @@ def _product(
 ) -> tuple[int, ...]:
     """Canonical entries of x*y, for row-major 3x3 entry tuples.
 
-    The one PGL3 product: `pgl_mul` and `cayley_ball` both call it with
-    the field's `tables()`.
+    The general PGL3 product, called with the field's `tables()`;
+    `cayley_ball` multiplies by its own generator tables instead.
     """
     y0, y1, y2, y3, y4, y5, y6, y7, y8 = y
     a, b, c = mul_rows[x[0]], mul_rows[x[1]], mul_rows[x[2]]
@@ -398,6 +403,27 @@ class CayleyBall:
         )
 
 
+def _generator_tables(
+    mul_rows: list[list[int]], inv: list[int], g: tuple, k: int
+) -> list:
+    """Packed-row product tables of the scalar multiples of generator g.
+
+    Entry e >= 1 of the result is a triple (T0, T1, T2) for the
+    multiple c*g with c = 1/e: `Tj[x]` is row j of c*g scaled by x,
+    packed as three k-bit entries with the first one most significant.
+    Row i of the product x*(c*g) is then `T0[x_i0] ^ T1[x_i1] ^ T2[x_i2]`.
+    """
+    one = tuple(
+        [row[b0] << 2 * k | row[b1] << k | row[b2] for row in mul_rows]
+        for b0, b1, b2 in (g[0:3], g[3:6], g[6:9])
+    )
+    # x*(c*g_j) = (c*x)*g_j: each multiple re-indexes the c = 1 table
+    return [None, one] + [
+        tuple([t[y] for y in mul_rows[inv[e]]] for t in one)
+        for e in range(2, len(mul_rows))
+    ]
+
+
 def cayley_ball(
     gens: SymmetricGenerators,
     radius: int,
@@ -416,51 +442,105 @@ def cayley_ball(
         CayleyBall with exact BFS distance labels, the full induced
         edge set, and the first reduced-word collision seen (if any).
 
-    The search keeps only entry tuples (the `_product` kernel's input
-    and output); a `ProjMatrix` is built once per returned vertex,
-    after the vertices are sorted into canonical order.  The budget
-    error names the shell being grown, the radius and the vertex count.
+    The search holds each vertex as one int, its nine k-bit entries
+    packed with entry 0 most significant, so ordering by (distance,
+    packed int) is ordering by (distance, encoded bytes).  A product
+    x*g reads its row 0 from g's tables; unless that row leads with 1,
+    it is read again from the tables of the multiple c*g that makes it
+    lead with 1, so the product comes out canonical with no scaling
+    pass.  Each edge is multiplied out once, from its lower end, which
+    sets the edge's bit in the upper end's mask of known back-edges.
+    Until the first collision is found only the parent edge is skipped,
+    since any other back-edge may be that collision.  A `ProjMatrix` is
+    built once per returned vertex.  The budget error names the shell
+    being grown, the radius and the vertex count.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     spec = gens.fieldspec
     mul_rows, inv = spec.tables()
     ident = identity(spec).entries
-    by_entries = {}
-    for m, lab in zip(gens.matrices, gens.labels):
+    position = {}
+    for i, m in enumerate(gens.matrices):
         if not m.canonical:
             raise ValueError("generators must be canonical")
         if m.entries == ident:
             raise ValueError("identity cannot be a generator")
-        by_entries[m.entries] = lab
-    for m, lab in zip(gens.matrices, gens.labels):
-        ilab = by_entries.get(pgl_inv(m).entries)
-        if ilab is None:
+        position[m.entries] = i
+    labels = gens.labels
+    k = spec.degree
+    # steps[i]: (generator i, its bit, its label, its tables, the bit of
+    # the generator that steps back); parent_skip[i]: that back bit when
+    # the reduced-word test excludes the step back, else 0
+    steps = []
+    parent_skip = []
+    for i, (m, lab) in enumerate(zip(gens.matrices, labels)):
+        back = position.get(pgl_inv(m).entries)
+        if back is None:
             raise ValueError(f"generator set not symmetric at label {lab}")
-    steps = [(m.entries, lab) for m, lab in zip(gens.matrices, gens.labels)]
+        tables = _generator_tables(mul_rows, inv, m.entries, k)
+        steps.append((i, 1 << i, lab, tables, 1 << back))
+        parent_skip.append(
+            1 << back if labels[back] == gens.inverse_label(lab) else 0
+        )
 
-    index: dict[tuple, int] = {ident: 0}
-    verts: list[tuple] = [ident]
+    mask = spec.size - 1
+    k2, k3, k6 = 2 * k, 3 * k, 6 * k
+    s0, s1, s2, s3, s4, s5, s6, s7, _ = range(8 * k, -1, -k)
+
+    def unpack(x: int) -> tuple[int, ...]:
+        return (
+            x >> s0, x >> s1 & mask, x >> s2 & mask,
+            x >> s3 & mask, x >> s4 & mask, x >> s5 & mask,
+            x >> s6 & mask, x >> s7 & mask, x & mask,
+        )
+
+    x = 1 << s0 | 1 << s4 | 1  # the identity, packed
+    index: dict[int, int] = {x: 0}
+    verts: list[int] = [x]
     dist: list[int] = [0]
     parent: list[int] = [-1]
-    parent_label: list[int] = [0]
+    parent_step: list[int] = [-1]
+    known: list[int] = [0]
     edges: list[tuple[int, int, int]] = []
     collision: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
 
     def word_of(i: int) -> tuple[int, ...]:
         out: list[int] = []
         while i > 0:
-            out.append(parent_label[i])
+            out.append(labels[parent_step[i]])
             i = parent[i]
         return tuple(reversed(out))
 
+    lookup = index.get
     u = 0
     while u < len(verts):
         x = verts[u]
         du = dist[u]
-        for g, lab in steps:
-            v = _product(mul_rows, inv, x, g)
-            w = index.get(v)
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = unpack(x)
+        if collision is not None:
+            skip = known[u]
+        elif u:
+            skip = parent_skip[parent_step[u]]
+            # a reduced word may not end in a cancelling pair
+            cancel = gens.inverse_label(labels[parent_step[u]])
+        else:
+            skip, cancel = 0, None
+        for i, bit, lab, tables, back_bit in steps:
+            if skip & bit:
+                continue
+            t0, t1, t2 = tables[1]
+            r0 = t0[a0] ^ t1[a1] ^ t2[a2]
+            lead = r0 >> k2 or r0 >> k or r0
+            if lead != 1:
+                t0, t1, t2 = tables[lead]
+                r0 = t0[a0] ^ t1[a1] ^ t2[a2]
+            v = (
+                r0 << k6
+                | (t0[a3] ^ t1[a4] ^ t2[a5]) << k3
+                | t0[a6] ^ t1[a7] ^ t2[a8]
+            )
+            w = lookup(v)
             if w is None:
                 if du >= radius:
                     continue
@@ -476,23 +556,23 @@ def cayley_ball(
                 verts.append(v)
                 dist.append(du + 1)
                 parent.append(u)
-                parent_label.append(lab)
+                parent_step.append(i)
+                known.append(back_bit)
                 edges.append((u, w, lab))
             else:
                 if w > u:
                     edges.append((u, w, lab))
-                if collision is None:
-                    # reduced: the new word may not end in a cancelling pair
-                    if u == 0 or gens.inverse_label(parent_label[u]) != lab:
-                        wa = word_of(w)
-                        wb = word_of(u) + (lab,)
-                        if wa != wb:
-                            collision = (w, wa, wb)
+                    known[w] |= back_bit
+                if collision is None and lab != cancel:
+                    wa = word_of(w)
+                    wb = word_of(u) + (lab,)
+                    if wa != wb:
+                        collision = (w, wa, wb)
         u += 1
 
     # canonical order: by (distance, encoded bytes), as ProjMatrix.encode
-    order = sorted(range(len(verts)), key=lambda i: (dist[i], bytes(verts[i])))
-    vertices = tuple(ProjMatrix(spec, verts[i], canonical=True) for i in order)
+    order = sorted(range(len(verts)), key=lambda i: (dist[i], verts[i]))
+    vertices = tuple(ProjMatrix(spec, unpack(verts[i]), True) for i in order)
     pos = [0] * len(verts)
     for new, old in enumerate(order):
         pos[old] = new

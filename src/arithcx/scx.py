@@ -74,13 +74,14 @@ class Complex:
             t = _norm_simplex(s)
             if not t:
                 raise ValueError("empty simplex")
-            for v in t:
-                if v not in vset:
-                    raise ValueError(f"unknown vertex {v!r} in simplex {t!r}")
+            if not vset.issuperset(t):
+                v = next(v for v in t if v not in vset)
+                raise ValueError(f"unknown vertex {v!r} in simplex {t!r}")
             by_dim.setdefault(len(t) - 1, set()).add(t)
         # downward closure, top dimension first: each facet of a simplex
-        # joins the dimension below before that dimension is read
-        for d in range(max(by_dim), 0, -1):
+        # joins the dimension below before that dimension is read; it
+        # stops at edges, whose vertices are all singletons already
+        for d in range(max(by_dim), 1, -1):
             lower = by_dim.setdefault(d - 1, set())
             for t in by_dim[d]:
                 lower.update(combinations(t, d))

@@ -10,6 +10,7 @@ from arithcx.errors import BudgetExceededError
 from arithcx.gf2k import GF2, GF16, FieldElem, FieldSpec, format_poly, parse_poly
 from arithcx.projmat import (
     GeneratorTable,
+    SymmetricGenerators,
     cayley_ball,
     determinant,
     identity,
@@ -98,20 +99,42 @@ def oracle_word(gens_by_label, word):
 
 
 def oracle_ball(gens, labels, radius):
-    """Vertices in (distance, bytes) order, distances and labelled edges
-    of the ball, by a plain BFS over entry tuples with oracle_mul."""
+    """Vertices in (distance, bytes) order, distances, labelled edges and
+    the first reduced-word collision of the ball, by a plain BFS over
+    entry tuples with oracle_mul.
+
+    The scan multiplies every vertex, in discovery order, by every
+    generator, in table order.  The collision is the first step whose
+    product is already known, whose word does not end in a generator
+    next to its own inverse (inverses found by oracle_mul), and whose
+    word differs from the known vertex's word, as (position, known
+    word, new word); None if there is none.
+    """
+    inverse = {
+        lab: next(b for h, b in zip(gens, labels) if oracle_mul(g, h) == IDENT)
+        for g, lab in zip(gens, labels)
+    }
     dist = {IDENT: 0}
+    word = {IDENT: ()}
     steps = {}
+    collision = None
     frontier = [IDENT]
     for d in range(radius + 1):
         nxt = []
         for x in frontier:
-            steps[x] = [(oracle_mul(x, g), lab) for g, lab in zip(gens, labels)]
-            if d < radius:
-                for y, _ in steps[x]:
-                    if y not in dist:
+            steps[x] = []
+            for g, lab in zip(gens, labels):
+                y = oracle_mul(x, g)
+                steps[x].append((y, lab))
+                if y not in dist:
+                    if d < radius:
                         dist[y] = d + 1
+                        word[y] = word[x] + (lab,)
                         nxt.append(y)
+                elif collision is None and word[y] != word[x] + (lab,):
+                    # reduced: no generator next to its own inverse
+                    if not word[x] or inverse[word[x][-1]] != lab:
+                        collision = (y, word[y], word[x] + (lab,))
         frontier = nxt
     order = sorted(dist, key=lambda e: (dist[e], bytes(e)))
     pos = {e: i for i, e in enumerate(order)}
@@ -121,7 +144,9 @@ def oracle_ball(gens, labels, radius):
         for y, lab in out
         if y in pos and pos[x] < pos[y]
     )
-    return order, [dist[e] for e in order], edges
+    if collision is not None:
+        collision = (pos[collision[0]],) + collision[1:]
+    return order, [dist[e] for e in order], edges, collision
 
 
 def oracle_adjugate(entries):
@@ -157,6 +182,11 @@ def sym(table):
 @pytest.fixture(scope="module")
 def ball2(sym):
     return cayley_ball(sym, 2)
+
+
+@pytest.fixture(scope="module")
+def ball3(sym):
+    return cayley_ball(sym, 3)
 
 
 # ----------------------------------------------------------------------
@@ -387,15 +417,18 @@ def test_ball_distances_against_second_bfs(ball2):
     assert list(ball2.dist) == second_bfs_distances(len(ball2), ball2.edges)
 
 
-def test_ball_edge_labels_consistent(ball2):
-    by_label = dict(zip(ball2.generators.labels, ball2.generators.matrices))
-    for u, v, lab in ball2.edges:
-        assert pgl_mul(ball2.vertices[u], by_label[lab]) == ball2.vertices[v]
-        back = ball2.generators.inverse_label(lab)
-        assert pgl_mul(ball2.vertices[v], by_label[back]) == ball2.vertices[u]
+def test_ball_edge_labels_consistent(ball3):
+    # pgl_mul is a second route to every edge, in both directions: the
+    # ball multiplies each edge out once, from its lower end
+    by_label = dict(zip(ball3.generators.labels, ball3.generators.matrices))
+    assert len(ball3.edges) > 2 * len(ball3)
+    for u, v, lab in ball3.edges:
+        assert pgl_mul(ball3.vertices[u], by_label[lab]) == ball3.vertices[v]
+        back = ball3.generators.inverse_label(lab)
+        assert pgl_mul(ball3.vertices[v], by_label[back]) == ball3.vertices[u]
 
 
-def test_sphere_sizes_against_word_enumeration_oracle(sym):
+def test_sphere_sizes_against_word_enumeration_oracle(sym, ball3):
     # enumerate all products of length <= 3 with tuple-level arithmetic
     gens = [m.entries for m in sym.matrices]
     ball = {IDENT}
@@ -413,15 +446,14 @@ def test_sphere_sizes_against_word_enumeration_oracle(sym):
         levels.append(len(nxt))
     # golden, and cross-checked against the BFS implementation
     assert levels == [1, 14, 98, 560]
-    b3 = cayley_ball(sym, 3)
-    assert b3.sphere_sizes() == (1, 14, 98, 560)
-    assert {m.entries for m in b3.vertices} == ball
+    assert ball3.sphere_sizes() == (1, 14, 98, 560)
+    assert {m.entries for m in ball3.vertices} == ball
 
 
 def test_ball_radius_four_matches_oracle_bfs(sym):
     ball = cayley_ball(sym, 4)
     gens = [m.entries for m in sym.matrices]
-    order, dist, edges = oracle_ball(gens, sym.labels, 4)
+    order, dist, edges, collision = oracle_ball(gens, sym.labels, 4)
     assert len(order) == 3585
     assert [m.entries for m in ball.vertices] == order
     assert all(m.canonical for m in ball.vertices)
@@ -429,10 +461,55 @@ def test_ball_radius_four_matches_oracle_bfs(sym):
     assert list(ball.edges) == edges
     col = ball.collision
     assert col is not None and col.word_a != col.word_b
+    assert (col.vertex, col.word_a, col.word_b) == collision
     for word in (col.word_a, col.word_b):
         # reduced: no generator next to its own inverse
         assert all(sym.inverse_label(a) != b for a, b in zip(word, word[1:]))
         assert oracle_word(dict(zip(sym.labels, gens)), word) == order[col.vertex]
+
+
+@pytest.mark.parametrize(
+    "picks, radius, sizes, collides",
+    [
+        # the full LSV set: the first collision is a triangle at the
+        # identity, found while shell 1 is expanded
+        (range(7), 1, (1, 14), True),
+        (range(7), 2, (1, 14, 98), True),
+        (range(7), 3, (1, 14, 98, 560), True),
+        # two generators: a tree up to radius 5, so every back-edge the
+        # ball skips is a parent edge; the first collision is at radius 6
+        ((0, 1), 5, (1, 4, 12, 36, 108, 324), False),
+        ((0, 1), 6, (1, 4, 12, 36, 108, 324, 948), True),
+        # three generators: no collision until shell 2 is expanded
+        ((0, 1, 2), 3, (1, 6, 30, 128), True),
+    ],
+)
+def test_ball_and_collision_match_oracle_bfs(table, picks, radius, sizes, collides):
+    sub = symmetrize(
+        GeneratorTable("sub", GF16, tuple(table.matrices[j] for j in picks))
+    )
+    ball = cayley_ball(sub, radius)
+    gens = [m.entries for m in sub.matrices]
+    order, dist, edges, collision = oracle_ball(gens, sub.labels, radius)
+    assert ball.sphere_sizes() == sizes
+    assert [m.entries for m in ball.vertices] == order
+    assert list(ball.dist) == dist
+    assert list(ball.edges) == edges
+    assert (collision is not None) == collides
+    col = ball.collision
+    assert (col and (col.vertex, col.word_a, col.word_b)) == collision
+
+
+def test_collision_seen_on_a_back_edge(table):
+    # labels that do not pair g with its inverse: the reduced-word test
+    # then lets the step back from g to the identity through, and the
+    # ball reports that back-edge although it skips known back-edges
+    # once a collision is found
+    g = table.matrices[0]
+    gens = SymmetricGenerators(GF16, (g, pgl_inv(g)), (1, 2), ())
+    assert gens.inverse_label(1) == -1
+    col = cayley_ball(gens, 2).collision
+    assert (col.vertex, col.word_a, col.word_b) == (0, (), (1, 2))
 
 
 def test_collision_report(ball2):

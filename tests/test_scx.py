@@ -81,6 +81,13 @@ def test_constructor_closes_downward():
     assert Complex([1, 2, 3], [(1, 2, 3)]) == closed
     with pytest.raises(ValueError):
         Complex([1, 2], [(1, 2), (1, 2, 3)])  # unknown vertex
+    # the message names the first unknown vertex of the sorted simplex
+    with pytest.raises(ValueError, match=r"^unknown vertex 3 in simplex \(1, 3, 5\)$"):
+        Complex([1, 2], [(5, 1, 3)])
+    # closure down to the vertices, including one in no simplex
+    c = Complex([1, 2, 3, 4], [(3, 2, 1)])
+    assert c.simplices(0) == ((1,), (2,), (3,), (4,))
+    assert c.simplices(1) == ((1, 2), (1, 3), (2, 3))
     with pytest.raises(ValueError):
         Complex([1, 1], [])  # repeated vertex
     with pytest.raises(ValueError):
