@@ -56,6 +56,7 @@ from .scx import (
     induced_subcomplex,
     link,
     purity_report,
+    triangle_count,
 )
 
 __version__ = "0.1.0"
@@ -80,6 +81,7 @@ __all__ = [
     "InteriorMark",
     "PurityReport",
     "clique_complex",
+    "triangle_count",
     "link",
     "induced_subcomplex",
     "chamber_count",

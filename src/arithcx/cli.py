@@ -53,6 +53,7 @@ from .scx import (
     fano_incidence_graph,
     link,
     purity_report,
+    triangle_count,
 )
 
 SCHEMA = "arithcx-report/1"
@@ -259,12 +260,13 @@ def _lsv_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def _lsv_ball(args: argparse.Namespace) -> tuple[dict, str | None]:
-    ball, cx = _lsv_ball_complex(args)
-    triangles = cx.simplex_count(2)
-    # only the triangle count is reported: the complex, the largest
-    # object here, is freed before the report is built and rendered
-    del cx
-    data = {"ball": ball.to_json_dict(), "triangle_count": triangles}
+    ball = cayley_ball(symmetrize(lsv_generators()), args.radius, args.budget)
+    # triangles counted first: the graph and its adjacency sets are freed
+    # before the report, the peak of this command's memory, is built
+    data = {
+        "triangle_count": triangle_count(*ball.graph()),
+        "ball": ball.to_json_dict(),
+    }
     dot = ball.to_dot() if args.format == "dot" else None
     return _report("lsv-ball", args, [], data), dot
 

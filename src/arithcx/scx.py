@@ -9,15 +9,17 @@ hashable and orderable within one complex.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 __all__ = [
     "Complex",
     "InteriorMark",
     "PurityReport",
     "clique_complex",
+    "triangle_count",
     "link",
     "star_vertices",
     "induced_subcomplex",
@@ -91,19 +93,9 @@ class Complex:
         self._dimension = max(self._simplices) if self._simplices else -1
         # each dimension sorted on first request, then reused
         self._sorted: dict[int, tuple[tuple, ...]] = {}
-
-        if chamber_colors is not None:
-            norm = {_norm_simplex(s): c for s, c in chamber_colors.items()}
-            chams = set(self.chambers())
-            if set(norm) != chams:
-                raise ValueError(
-                    "chamber colors must be a total assignment on the "
-                    "top-dimensional simplices"
-                )
-            self.chamber_colors: dict[tuple, object] | None = norm
-        else:
-            self.chamber_colors = None
-
+        self.chamber_colors: dict[tuple, object] | None = (
+            None if chamber_colors is None else _checked_colors(self, chamber_colors)
+        )
         self._maximal: tuple[tuple, ...] | None = None
         self._incident: dict | None = None
 
@@ -129,11 +121,6 @@ class Complex:
 
     def simplex_count(self, dim: int) -> int:
         return len(self._simplices.get(dim, frozenset()))
-
-    def iter_simplices(self, min_dim: int = 0) -> Iterator[tuple]:
-        for d in sorted(self._simplices):
-            if d >= min_dim:
-                yield from self.simplices(d)
 
     def has_simplex(self, s: Iterable[VertexId]) -> bool:
         t = _norm_simplex(s)
@@ -220,8 +207,48 @@ class Complex:
         return dot_graph("complex", [(f'"{v}"', "") for v in self._vertices], edges)
 
 
+def _checked_colors(c: Complex, chamber_colors: Mapping) -> dict[tuple, object]:
+    """The coloring keyed by sorted chambers, in the given order; it
+    must name each chamber of c exactly once."""
+    norm: dict[tuple, object] = {}
+    for s, col in chamber_colors.items():
+        t = _norm_simplex(s)
+        if t in norm:
+            raise ValueError(f"chamber {t!r} is colored twice")
+        norm[t] = col
+    if norm.keys() != c._simplices.get(c.dimension, frozenset()):
+        raise ValueError(
+            "chamber colors must be a total assignment on the "
+            "top-dimensional simplices"
+        )
+    return norm
+
+
 # ----------------------------------------------------------------------
 # construction helpers
+
+
+def _forward_sets(
+    vertices: Iterable[VertexId], edges: Iterable[tuple[VertexId, VertexId]]
+) -> dict[VertexId, set]:
+    """Each vertex's neighbours with a larger id, in `vertices` order.
+
+    An edge is stored once, from its smaller end, so a clique grown only
+    by vertices above all of its own is found once and already sorted.
+    Raises ValueError on loops, repeated edges, or unknown endpoints.
+    """
+    forward: dict[VertexId, set] = {v: set() for v in vertices}
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"loop at {u!r}: input graph must be simple")
+        if u not in forward or v not in forward:
+            raise ValueError(f"edge ({u!r}, {v!r}) has an unknown endpoint")
+        if v < u:
+            u, v = v, u
+        if v in forward[u]:
+            raise ValueError(f"repeated edge {(u, v)!r}: input graph must be simple")
+        forward[u].add(v)
+    return forward
 
 
 def clique_complex(
@@ -236,20 +263,7 @@ def clique_complex(
     if max_dim < 1:
         raise ValueError("max_dim must be >= 1")
     verts = tuple(vertices)
-    # each vertex's neighbours with a larger id: an edge is stored once,
-    # from its smaller end, and a clique grows only by vertices above
-    # all of its own, so each clique is found once and already sorted
-    forward: dict[VertexId, set] = {v: set() for v in verts}
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"loop at {u!r}: input graph must be simple")
-        if u not in forward or v not in forward:
-            raise ValueError(f"edge ({u!r}, {v!r}) has an unknown endpoint")
-        if v < u:
-            u, v = v, u
-        if v in forward[u]:
-            raise ValueError(f"repeated edge {(u, v)!r}: input graph must be simple")
-        forward[u].add(v)
+    forward = _forward_sets(verts, edges)
     simplices: list[tuple] = []
     # (clique, the forward neighbours common to all its vertices)
     stack = [((v,), forward[v]) for v in verts]
@@ -261,6 +275,19 @@ def clique_complex(
             if len(s) <= max_dim:
                 stack.append((s, common & forward[w]))
     return Complex(verts, simplices)
+
+
+def triangle_count(
+    vertices: Iterable[VertexId], edges: Iterable[tuple[VertexId, VertexId]]
+) -> int:
+    """Number of 3-cliques of a simple graph, the 2-simplices of its
+    clique complex, without building that complex.
+
+    Raises ValueError on loops, repeated edges, or unknown endpoints.
+    """
+    forward = _forward_sets(vertices, edges)
+    # each triangle u < v < w once, from its edge (u, v)
+    return sum(len(fu & forward[v]) for fu in forward.values() for v in fu)
 
 
 def link(c: Complex, v: VertexId) -> Complex:
@@ -375,12 +402,13 @@ def purity_report(c: Complex, marks: InteriorMark) -> PurityReport:
 
 
 def color_chambers(c: Complex, assignment: Mapping) -> Complex:
-    """Attach a total chamber coloring; partial assignments fail."""
-    return Complex(
-        c.vertices,
-        list(c.iter_simplices(min_dim=1)),
-        chamber_colors=dict(assignment),
-    )
+    """c with a total chamber coloring; partial assignments fail.
+
+    The result shares c's vertices, simplices and caches, which a
+    coloring does not change; c itself keeps its own colors."""
+    out = copy.copy(c)
+    out.chamber_colors = _checked_colors(c, assignment)
+    return out
 
 
 # ----------------------------------------------------------------------

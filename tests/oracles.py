@@ -6,6 +6,12 @@ from collections import Counter
 from arithcx.scx import Complex
 
 
+def all_simplices(c: Complex, min_dim: int = 0) -> list[tuple]:
+    """Every simplex of c of dimension >= min_dim, by dimension, each
+    dimension in `simplices(d)` order."""
+    return [t for d in c.dims() if d >= min_dim for t in c.simplices(d)]
+
+
 def naive_automorphisms(c: Complex) -> list[tuple]:
     """Filter all |V|! candidate bijections, keeping the chamber colors
     when c has them; exact but tiny-only.
@@ -52,7 +58,7 @@ def naive_link(c: Complex, v) -> Complex:
     nbrs = {x for e in c.simplices(1) if v in e for x in e if x != v}
     keep = [u for u in c.vertices if u in nbrs]
     simplices = []
-    for t in c.iter_simplices(min_dim=1):
+    for t in all_simplices(c, 1):
         if v in t:
             rest = tuple(x for x in t if x != v)
             if rest:
@@ -69,7 +75,7 @@ def naive_induced_subcomplex(c: Complex, vertices) -> Complex:
     if unknown:
         raise ValueError(f"unknown vertices {unknown!r}")
     verts = tuple(v for v in c.vertices if v in keep)
-    simplices = [t for t in c.iter_simplices(min_dim=1) if keep.issuperset(t)]
+    simplices = [t for t in all_simplices(c, 1) if keep.issuperset(t)]
     sub = Complex(verts, simplices)
     if c.chamber_colors is not None:
         retained = {
@@ -101,7 +107,7 @@ def random_coloring(rng, c: Complex, k: int) -> Complex:
     palette = "ABC"[:k]
     return Complex(
         c.vertices,
-        c.iter_simplices(1),
+        all_simplices(c, 1),
         chamber_colors={t: rng.choice(palette) for t in c.chambers()},
     )
 
@@ -114,7 +120,7 @@ def relabel(c: Complex, perm: dict) -> Complex:
 
     return Complex(
         [perm[v] for v in c.vertices],
-        [image(t) for t in c.iter_simplices(1)],
+        [image(t) for t in all_simplices(c, 1)],
         chamber_colors=None
         if c.chamber_colors is None
         else {image(t): col for t, col in c.chamber_colors.items()},

@@ -30,6 +30,7 @@ from arithcx.scx import (
     star_vertices,
 )
 from oracles import (
+    all_simplices,
     naive_automorphisms,
     naive_refine,
     random_coloring,
@@ -608,7 +609,7 @@ def test_panel_flips_match_fresh_root_choices(ball2, ballcx):
     # (1, 6), (3, 6): every flip would have to swap the edge's own ends
     book = three_page_book()
     twisted = Complex(
-        range(7), list(book.iter_simplices(1)) + [(0, 5), (2, 5), (1, 6), (3, 6)]
+        range(7), all_simplices(book, 1) + [(0, 5), (2, 5), (1, 6), (3, 6)]
     )
     cases.append((twisted, all_interior(twisted), 1))
     total_satisfied = total_failed = 0

@@ -14,6 +14,7 @@ import pytest
 
 import arithcx
 import arithcx.cli
+import arithcx.scx
 from arithcx.autoeng import automorphisms_fixing
 from arithcx.cli import main
 from arithcx.scx import Complex, color_chambers
@@ -84,6 +85,19 @@ def test_lsv_ball_radius0_single_vertex(capsys):
     assert len(ball["vertices"]) == 1
     assert ball["edges"] == []
     assert ball["sphere_sizes"] == [1]
+
+
+def test_lsv_ball_builds_no_complex(monkeypatch, capsys):
+    # the report counts triangles from the graph: no complex is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("lsv ball built a complex")
+
+    monkeypatch.setattr(arithcx.cli, "clique_complex", refuse)
+    monkeypatch.setattr(arithcx.scx, "clique_complex", refuse)
+    monkeypatch.setattr(arithcx.scx.Complex, "__init__", refuse)
+    code, rep = run_json(["lsv", "ball", "--radius", "2"], capsys)
+    assert code == 0
+    assert rep["data"]["triangle_count"] == 231
 
 
 def test_lsv_verify_budget_exceeded_exit2(capsys):

@@ -1,5 +1,6 @@
-"""Property tests: engine verdicts do not depend on vertex names, and
-the CLI's report renderer writes what json.dumps writes.
+"""Property tests: engine verdicts do not depend on vertex names, a
+graph's triangle count is its clique complex's, and the CLI's report
+renderer writes what json.dumps writes.
 
 hypothesis is not a declared dependency, so the module is skipped when
 it is missing.
@@ -14,7 +15,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import relabel
+from oracles import all_simplices, relabel
 
 from arithcx.autoeng import (
     VertexPermutation,
@@ -24,7 +25,7 @@ from arithcx.autoeng import (
     verify_permutation,
 )
 from arithcx.cli import _render
-from arithcx.scx import Complex
+from arithcx.scx import Complex, clique_complex, triangle_count
 
 
 @st.composite
@@ -58,7 +59,7 @@ def with_edge(c: Complex, e: tuple) -> Complex:
         colors = {**colors, e: "A"}
     return Complex(
         c.vertices,
-        list(c.iter_simplices(1)) + [e],
+        all_simplices(c, 1) + [e],
         chamber_colors=colors,
     )
 
@@ -91,6 +92,20 @@ def test_one_extra_edge_is_not_isomorphic(data):
     perm = dict(zip(c.vertices, data.draw(st.permutations(c.vertices))))
     assert is_isomorphic(c, relabel(bigger, perm)) is None
     assert is_isomorphic(relabel(bigger, perm), c) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_triangle_count_is_the_clique_complex_count(data):
+    n = data.draw(st.integers(0, 12))
+    names = [f"v{i}" for i in range(n)] if n % 2 else list(range(n))
+    ids = data.draw(st.permutations(names))
+    pairs = list(itertools.combinations(ids, 2))
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    # each edge in either orientation
+    edges = [e if data.draw(st.booleans()) else e[::-1] for e in chosen]
+    expect = clique_complex(ids, edges, max_dim=2).simplex_count(2)
+    assert triangle_count(ids, edges) == expect
 
 
 _TEXT = st.text() | st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'))

@@ -5,7 +5,12 @@ from itertools import combinations
 import pytest
 
 from arithcx.projmat import cayley_ball, lsv_generators, symmetrize
-from oracles import naive_chamber_count, naive_induced_subcomplex, naive_link
+from oracles import (
+    all_simplices,
+    naive_chamber_count,
+    naive_induced_subcomplex,
+    naive_link,
+)
 
 from arithcx.scx import (
     Complex,
@@ -18,6 +23,7 @@ from arithcx.scx import (
     link,
     purity_report,
     star_vertices,
+    triangle_count,
 )
 
 
@@ -112,7 +118,8 @@ def test_simplices_sorted_once_and_reused():
     # one sort per dimension: later requests return the same tuple
     assert c.simplices(1) is edges
     assert c.simplices(7) == () and c.simplices(7) is c.simplices(7)
-    assert list(c.iter_simplices(1)) == list(edges) + [(0, 1, 2), (1, 3, 4)]
+    assert c.dims() == (0, 1, 2) and c.simplices(2) == ((0, 1, 2), (1, 3, 4))
+    assert all_simplices(c, 1) == list(edges) + [(0, 1, 2), (1, 3, 4)]
     assert c.chambers() is c.simplices(2)
     assert c.maximal_simplices() == ((2, 4), (0, 1, 2), (1, 3, 4))
 
@@ -150,7 +157,7 @@ def test_incidence_index_matches_whole_complex_scans():
                 t for t in c.maximal_simplices() if v in t
             )
             assert link(c, v) == naive_link(c, v)
-        for t in c.iter_simplices():
+        for t in all_simplices(c):
             assert chamber_count(c, t) == naive_chamber_count(c, t)
         for _ in range(4):
             keep = rng.sample(c.vertices, rng.randrange(len(c.vertices) + 1))
@@ -186,16 +193,18 @@ def test_clique_complex_small_graphs():
 
 
 def test_clique_complex_rejects_non_simple():
-    with pytest.raises(ValueError):
-        clique_complex([0, 1], [(0, 0)])
-    with pytest.raises(ValueError, match="repeated edge"):
-        clique_complex([0, 1], [(0, 1), (1, 0)])
-    with pytest.raises(ValueError, match="repeated edge"):
-        clique_complex([0, 1], [(1, 0), (0, 1)])
-    with pytest.raises(ValueError, match="repeated edge"):
-        clique_complex([0, 1, 2], [(2, 1), (0, 1), (2, 1)])
-    with pytest.raises(ValueError, match="unknown endpoint"):
-        clique_complex([0, 1], [(0, 2)])
+    # triangle_count reads the same forward sets, with the same errors
+    for build in (clique_complex, triangle_count):
+        with pytest.raises(ValueError, match="loop at 0"):
+            build([0, 1], [(0, 0)])
+        with pytest.raises(ValueError, match="repeated edge"):
+            build([0, 1], [(0, 1), (1, 0)])
+        with pytest.raises(ValueError, match="repeated edge"):
+            build([0, 1], [(1, 0), (0, 1)])
+        with pytest.raises(ValueError, match="repeated edge"):
+            build([0, 1, 2], [(2, 1), (0, 1), (2, 1)])
+        with pytest.raises(ValueError, match="unknown endpoint"):
+            build([0, 1], [(0, 2)])
     with pytest.raises(ValueError, match="max_dim"):
         clique_complex([0, 1], [(0, 1)], max_dim=0)
 
@@ -309,16 +318,67 @@ def test_interior_marks_from_distances():
 # chamber colors
 
 
+def rebuilt_with_colors(c: Complex, assignment) -> Complex:
+    """c colored the slow way: a new complex from every simplex of c."""
+    return Complex(c.vertices, all_simplices(c, 1), chamber_colors=assignment)
+
+
 def test_color_chambers_total_assignment():
     tri = clique_complex([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
-    colored = color_chambers(tri, {(0, 1, 2): "red"})
-    assert colored.chamber_colors == {(0, 1, 2): "red"}
-    with pytest.raises(ValueError):
-        color_chambers(tri, {})
-    with pytest.raises(ValueError):
-        color_chambers(tri, {(0, 1): "red"})
-    with pytest.raises(ValueError):
-        color_chambers(tri, {(0, 1, 2): "red", (0, 1): "blue"})
+    total = "total assignment on the top-dimensional simplices"
+    # the constructor validates a coloring as color_chambers does
+    for color in (color_chambers, rebuilt_with_colors):
+        colored = color(tri, {(0, 1, 2): "red"})
+        assert colored.chamber_colors == {(0, 1, 2): "red"}
+        # keys in any vertex order name the sorted chamber
+        assert color(tri, {(2, 0, 1): "red"}).chamber_colors == {(0, 1, 2): "red"}
+        with pytest.raises(ValueError, match=total):
+            color(tri, {})
+        with pytest.raises(ValueError, match=total):
+            color(tri, {(0, 1): "red"})
+        with pytest.raises(ValueError, match=total):
+            color(tri, {(0, 1, 2): "red", (0, 1): "blue"})
+        with pytest.raises(ValueError, match="repeated vertex"):
+            color(tri, {(0, 1, 1): "red"})
+
+
+def test_a_chamber_colored_twice_is_rejected():
+    # two vertex orders of one chamber would otherwise keep the last color
+    tri = Complex(range(3), [(0, 1, 2)])
+    edge = Complex(range(2), [(0, 1)])
+    for color in (color_chambers, rebuilt_with_colors):
+        with pytest.raises(ValueError, match=r"chamber \(0, 1, 2\) is colored twice"):
+            color(tri, {(0, 1, 2): "x", (2, 1, 0): "y"})
+        with pytest.raises(ValueError, match=r"chamber \(0, 1\) is colored twice"):
+            color(edge, {(0, 1): "a", (1, 0): "b"})
+
+
+def test_color_chambers_matches_the_rebuilt_complex(ballcx):
+    rng = random.Random(1415)
+    cases = [ballcx, Complex(()), Complex(range(3))]
+    cases += [random_complex(rng, rng.randrange(1, 9)) for _ in range(80)]
+    for c in cases:
+        before = c.chamber_colors
+        # half the cases ask for the caches a coloring must carry over
+        if rng.random() < 0.5:
+            c.maximal_simplices(), c._local_index(), c.simplices(1)
+        keys = [tuple(rng.sample(t, len(t))) for t in c.chambers()]
+        assignment = {t: rng.choice("xyz") for t in keys}
+        colored = color_chambers(c, assignment)
+        expect = rebuilt_with_colors(c, assignment)
+        assert colored == expect
+        assert colored.chamber_colors == expect.chamber_colors
+        assert list(colored.chamber_colors) == list(expect.chamber_colors)
+        assert colored.dimension == expect.dimension
+        assert colored.maximal_simplices() == expect.maximal_simplices()
+        for d in range(-1, c.dimension + 2):
+            assert colored.simplices(d) == expect.simplices(d)
+        for v in c.vertices:
+            assert colored.incident_maximal(v) == expect.incident_maximal(v)
+        # the input keeps its own colors; the copy shares its structure
+        assert c.chamber_colors is before
+        assert colored.vertices is c.vertices
+        assert colored.simplices(0) is c.simplices(0)
 
 
 def test_seeded_two_coloring_of_ball_chambers_golden(ballcx):
@@ -340,6 +400,25 @@ def test_ball_complex_goldens(ballcx):
     assert ballcx.simplex_count(1) == 343
     assert ballcx.simplex_count(2) == 231  # golden
     assert ballcx.simplex_count(3) == 0  # no 4-cliques in the 1-skeleton
+
+
+def test_triangle_count_equals_the_clique_complex_count():
+    sym = symmetrize(lsv_generators())
+    counts = []
+    for r in range(5):
+        verts, edges = cayley_ball(sym, r).graph()
+        counts.append(triangle_count(verts, edges))
+        assert counts[-1] == clique_complex(verts, edges).simplex_count(2)
+    assert counts == [0, 21, 231, 1575, 8967]
+
+
+def test_triangle_count_against_networkx():
+    nx = pytest.importorskip("networkx")
+    verts, edges = cayley_ball(symmetrize(lsv_generators()), 3).graph()
+    g = nx.Graph()
+    g.add_nodes_from(verts)
+    g.add_edges_from(edges)
+    assert triangle_count(verts, edges) == sum(nx.triangles(g).values()) // 3 == 1575
 
 
 def test_ball_triangles_against_adjacency_oracle(ball2, ballcx):
