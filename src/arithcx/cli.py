@@ -240,7 +240,7 @@ def _lsv_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
             }
         )
         checks.append(_check("interior-thickness", thickness, [3]))
-        flips = panel_flip_check(cx, marks, hops=1)
+        flips = panel_flip_check(cx, marks, hops=1, steps=ball.step_map())
         checks.append(_check("panel-flip-fraction", flips.fraction, 1.0))
         data["panel_flips"] = {
             "edges_eligible": flips.edges_eligible,

@@ -376,6 +376,16 @@ class CayleyBall:
         """Vertex indices and unlabeled edge pairs, for complex building."""
         return range(len(self.vertices)), [(u, v) for u, v, _ in self.edges]
 
+    def step_map(self) -> list[dict[int, int]]:
+        """Labelled adjacency: entry u maps each label lab to u*g_lab,
+        for every edge at u, inverse steps included."""
+        out: list[dict[int, int]] = [{} for _ in self.vertices]
+        inverse = self.generators.inverse_label
+        for u, v, lab in self.edges:
+            out[u][lab] = v
+            out[v][inverse(lab)] = u
+        return out
+
     def to_json_dict(self) -> dict:
         return {
             "field": {"modulus": format_poly(self.generators.fieldspec.modulus)},

@@ -171,7 +171,8 @@ class Complex:
     def _in_order(self, vs: set) -> tuple:
         """The vertex set vs in the order of `vertices`."""
         index = self._local_index()
-        unknown = vs - index.keys()
+        # difference with the dict itself walks vs, not the whole index
+        unknown = vs.difference(index)
         if unknown:
             raise ValueError(f"unknown vertices {unknown!r}")
         return tuple(sorted(vs, key=lambda v: index[v][0]))
@@ -305,7 +306,7 @@ def star_vertices(c: Complex, seed: Iterable[VertexId], hops: int) -> frozenset:
     """Vertices within `hops` steps of the seed set in the 1-skeleton,
     unordered: `induced_subcomplex` puts them in `vertices` order."""
     seen = set(seed)
-    unknown = seen - c._local_index().keys()
+    unknown = seen.difference(c._local_index())
     if unknown:
         raise ValueError(f"unknown vertices {unknown!r}")
     frontier = seen

@@ -623,6 +623,108 @@ def test_panel_flips_match_fresh_root_choices(ball2, ballcx):
     assert total_satisfied >= 20 and total_failed >= 20
 
 
+@pytest.fixture(scope="module")
+def ball3():
+    return cayley_ball(symmetrize(lsv_generators()), 3)
+
+
+def ball_marks(ball):
+    return InteriorMark.from_distances(dict(enumerate(ball.dist)), ball.radius)
+
+
+def flips_with_and_without(c, marks, steps, hops=1):
+    """panel_flip_check with the step map and without it; the two must
+    agree choice by choice."""
+    fast = panel_flip_check(c, marks, hops=hops, steps=steps)
+    plain = panel_flip_check(c, marks, hops=hops)
+    verdict = lambda r: (  # noqa: E731
+        r.choices_satisfied, r.failures, r.edges_eligible, r.edges_skipped
+    )
+    assert verdict(fast) == verdict(plain)
+    assert plain.searches == plain.choices_total
+    return fast, plain
+
+
+def test_transported_flips_on_uncolored_radius_two_ball(ball2, ballcx):
+    fast, plain = flips_with_and_without(ballcx, ball_marks(ball2), ball2.step_map())
+    assert fast.choices_satisfied == 105
+    # one searched reference edge per generator label
+    assert fast.searches == 42
+
+
+def test_transported_flips_on_uncolored_radius_three_ball(ball3):
+    # the lsv verify -r 3 inputs: the search count pins the work
+    verts, edges = ball3.graph()
+    cx = clique_complex(list(verts), edges, max_dim=3)
+    fast, plain = flips_with_and_without(cx, ball_marks(ball3), ball3.step_map())
+    assert fast.choices_satisfied == 1029 and fast.failures == ()
+    assert plain.searches == 1029
+    assert fast.searches <= 42
+
+
+def test_transported_flips_rejected_by_one_recolored_chamber(ball3):
+    # every chamber color 0 except one far from the identity: its stars
+    # reject the transported flips, and the search decides those choices
+    verts, edges = ball3.graph()
+    cx = clique_complex(list(verts), edges, max_dim=3)
+    d = ball3.dist
+    odd = next(t for t in cx.chambers() if [d[x] for x in t] == [2, 2, 3])
+    colored = color_chambers(cx, {t: int(t == odd) for t in cx.chambers()})
+    fast, _ = flips_with_and_without(colored, ball_marks(ball3), ball3.step_map())
+    assert len(fast.failures) >= 6
+    assert 42 < fast.searches < fast.choices_total
+
+
+def test_transported_flips_see_a_vertex_the_step_map_lacks(ball3):
+    # a new vertex x joined to an edge (u, w) from shell 2 to shell 3:
+    # the stars at u gain a vertex that no label reaches, and x blocks
+    # every flip that moves w
+    verts, edges = ball3.graph()
+    d, x = ball3.dist, len(verts)
+    u, w = next((a, b) for a, b, _ in ball3.edges if (d[a], d[b]) == (2, 3))
+    cx = clique_complex([*verts, x], [*edges, (u, x), (w, x)], max_dim=3)
+    marks = InteriorMark.from_distances({**dict(enumerate(d)), x: 4}, 3)
+    fast, _ = flips_with_and_without(cx, marks, ball3.step_map())
+    assert fast.failures
+    assert 42 < fast.searches < fast.choices_total
+
+
+def test_transported_flips_on_two_colored_radius_two_balls(ball2, ballcx):
+    rng = random.Random(441)
+    for _ in range(2):
+        colored = color_chambers(
+            ballcx, {t: rng.randrange(2) for t in ballcx.chambers()}
+        )
+        fast, _ = flips_with_and_without(colored, ball_marks(ball2), ball2.step_map())
+        assert fast.failures
+        assert fast.searches > 42
+
+
+def test_transported_flips_on_boundary_cut_stars(ball2, ballcx):
+    # hop-2 stars of the radius-2 ball reach past its boundary
+    fast, _ = flips_with_and_without(ballcx, ball_marks(ball2), ball2.step_map(), hops=2)
+    assert fast.choices_satisfied > 0 and fast.failures
+
+
+def test_garbage_step_map_costs_searches_not_verdicts(ball2, ballcx):
+    rng = random.Random(442)
+    steps = []
+    for here in ball2.step_map():
+        labels = list(here)
+        rng.shuffle(labels)
+        steps.append(dict(zip(labels, here.values())))
+    fast, plain = flips_with_and_without(ballcx, ball_marks(ball2), steps)
+    assert fast.searches == plain.searches
+
+
+def test_step_map_inverts_each_edge(ball2):
+    steps = ball2.step_map()
+    inverse = ball2.generators.inverse_label
+    assert [len(s) for s in steps[:15]] == [14] * 15
+    for u, v, lab in ball2.edges:
+        assert steps[u][lab] == v and steps[v][inverse(lab)] == u
+
+
 # ----------------------------------------------------------------------
 # an outside oracle: networkx's VF2 matcher
 
@@ -671,3 +773,50 @@ def test_vf2_colored_tree_with_inner_ball_fixed(nx):
     label = lambda v: v if ball.dist[v] <= 1 else None  # noqa: E731
     assert vf2_automorphism_count(nx, cx, label=label, edge_colors=True) == 4096
     assert automorphisms_fixing(cx, fixed).order == 4096
+
+
+def vf2_hasse_automorphism_count(nx, c, center):
+    """Automorphisms of c's Hasse diagram (a node per simplex, joined to
+    its facets) that keep every node's dimension, the chamber colors and
+    the center.  The 1-skeleton's edges join the vertex nodes as well:
+    they follow from the diagram, and they let VF2++ prune early."""
+    colors = c.chamber_colors or {}
+    g = nx.Graph()
+    for d in c.dims():
+        for t in c.simplices(d):
+            g.add_node(t, label=(d, colors.get(t), t == (center,)))
+            g.add_edges_from((t, f) for f in itertools.combinations(t, d) if f)
+    g.add_edges_from(((a,), (b,)) for a, b in c.simplices(1))
+    return sum(1 for _ in nx.vf2pp_all_isomorphisms(g, g, node_label="label"))
+
+
+def test_vf2_confirms_rigid_two_colorings(nx, ballcx):
+    # criterion 6's colorings of the radius-2 ball for seeds 0, 1, 2
+    for seed in range(3):
+        rng = random.Random(seed)
+        colored = color_chambers(
+            ballcx, {t: rng.randrange(2) for t in ballcx.chambers()}
+        )
+        order = automorphisms_fixing(colored, [0]).order
+        assert vf2_hasse_automorphism_count(nx, colored, 0) == order
+
+
+def test_vf2_confirms_a_coloring_kept_by_a_witness(nx, ballcx):
+    # positive control: alternate two colors over the chamber orbits of
+    # the chain's last witness, which then keeps the coloring; the early
+    # witnesses move more vertices and leave VF2++ far more to search
+    witness = automorphism_order(ballcx, fixed=[0]).generators[-1]
+    colors: dict = {}
+    orbits = 0
+    for t in ballcx.chambers():
+        if t in colors:
+            continue
+        orbits += 1
+        while t not in colors:
+            colors[t] = orbits % 2
+            t = witness.apply_simplex(t)
+    colored = color_chambers(ballcx, colors)
+    assert verify_permutation(colored, witness, fixed=[0])
+    order = automorphisms_fixing(colored, [0]).order
+    assert order >= 2
+    assert vf2_hasse_automorphism_count(nx, colored, 0) == order

@@ -149,6 +149,29 @@ def test_lsv_verify_radius_four_within_ceiling(capsys):
     assert elapsed < 60.0, f"lsv verify -r 4 took {elapsed:.1f}s >= 60s"
 
 
+def test_lsv_verify_radius_five_within_ceiling(capsys):
+    # 8.5-9.7 s on a shared 2-CPU host, with the flips carried along
+    # the step map; 60 s leaves room for a host twice as slow
+    t0 = time.monotonic()
+    code, out = run(["lsv", "verify", "--radius", "5"], capsys)
+    elapsed = time.monotonic() - t0
+    rep = json.loads(out)
+    assert code == 0
+    assert all(c["status"] == "pass" for c in rep["checks"])
+    assert rep["data"]["vertex_count"] == 17921
+    assert rep["data"]["edge_count"] == 64519
+    assert rep["data"]["triangle_count"] == 46599
+    assert rep["data"]["panel_flips"] == {
+        "edges_eligible": 12551,
+        "edges_skipped": 0,
+        "choices_satisfied": 37653,
+    }
+    # sha256 of the report computed at f3138c1, where every flip was searched
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "fddc21d96e8a99ca49481c8a723656d3553d155075c9899037c25bf2c5070cc6"
+    assert elapsed < 60.0, f"lsv verify -r 5 took {elapsed:.1f}s >= 60s"
+
+
 # ----------------------------------------------------------------------
 # tree
 
