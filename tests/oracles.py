@@ -3,6 +3,7 @@
 import itertools
 from collections import Counter
 
+from arithcx.autoeng import _search
 from arithcx.scx import Complex
 
 
@@ -165,3 +166,18 @@ def naive_refine(sa, sb, ca: list[int], cb: list[int]):
         if len(rank) == ncolors:
             return ca, cb
         ncolors = len(rank)
+
+
+def searched_first_leaf(sa, sb, p, pairs):
+    """The search's first verified leaf once each pair is individualized
+    and refined in turn, or None; p is undone afterwards."""
+    mark = len(p.trail)
+    leaf = None
+    for a, b in pairs:
+        c = p.individualize(a, b)
+        if c is None or not p.refine([c]):
+            break
+    else:
+        leaf = next(_search(sa, sb, p, {}), None)
+    p.undo(mark)
+    return leaf

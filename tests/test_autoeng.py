@@ -4,9 +4,11 @@ import sys
 
 import pytest
 
+import arithcx.autoeng as autoeng
 from arithcx.autoeng import (
     VertexMap,
     VertexPermutation,
+    _first_leaf,
     _leaf_ok,
     _root,
     _Side,
@@ -37,6 +39,7 @@ from oracles import (
     random_graph,
     random_two_complex,
     relabel,
+    searched_first_leaf,
 )
 
 K4_EDGES = [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]
@@ -373,6 +376,12 @@ def test_leaf_check_enforces_chamber_colors():
     assert _leaf_ok(plain, plain, [1, 2, 3, 0])
     assert is_isomorphic(edge_colored_cycle(), cycle(4)) is None
     assert is_isomorphic(cycle(4), edge_colored_cycle()) is None
+    # edges are checked as ordered pairs: (0, 1) lands on (1, 0), of the
+    # same color, or (0, 2), color B, on an edge of color C
+    k4 = _Side(Complex(range(4), K4_EDGES, chamber_colors=K4_MATCHING_COLORS))
+    assert _leaf_ok(k4, k4, [1, 0, 3, 2])
+    assert not _leaf_ok(k4, k4, [0, 1, 3, 2])
+    assert not _leaf_ok(k4, k4, [1, 0, 2, 3])
 
 
 def test_leaf_check_compares_every_dimension_of_both_sides():
@@ -382,6 +391,19 @@ def test_leaf_check_compares_every_dimension_of_both_sides():
     assert not _leaf_ok(hollow, filled, [0, 1, 2])
     assert not _leaf_ok(filled, hollow, [0, 1, 2])
     assert _leaf_ok(filled, filled, [2, 0, 1])
+    # an edge onto a non-edge, and every edge's image reversed
+    path = _Side(Complex(range(3), [(0, 1), (1, 2)]))
+    assert not _leaf_ok(path, path, [0, 2, 1])
+    assert _leaf_ok(path, path, [2, 1, 0])
+    solid = _Side(clique_complex(range(4), K4_EDGES, max_dim=3))
+    assert 3 in solid.simplices and _leaf_ok(solid, solid, [3, 1, 0, 2])
+    # a solid and a hollow tetrahedron: swapping them keeps every edge
+    # and triangle, and only the tetrahedron family rejects it
+    both = _Side(
+        Complex(range(8), [(0, 1, 2, 3), *itertools.combinations(range(4, 8), 3)])
+    )
+    assert _leaf_ok(both, both, [1, 0, 2, 3, 4, 5, 7, 6])
+    assert not _leaf_ok(both, both, [4, 5, 6, 7, 0, 1, 2, 3])
 
 
 def test_leaf_check_rejects_label_mismatch_both_ways():
@@ -396,6 +418,14 @@ def test_leaf_check_rejects_label_mismatch_both_ways():
         assert _leaf_ok(colored, colored, [0, 1, 2])
         assert not _leaf_ok(colored, plain, [0, 1, 2])
         assert not _leaf_ok(plain, colored, [0, 1, 2])
+    # colored vertices and a colored tetrahedron keep the sorting check
+    points = _Side(color_chambers(Complex(range(3)), {(0,): "x", (1,): "y", (2,): "x"}))
+    assert _leaf_ok(points, points, [2, 1, 0])
+    assert not _leaf_ok(points, points, [1, 0, 2])
+    k4 = clique_complex(range(4), K4_EDGES, max_dim=3)
+    tet = _Side(color_chambers(k4, {(0, 1, 2, 3): "x"}))
+    assert _leaf_ok(tet, tet, [1, 2, 3, 0])
+    assert not _leaf_ok(tet, _Side(k4), [0, 1, 2, 3])
 
 
 def test_enumeration_sorted_by_json_mapping():
@@ -491,7 +521,10 @@ def test_radius_four_tree_chain_work_is_pinned():
     fixed = [v for v in range(ball.vertex_count()) if ball.dist[v] <= 1]
     grp = automorphism_order(ball.to_complex(), fixed=fixed)
     assert grp.order == 4**186
-    assert grp.stats == {"mode": "chain", "searches": 372, "nodes": 69378}
+    # each search's first-path guess is verified at once: one node each
+    assert grp.stats == {
+        "mode": "chain", "searches": 372, "nodes": 372, "first_leaf_misses": 0,
+    }
 
 
 def test_radius_two_building_chain_work_is_pinned(ballcx):
@@ -499,7 +532,60 @@ def test_radius_two_building_chain_work_is_pinned(ballcx):
     # fixed, order 336 * 2^8
     grp = automorphism_order(ballcx, fixed=[0])
     assert grp.order == 86016
-    assert grp.stats == {"mode": "chain", "searches": 14, "nodes": 101}
+    # the guess misses on all but one search, which then descends as
+    # it would have without it
+    assert grp.stats == {
+        "mode": "chain", "searches": 14, "nodes": 101, "first_leaf_misses": 13,
+    }
+
+
+@pytest.fixture
+def checked_first_leaf(monkeypatch):
+    """Replaces the engine's _first_leaf by one that asserts that its
+    answer is the search's first leaf; counts calls and guess misses."""
+    tally = {"calls": 0, "first_leaf_misses": 0}
+
+    def checked(sa, sb, p, pairs, stats):
+        expected = searched_first_leaf(sa, sb, p, pairs)
+        own: dict = {}
+        leaf = _first_leaf(sa, sb, p, pairs, own)
+        assert leaf == expected
+        tally["calls"] += 1
+        tally["first_leaf_misses"] += own.get("first_leaf_misses", 0)
+        return leaf
+
+    monkeypatch.setattr(autoeng, "_first_leaf", checked)
+    return tally
+
+
+@pytest.mark.parametrize("r, order", [(2, 4**6), (3, 4**36)], ids=["r2", "r3"])
+def test_first_leaf_guess_is_the_search_first_leaf_on_tree_chains(
+    r, order, checked_first_leaf
+):
+    ball = lift_coloring(r)
+    fixed = [v for v in range(ball.vertex_count()) if ball.dist[v] <= 1]
+    grp = automorphism_order(ball.to_complex(), fixed=fixed)
+    assert grp.order == order
+    assert checked_first_leaf == {"calls": grp.stats["searches"], "first_leaf_misses": 0}
+
+
+def test_first_leaf_guess_is_the_search_first_leaf_on_building_chain(
+    ballcx, checked_first_leaf
+):
+    grp = automorphism_order(ballcx, fixed=[0])
+    assert grp.order == 86016
+    assert checked_first_leaf == {"calls": 14, "first_leaf_misses": 13}
+
+
+def test_first_leaf_guess_is_the_search_first_leaf_on_flip_stars(
+    ball3, checked_first_leaf
+):
+    # the three choices at each of the 14 reference stars of lsv verify -r 3
+    verts, edges = ball3.graph()
+    cx = clique_complex(list(verts), edges, max_dim=3)
+    rep = panel_flip_check(cx, ball_marks(ball3), steps=ball3.step_map())
+    assert rep.choices_satisfied == 1029 and rep.searches == 42
+    assert checked_first_leaf["calls"] == 42
 
 
 def test_search_depth_is_not_bounded_by_recursion_limit():
@@ -820,3 +906,40 @@ def test_vf2_confirms_a_coloring_kept_by_a_witness(nx, ballcx):
     order = automorphisms_fixing(colored, [0]).order
     assert order >= 2
     assert vf2_hasse_automorphism_count(nx, colored, 0) == order
+
+
+# ----------------------------------------------------------------------
+# an outside oracle: sympy's Schreier-Sims
+
+
+@pytest.fixture(scope="module")
+def sympy_groups():
+    return pytest.importorskip("sympy.combinatorics")
+
+
+def assert_witnesses_generate_chain_order(groups, c, fixed):
+    """The group that the chain's witnesses generate, ordered by
+    Schreier-Sims, has the chain's order: the witnesses give the lower
+    bound by another algorithm, the chain's failed searches the upper."""
+    chain = automorphism_order(c, fixed=fixed)
+    ids = sorted(c.vertices)
+    at = {v: i for i, v in enumerate(ids)}
+    gens = [groups.Permutation([at[g(v)] for v in ids]) for g in chain.generators]
+    group = groups.PermutationGroup(gens or [groups.Permutation(len(ids) - 1)])
+    assert group.order() == chain.order
+    return chain.order
+
+
+@pytest.mark.parametrize("r, order", [(2, 4**6), (3, 4**36)], ids=["r2", "r3"])
+def test_schreier_sims_confirms_tree_chain(sympy_groups, r, order):
+    ball = lift_coloring(r)
+    fixed = [v for v in range(ball.vertex_count()) if ball.dist[v] <= 1]
+    got = assert_witnesses_generate_chain_order(sympy_groups, ball.to_complex(), fixed)
+    assert got == order
+
+
+def test_schreier_sims_confirms_building_chains(sympy_groups, ballcx, ball3):
+    assert assert_witnesses_generate_chain_order(sympy_groups, ballcx, [0]) == 86016
+    verts, edges = ball3.graph()
+    cx3 = clique_complex(list(verts), edges, max_dim=3)
+    assert assert_witnesses_generate_chain_order(sympy_groups, cx3, [0]) == 336 * 2**17

@@ -189,17 +189,17 @@ def test_tree_experiment_r2_s1_golden(capsys):
     assert "skipped_checks" not in rep["data"]
 
 
-def test_tree_experiment_r4_skips_the_unchecked_count(capsys):
+def test_tree_experiment_r4_checks_the_count_by_chain(capsys):
     code, rep = run_json(["tree", "experiment", "--r", "4", "--s", "1"], capsys)
     assert code == 0
     checks = by_name(rep)
-    # r = 4 runs no engine cross-check, so no consistency check is reported
-    assert "count-r4-s1-consistent" not in checks
+    # r = 4 is cross-checked by the orbit-stabilizer chain, not skipped
+    assert checks["count-r4-s1-consistent"]["status"] == "pass"
     assert checks["count-r3-s1-consistent"]["status"] == "pass"
-    assert rep["data"]["skipped_checks"] == ["count-r4-s1-consistent"]
+    assert "skipped_checks" not in rep["data"]
     r4 = rep["data"]["counts"][-1]
-    assert r4["count"] == str(4**186)
-    assert r4["enumerated"] is None and r4["chain_order"] is None
+    assert r4["count"] == r4["chain_order"] == str(4**186)
+    assert r4["enumerated"] is None and r4["consistent"] is True
     assert all(c["status"] == "pass" for c in rep["checks"])
 
 

@@ -1,6 +1,7 @@
 """Property tests: engine verdicts do not depend on vertex names, a
-graph's triangle count is its clique complex's, and the CLI's report
-renderer writes what json.dumps writes.
+find-one search's first-path guess is its first leaf, a graph's
+triangle count is its clique complex's, and the CLI's report renderer
+writes what json.dumps writes.
 
 hypothesis is not a declared dependency, so the module is skipped when
 it is missing.
@@ -15,10 +16,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import all_simplices, relabel
+from oracles import all_simplices, relabel, searched_first_leaf
 
 from arithcx.autoeng import (
     VertexPermutation,
+    _first_leaf,
+    _root,
+    _Side,
     automorphism_order,
     automorphisms_fixing,
     is_isomorphic,
@@ -92,6 +96,22 @@ def test_one_extra_edge_is_not_isomorphic(data):
     perm = dict(zip(c.vertices, data.draw(st.permutations(c.vertices))))
     assert is_isomorphic(c, relabel(bigger, perm)) is None
     assert is_isomorphic(relabel(bigger, perm), c) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_first_leaf_guess_is_the_search_first_leaf(data):
+    # onto a relabelled copy, so that the leaf is seldom the identity
+    c = data.draw(complexes())
+    perm = dict(zip(c.vertices, data.draw(st.permutations(c.vertices))))
+    sa, sb = _Side(c), _Side(relabel(c, perm))
+    p = _root(sa, sb, {})
+    assert p is not None
+    s = data.draw(st.sampled_from(sorted(set(p.col_a))))
+    a = data.draw(st.sampled_from(p.elems_a[s : p.end[s]]))
+    b = data.draw(st.sampled_from(p.elems_b[s : p.end[s]]))
+    pairs = [(a, b)]
+    assert _first_leaf(sa, sb, p, pairs, {}) == searched_first_leaf(sa, sb, p, pairs)
 
 
 @settings(max_examples=200, deadline=None)
