@@ -696,7 +696,8 @@ class PanelFlipReport:
     A choice is one (edge, fixed chamber) selection: fix one of the
     three chambers pointwise and ask for an automorphism of the
     hop-limited star that swaps the other two.  `searches` counts the
-    find-one searches run: three per eligible edge without a step map.
+    find-one searches run: three per eligible edge that is not carried
+    (see panel_flip_check).
     """
 
     edges_eligible: int
@@ -716,22 +717,19 @@ class PanelFlipReport:
         return self.choices_satisfied / self.choices_total
 
 
-def _star_flips(
-    c: Complex, edge: tuple, apexes: list, star: frozenset, choices: list[int]
-) -> dict[int, dict | None]:
-    """Choice i's flip of the star, found by search, as a dict of vertex
-    images, or None when there is none."""
+def _star_flips(c: Complex, edge: tuple, apexes: list, star: frozenset) -> list[bool]:
+    """For each apex f, whether a search finds a flip of the star that
+    fixes the edge and f and swaps the other two apexes."""
     # one engine index and one root partition, with the edge's ends
-    # fixed, serve all the choices of the star
+    # fixed, serve all three choices of the star
     side = _Side(induced_subcomplex(c, star))
     p = _root(side, side, {side.idx[x]: side.idx[x] for x in edge})
     assert p is not None  # identity is always present
-    out: dict[int, dict | None] = {}
-    for i in choices:
-        f = side.idx[apexes[i]]
-        j, k = (side.idx[apexes[x]] for x in range(3) if x != i)
-        leaf = _first_leaf(side, side, p, [(f, f), (j, k), (k, j)], {})
-        out[i] = None if leaf is None else dict(zip(side.ids, map(side.ids.__getitem__, leaf)))
+    out = []
+    for f in apexes:
+        j, k = (side.idx[w] for w in apexes if w != f)
+        f = side.idx[f]
+        out.append(_first_leaf(side, side, p, [(f, f), (j, k), (k, j)], {}) is not None)
     return out
 
 
@@ -743,36 +741,25 @@ def _pieces(c: Complex, vs: frozenset) -> list[tuple]:
     return [t for m in meeting if len(t := tuple(filter(keep, m))) > 1]
 
 
-def _flip_holds(
-    sigma: dict, pieces: list[tuple], simplices: set, colors: dict | None,
-    fixed: tuple, j, k,
-) -> bool:
-    """Exhaustive, for a permutation sigma of a star's vertex set S: it
-    fixes `fixed`, swaps j and k, and maps each piece m & S into c,
-    keeping the chamber colors of c.  The star is the full subcomplex of
-    c on S, generated by the pieces, so sigma maps its simplices into,
-    hence onto, themselves: whatever this accepts, _leaf_ok accepts on
-    the rebuilt star."""
-    if any(sigma[x] != x for x in fixed) or sigma[j] != k or sigma[k] != j:
-        return False
-    image = sigma.__getitem__
-    for piece in pieces:
-        t = tuple(sorted(map(image, piece)))
-        if t not in simplices:
-            return False
-        if colors is not None and len(t) == 3 and repr(colors[t]) != repr(colors[piece]):
-            return False
-    return True
-
-
-def _transported_flips(
+def _carried(
     c: Complex, ref: tuple, steps: Sequence[Mapping], edge: tuple,
-    apexes: list, star: frozenset, simplices: set,
-) -> list[bool]:
-    """For each of the three choices at edge, whether the reference
-    edge's flip, carried over by the transport, is a flip here."""
-    u0, star0, apexes0, flips0 = ref
-    # tau: breadth-first along equal labels, inside the reference star
+    star: frozenset, simplices: set,
+) -> dict | None:
+    """tau^-1, for the map tau that follows equal labels from the
+    reference edge's lower end u0 to edge's lower end, when tau is a
+    color-keeping isomorphism of the reference star onto star; else None.
+
+    A star is the full subcomplex of c on its vertex set, generated by
+    its pieces, so a bijection tau is such an isomorphism when tau maps
+    each piece of the reference star, and tau^-1 each piece of star,
+    onto a simplex of c with the same chamber color.  One direction
+    alone misses the simplices that only the other star has.
+    """
+    u0, star0, pieces0, _ = ref
+    # breadth-first along equal labels, inside the reference star.  The
+    # edge and the reference share their label, the first label at the
+    # lower end that reaches the upper end, and u0 assigns its
+    # neighbours first, so tau maps the reference edge onto edge.
     tau = {u0: edge[0]}
     queue = [u0]
     for x in queue:
@@ -781,25 +768,22 @@ def _transported_flips(
             if x1 in star0 and x1 not in tau:
                 y = here.get(lab)
                 if y is None:
-                    return [False] * 3
+                    return None
                 tau[x1] = y
                 queue.append(x1)
-    # tau must be a bijection of the reference star onto this star
     if len(tau) != len(star0) or len(star) != len(star0) or set(tau.values()) != star:
-        return [False] * 3
+        return None
     back = {y: x for x, y in tau.items()}
-    pieces = _pieces(c, star)
-    out = []
-    for f in apexes:
-        f0 = back[f]
-        sigma0 = flips0[apexes0.index(f0)] if f0 in apexes0 else None
-        if sigma0 is None:
-            out.append(False)
-            continue
-        sigma = {y: tau[sigma0[x]] for x, y in tau.items()}
-        j, k = (w for w in apexes if w != f)
-        out.append(_flip_holds(sigma, pieces, simplices, c.chamber_colors, (*edge, f), j, k))
-    return out
+    colors = c.chamber_colors
+    for sigma, pieces in ((tau, pieces0), (back, _pieces(c, star))):
+        image = sigma.__getitem__
+        for piece in pieces:
+            t = tuple(sorted(map(image, piece)))
+            if t not in simplices:
+                return None
+            if colors is not None and len(t) == 3 and repr(colors[t]) != repr(colors[piece]):
+                return None
+    return back
 
 
 def panel_flip_check(
@@ -810,33 +794,36 @@ def panel_flip_check(
     steps: Sequence[Mapping] | None = None,
 ) -> PanelFlipReport:
     """For every interior edge with exactly 3 chambers, try all three
-    fix-one-swap-two flips on the hop-limited star around the edge; a
-    flip must preserve the star's chamber colors when it has them.
+    fix-one-swap-two flips on the star of radius `hops` (at least 1)
+    around the edge; a flip must preserve the star's chamber colors when
+    it has them.
 
     Without `steps`, a find-one search on the star settles each choice.
     `steps[x]` maps labels to the neighbours of vertex x, as right
     multiplication by the generators does in a Cayley ball
-    (`CayleyBall.step_map`); an edge's label is the step from its lower
-    end to its upper end.  The first eligible edge of each label is
-    searched.  At each later edge (u, v) of that label, the map tau that
-    follows equal labels from the first edge's lower end to u (left
-    translation, in a Cayley ball) carries each flip s found there to
-    tau s tau^-1.  That flip counts when tau is a bijection of the first
-    star onto this one, and the flip fixes u, v and the chosen apex,
-    swaps the other two apexes, and maps every piece m & S, for m a
-    maximal simplex of c meeting the star's vertex set S, onto a simplex
-    of c with the same chamber color.  The search settles every choice
-    left without such a flip, so the steps save work but never change a
+    (`CayleyBall.step_map`); an edge's label is the first step from its
+    lower end to its upper end.  The first eligible edge of each label
+    is searched.  A later edge (u, v) of that label is carried when the
+    map tau that follows equal labels from the first edge's lower end to
+    u (left translation, in a Cayley ball) is an isomorphism of the
+    first star onto this one that keeps the chamber colors (`_carried`).
+    Conjugation by tau then turns the flips of the first star into those
+    of this one, so the choice that fixes apex f has the verdict of the
+    first star's choice that fixes tau^-1(f), kept or failed.  Any other
+    edge is searched in full, so the steps save work but never change a
     verdict.
     """
     if c.dimension != 2:
         raise ValueError("panel flips are defined for 2-dimensional complexes")
+    if hops < 1:
+        raise ValueError(f"a star needs hops >= 1 to hold the apexes, got {hops}")
     eligible = 0
     skipped = 0
     satisfied = 0
     searches = 0
     failures: list[tuple] = []
-    # label -> (lower end, star, apexes, flips) of its first eligible edge
+    # label -> (lower end, star, pieces, {apex: verdict}) of its first
+    # eligible edge
     refs: dict = {}
     simplices: set | None = None
     for edge in c.simplices(1):
@@ -855,22 +842,24 @@ def panel_flip_check(
         label = None
         if steps is not None:
             label = next((lab for lab, w in steps[u].items() if w == v), None)
-        held = [False] * 3
         ref = refs.get(label)
+        back = None
         if ref is not None:
             if simplices is None:
                 simplices = set(c.simplices(1)).union(c.simplices(2))
-            held = _transported_flips(c, ref, steps, edge, apexes, star, simplices)
-        todo = [i for i in range(3) if not held[i]]
-        found = _star_flips(c, edge, apexes, star, todo) if todo else {}
-        searches += len(todo)
-        if ref is None and label is not None:
-            refs[label] = (u, star, apexes, found)
-        for i in range(3):
-            if held[i] or found[i] is not None:
+            back = _carried(c, ref, steps, edge, star, simplices)
+        if back is not None:
+            held = [ref[3][back[f]] for f in apexes]
+        else:
+            held = _star_flips(c, edge, apexes, star)
+            searches += 3
+            if label is not None and ref is None:
+                refs[label] = (u, star, _pieces(c, star), dict(zip(apexes, held)))
+        for f, ok in zip(apexes, held):
+            if ok:
                 satisfied += 1
             else:
-                failures.append((edge, apexes[i]))
+                failures.append((edge, f))
     return PanelFlipReport(
         edges_eligible=eligible,
         edges_skipped=skipped,
@@ -878,4 +867,3 @@ def panel_flip_check(
         failures=tuple(failures),
         searches=searches,
     )
-

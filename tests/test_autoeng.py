@@ -8,8 +8,10 @@ import arithcx.autoeng as autoeng
 from arithcx.autoeng import (
     VertexMap,
     VertexPermutation,
+    _carried,
     _first_leaf,
     _leaf_ok,
+    _pieces,
     _root,
     _Side,
     automorphism_order,
@@ -643,6 +645,14 @@ def test_panel_flips_require_dimension_two():
         panel_flip_check(cycle(4), all_interior(cycle(4)))
 
 
+@pytest.mark.parametrize("hops", [0, -1])
+def test_panel_flips_require_a_star_that_holds_the_apexes(hops):
+    # with fewer than one hop the star is the edge alone, without apexes
+    book = three_page_book()
+    with pytest.raises(ValueError, match="hops >= 1"):
+        panel_flip_check(book, all_interior(book), hops=hops)
+
+
 def test_panel_flips_on_radius_two_ball(ball2, ballcx):
     verts, _ = ball2.graph()
     marks = InteriorMark.from_distances(dict(zip(verts, ball2.dist)), 2)
@@ -745,12 +755,12 @@ def test_transported_flips_on_uncolored_radius_three_ball(ball3):
     fast, plain = flips_with_and_without(cx, ball_marks(ball3), ball3.step_map())
     assert fast.choices_satisfied == 1029 and fast.failures == ()
     assert plain.searches == 1029
-    assert fast.searches <= 42
+    assert fast.searches == 42
 
 
 def test_transported_flips_rejected_by_one_recolored_chamber(ball3):
-    # every chamber color 0 except one far from the identity: its stars
-    # reject the transported flips, and the search decides those choices
+    # every chamber color 0 except one far from the identity: the stars
+    # that hold it are not carried, and the search decides those edges
     verts, edges = ball3.graph()
     cx = clique_complex(list(verts), edges, max_dim=3)
     d = ball3.dist
@@ -759,6 +769,8 @@ def test_transported_flips_rejected_by_one_recolored_chamber(ball3):
     fast, _ = flips_with_and_without(colored, ball_marks(ball3), ball3.step_map())
     assert len(fast.failures) >= 6
     assert 42 < fast.searches < fast.choices_total
+    # 9 edges searched beyond the 14 references
+    assert fast.searches == 69
 
 
 def test_transported_flips_see_a_vertex_the_step_map_lacks(ball3):
@@ -773,6 +785,85 @@ def test_transported_flips_see_a_vertex_the_step_map_lacks(ball3):
     fast, _ = flips_with_and_without(cx, marks, ball3.step_map())
     assert fast.failures
     assert 42 < fast.searches < fast.choices_total
+    assert fast.searches == 54
+
+
+@pytest.mark.parametrize("change", ["chord", "gap"])
+def test_transported_flips_see_a_simplex_only_one_star_has(ball3, change):
+    # a chord between two shell-3 neighbours of a shell-2 vertex, or a
+    # gap where an edge between two shell-3 vertices was: the stars
+    # around it keep their vertices but gain or lose simplices.  Only
+    # tau^-1 sees a gained simplex, only tau a lost one.
+    verts, edges = ball3.graph()
+    d = ball3.dist
+    if change == "chord":
+        nbrs = {v: set() for v in verts}
+        for a, b in edges:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        chord = next(
+            (a, b)
+            for s in verts if d[s] == 2
+            for a, b in itertools.combinations(sorted(w for w in nbrs[s] if d[w] == 3), 2)
+            if b not in nbrs[a]
+        )
+        edges = [*edges, chord]
+    else:
+        gone = next((a, b) for a, b in edges if d[a] == d[b] == 3)
+        edges = [e for e in edges if e != gone]
+    cx = clique_complex(list(verts), edges, max_dim=2)
+    fast, _ = flips_with_and_without(cx, ball_marks(ball3), ball3.step_map())
+    assert (fast.choices_satisfied, len(fast.failures)) == (1021, 8)
+    assert fast.searches == 54
+
+
+def test_carried_needs_a_bijection_onto_the_star():
+    # two claws: u0 = 0 with leaves 1, 2, 3, and u = 10 with leaves 11-14
+    edges = [(0, 1), (0, 2), (0, 3), (10, 11), (10, 12), (10, 13), (10, 14)]
+    c = Complex([0, 1, 2, 3, 10, 11, 12, 13, 14], edges)
+    steps = [{} for _ in range(15)]
+    for u, v in edges:
+        steps[u][v % 10] = v
+        steps[v][-(v % 10)] = u
+    star0 = frozenset({0, 1, 2, 3})
+    ref = (0, star0, _pieces(c, star0), None)
+    simplices = set(edges)
+    star = frozenset({10, 11, 12, 13})
+    assert _carried(c, ref, steps, (10, 11), star, simplices) == {
+        10: 0, 11: 1, 12: 2, 13: 3,
+    }
+    # a star of the same size that tau does not map onto
+    other = frozenset({10, 11, 12, 14})
+    assert _carried(c, ref, steps, (10, 11), other, simplices) is None
+    # a step map that sends two labels to one vertex: tau is onto the
+    # smaller star {10, 11, 12} but not injective
+    steps[10][3] = 12
+    small = frozenset({10, 11, 12})
+    assert _carried(c, ref, steps, (10, 11), small, simplices) is None
+
+
+def chamber_types(ball, c):
+    """Each chamber's type: the unsigned generator labels of its three
+    edges, one of the 7 lines of the Fano plane."""
+    label = {(u, v): abs(lab) for u, v, lab in ball.edges}
+    return {
+        t: frozenset(label[e] for e in itertools.combinations(t, 2))
+        for t in c.chambers()
+    }
+
+
+def test_transported_flips_carry_failures_of_a_chamber_type_coloring(ball3):
+    # a coloring by chamber type is invariant under left translation, so
+    # every edge is carried, its failed choices with it
+    verts, edges = ball3.graph()
+    cx = clique_complex(list(verts), edges, max_dim=3)
+    types = chamber_types(ball3, cx)
+    assert len(set(types.values())) == 7
+    first = min(types.values(), key=sorted)
+    colored = color_chambers(cx, {t: int(ty == first) for t, ty in types.items()})
+    fast, _ = flips_with_and_without(colored, ball_marks(ball3), ball3.step_map())
+    assert (fast.choices_satisfied, len(fast.failures)) == (147, 882)
+    assert fast.searches == 42
 
 
 def test_transported_flips_on_two_colored_radius_two_balls(ball2, ballcx):
@@ -784,12 +875,14 @@ def test_transported_flips_on_two_colored_radius_two_balls(ball2, ballcx):
         fast, _ = flips_with_and_without(colored, ball_marks(ball2), ball2.step_map())
         assert fast.failures
         assert fast.searches > 42
+        assert fast.searches == 105
 
 
 def test_transported_flips_on_boundary_cut_stars(ball2, ballcx):
     # hop-2 stars of the radius-2 ball reach past its boundary
     fast, _ = flips_with_and_without(ballcx, ball_marks(ball2), ball2.step_map(), hops=2)
     assert fast.choices_satisfied > 0 and fast.failures
+    assert fast.searches == 105
 
 
 def test_garbage_step_map_costs_searches_not_verdicts(ball2, ballcx):
@@ -801,6 +894,50 @@ def test_garbage_step_map_costs_searches_not_verdicts(ball2, ballcx):
         steps.append(dict(zip(labels, here.values())))
     fast, plain = flips_with_and_without(ballcx, ball_marks(ball2), steps)
     assert fast.searches == plain.searches
+
+
+def test_carried_star_conjugates_each_searched_flip(ball2, ballcx):
+    # a second route for the carried verdicts: each flip sigma0 of the
+    # reference star, found by is_isomorphic, conjugated by tau, is a
+    # flip of the rebuilt star at the carried edge
+    c, marks, steps = ballcx, ball_marks(ball2), ball2.step_map()
+    simplices = set(c.simplices(1)).union(c.simplices(2))
+    refs: dict = {}
+    carried = 0
+    for edge in c.simplices(1):
+        if not marks.simplex_interior(edge):
+            continue
+        u, v = edge
+        apexes = sorted(
+            w for t in c.simplices(2) if set(edge) <= set(t) for w in t if w not in edge
+        )
+        assert len(apexes) == 3
+        star = star_vertices(c, edge, 1)
+        label = next(lab for lab, w in steps[u].items() if w == v)
+        if label not in refs:
+            refs[label] = (edge, apexes, star, (u, star, _pieces(c, star), None))
+            continue
+        (u0, v0), apexes0, star0, ref = refs[label]
+        back = _carried(c, ref, steps, edge, star, simplices)
+        assert back is not None
+        assert (back[u], back[v]) == (u0, v0)
+        assert sorted(back[f] for f in apexes) == apexes0
+        tau = {x: y for y, x in back.items()}
+        star0cx = induced_subcomplex(c, star0)
+        starcx = induced_subcomplex(c, star)
+        for f in apexes:
+            f0 = back[f]
+            j0, k0 = (w for w in apexes0 if w != f0)
+            sigma0 = is_isomorphic(
+                star0cx, star0cx, require={u0: u0, v0: v0, f0: f0, j0: k0, k0: j0}
+            )
+            assert sigma0 is not None
+            sigma = VertexPermutation({y: tau[sigma0(x)] for x, y in tau.items()})
+            j, k = (w for w in apexes if w != f)
+            assert (sigma(j), sigma(k)) == (k, j)
+            assert verify_permutation(starcx, sigma, fixed=(u, v, f))
+        carried += 1
+    assert (len(refs), carried) == (14, 21)
 
 
 def test_step_map_inverts_each_edge(ball2):

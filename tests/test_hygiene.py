@@ -51,9 +51,10 @@ USERS = sorted(
 )
 
 
-def public_functions(tree: ast.Module) -> list[tuple[str | None, str]]:
-    """(class or None, name) for each public module-level function and
-    each public method defined directly in a module-level class."""
+def defined_functions(tree: ast.Module) -> list[tuple[str | None, str]]:
+    """(class or None, name) for each module-level function and each
+    method defined directly in a module-level class, public or private;
+    dunder methods aside, which Python calls by itself."""
     out: list[tuple[str | None, str]] = []
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
@@ -62,7 +63,10 @@ def public_functions(tree: ast.Module) -> list[tuple[str | None, str]]:
             out += [
                 (node.name, f.name) for f in node.body if isinstance(f, ast.FunctionDef)
             ]
-    return [(cls, name) for cls, name in out if not name.startswith("_")]
+    return [
+        (cls, name) for cls, name in out
+        if not (name.startswith("__") and name.endswith("__"))
+    ]
 
 
 def read_names(trees: list[ast.Module]) -> tuple[set[str], set[str]]:
@@ -81,14 +85,15 @@ def read_names(trees: list[ast.Module]) -> tuple[set[str], set[str]]:
 def callerless(
     defining: dict[str, ast.Module], users: list[ast.Module], spanned: set[str]
 ) -> list[str]:
-    """"module.[Class.]name" for each public function or method that no
-    user reads: a function may be read as a name or an attribute, a
-    method only as an attribute, and a spanned name counts as read."""
+    """"module.[Class.]name" for each function or method that no user
+    reads: a function may be read as a name or an attribute, a method
+    only as an attribute, and a spanned name counts as read.  A private
+    function that only tests read has no caller."""
     names, attrs = read_names(users)
     return sorted(
         ".".join(p for p in (module, cls, name) if p)
         for module, tree in defining.items()
-        for cls, name in public_functions(tree)
+        for cls, name in defined_functions(tree)
         if name not in spanned and name not in attrs and (cls or name not in names)
     )
 
@@ -111,13 +116,19 @@ def test_scan_flags_a_callerless_function():
         "def unused(): pass\n"
         "def traced(): pass\n"
         "def _private(): pass\n"
+        "def _helper(): pass\n"
         "class K:\n"
+        "    def __init__(self): pass\n"
         "    def m(self): pass\n"
+        "    def _step(self): pass\n"
         "    def dead(self): pass\n"
+        "    def _dead(self): _dead()\n"
     )
     # a method read only as a plain name has no caller
-    user = ast.parse("used()\nk.m\ndead()\n")
-    assert callerless({"lib": lib}, [user], {"traced"}) == ["lib.K.dead", "lib.unused"]
+    user = ast.parse("used()\nk.m\ndead()\n_helper()\nself._step()\n")
+    assert callerless({"lib": lib}, [user], {"traced"}) == [
+        "lib.K._dead", "lib.K.dead", "lib._private", "lib.unused",
+    ]
 
 
 def test_no_callerless_functions():
