@@ -733,57 +733,66 @@ def _star_flips(c: Complex, edge: tuple, apexes: list, star: frozenset) -> list[
     return out
 
 
-def _pieces(c: Complex, vs: frozenset) -> list[tuple]:
-    """m & vs for the maximal simplices m of c that meet vs in two or
-    more vertices."""
-    keep = vs.__contains__
-    meeting = set().union(*map(c.incident_maximal, vs))
-    return [t for m in meeting if len(t := tuple(filter(keep, m))) > 1]
+def _graph(c: Complex) -> tuple[dict, dict]:
+    """Each vertex's sorted neighbour tuple (a tuple takes a quarter of a
+    frozenset's memory), and each triangle's label: repr of its chamber
+    color, or "" when c is uncolored."""
+    colors = c.chamber_colors
+    labels = {t: "" if colors is None else repr(colors[t]) for t in c.simplices(2)}
+    return {v: c.neighbors(v) for v in c.vertices}, labels
 
 
-def _carried(
-    c: Complex, ref: tuple, steps: Sequence[Mapping], edge: tuple,
-    star: frozenset, simplices: set,
-) -> dict | None:
-    """tau^-1, for the map tau that follows equal labels from the
-    reference edge's lower end u0 to edge's lower end, when tau is a
-    color-keeping isomorphism of the reference star onto star; else None.
-
-    A star is the full subcomplex of c on its vertex set, generated by
-    its pieces, so a bijection tau is such an isomorphism when tau maps
-    each piece of the reference star, and tau^-1 each piece of star,
-    onto a simplex of c with the same chamber color.  One direction
-    alone misses the simplices that only the other star has.
-    """
-    u0, star0, pieces0, _ = ref
-    # breadth-first along equal labels, inside the reference star.  The
-    # edge and the reference share their label, the first label at the
-    # lower end that reaches the upper end, and u0 assigns its
-    # neighbours first, so tau maps the reference edge onto edge.
-    tau = {u0: edge[0]}
-    queue = [u0]
-    for x in queue:
-        here = steps[tau[x]]
+def _reference(u, star: frozenset, steps, nb, labels, held) -> tuple:
+    """A searched edge's entry for `_carried`: its lower end u, its star,
+    the steps (x, label, x1) of a breadth-first walk from u inside the
+    star, each vertex a of the star with its neighbours b > a there,
+    every 3-clique of the star's graph with its label (None when it is
+    not a triangle), and the verdicts {apex: kept}."""
+    walk, seen = [(u, None, u)], {u}
+    for _, _, x in walk:
         for lab, x1 in steps[x].items():
-            if x1 in star0 and x1 not in tau:
-                y = here.get(lab)
-                if y is None:
-                    return None
-                tau[x1] = y
-                queue.append(x1)
+            if x1 in star and x1 not in seen:
+                seen.add(x1)
+                walk.append((x, lab, x1))
+    edges = [(a, sorted(b for b in star.intersection(nb[a]) if b > a)) for a in star]
+    cliques = [
+        ((a, b, x), labels.get((a, b, x)))
+        for a, up in edges for i, b in enumerate(up) for x in up[i + 1:] if x in nb[b]
+    ]
+    return u, star, walk[1:], edges, cliques, held
+
+
+def _carried(ref: tuple, steps, edge: tuple, star: frozenset, nb, labels):
+    """tau^-1, for the map tau that replays the reference walk from
+    edge's lower end, when tau is a color-keeping isomorphism of the
+    reference star onto star; else None.
+
+    Stars are full subcomplexes of a 2-dimensional complex.  A bijection
+    that maps each edge of the reference star's graph onto an edge of
+    star's, which has as many, is a graph isomorphism; equal labels on
+    the 3-cliques then carry the triangles and their chamber colors.
+    """
+    u0, star0, walk, edges0, cliques0, _ = ref
+    # edge has the reference's label, the first at the lower end that
+    # reaches the upper end, and the walk leaves u0 first: tau maps the
+    # reference edge onto edge
+    tau = {u0: edge[0]}
+    for x, lab, x1 in walk:
+        y = steps[tau[x]].get(lab)
+        if y is None:
+            return None
+        tau[x1] = y
     if len(tau) != len(star0) or len(star) != len(star0) or set(tau.values()) != star:
         return None
-    back = {y: x for x, y in tau.items()}
-    colors = c.chamber_colors
-    for sigma, pieces in ((tau, pieces0), (back, _pieces(c, star))):
-        image = sigma.__getitem__
-        for piece in pieces:
-            t = tuple(sorted(map(image, piece)))
-            if t not in simplices:
-                return None
-            if colors is not None and len(t) == 3 and repr(colors[t]) != repr(colors[piece]):
-                return None
-    return back
+    image = tau.__getitem__
+    adj = {y: star.intersection(nb[y]) for y in star}
+    if (
+        not all(adj[tau[a]].issuperset(map(image, up)) for a, up in edges0)
+        or sum(map(len, adj.values())) != 2 * sum(len(up) for _, up in edges0)
+        or any(labels.get(tuple(sorted(map(image, t)))) != lab for t, lab in cliques0)
+    ):
+        return None
+    return {y: x for x, y in tau.items()}
 
 
 def panel_flip_check(
@@ -819,13 +828,11 @@ def panel_flip_check(
         raise ValueError(f"a star needs hops >= 1 to hold the apexes, got {hops}")
     eligible = 0
     skipped = 0
-    satisfied = 0
     searches = 0
     failures: list[tuple] = []
-    # label -> (lower end, star, pieces, {apex: verdict}) of its first
-    # eligible edge
+    # label -> `_reference` entry of its first eligible edge
     refs: dict = {}
-    simplices: set | None = None
+    graph = None if steps is None else _graph(c)
     for edge in c.simplices(1):
         if not marks.simplex_interior(edge):
             continue
@@ -843,27 +850,20 @@ def panel_flip_check(
         if steps is not None:
             label = next((lab for lab, w in steps[u].items() if w == v), None)
         ref = refs.get(label)
-        back = None
-        if ref is not None:
-            if simplices is None:
-                simplices = set(c.simplices(1)).union(c.simplices(2))
-            back = _carried(c, ref, steps, edge, star, simplices)
+        back = None if ref is None else _carried(ref, steps, edge, star, *graph)
         if back is not None:
-            held = [ref[3][back[f]] for f in apexes]
+            held = [ref[5][back[f]] for f in apexes]
         else:
             held = _star_flips(c, edge, apexes, star)
             searches += 3
             if label is not None and ref is None:
-                refs[label] = (u, star, _pieces(c, star), dict(zip(apexes, held)))
-        for f, ok in zip(apexes, held):
-            if ok:
-                satisfied += 1
-            else:
-                failures.append((edge, f))
+                verdicts = dict(zip(apexes, held))
+                refs[label] = _reference(u, star, steps, *graph, verdicts)
+        failures += [(edge, f) for f, ok in zip(apexes, held) if not ok]
     return PanelFlipReport(
         edges_eligible=eligible,
         edges_skipped=skipped,
-        choices_satisfied=satisfied,
+        choices_satisfied=3 * eligible - len(failures),
         failures=tuple(failures),
         searches=searches,
     )

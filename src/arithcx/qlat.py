@@ -451,7 +451,7 @@ class ColorAutCount:
         return {
             "r": self.r,
             "s": self.s,
-            "count": str(self.count),
+            "count": _decimal(self.count),
             "log2_count": self.log2_count,
             "root_choices": self.root_choices,
             "pair_choice_sites": self.pair_choice_sites,
@@ -459,6 +459,16 @@ class ColorAutCount:
             "chain_order": str(self.chain_order) if self.chain_order is not None else None,
             "consistent": self.consistent,
         }
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of n >= 0, written in pieces short enough for
+    str() under any digit limit the interpreter accepts (640 or more)."""
+    if n.bit_length() < 2000:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of n's digits
+    hi, lo = divmod(n, 10**k)
+    return _decimal(hi) + _decimal(lo).zfill(k)
 
 
 def _fixed_ball_indices(ball: ColoredTreeBall, s: int) -> list[int]:

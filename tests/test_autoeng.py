@@ -10,8 +10,9 @@ from arithcx.autoeng import (
     VertexPermutation,
     _carried,
     _first_leaf,
+    _graph,
     _leaf_ok,
-    _pieces,
+    _reference,
     _root,
     _Side,
     automorphism_order,
@@ -817,6 +818,21 @@ def test_transported_flips_see_a_simplex_only_one_star_has(ball3, change):
     assert fast.searches == 54
 
 
+def test_transported_flips_see_a_hollow_chamber(ball3):
+    # one chamber from shell 2 to shell 3 removed, its edges kept: the
+    # stars that hold it have the same graph as their references, and
+    # only the labels of the 3-cliques tell the hollow one apart
+    verts, edges = ball3.graph()
+    cx = clique_complex(list(verts), edges, max_dim=3)
+    d = ball3.dist
+    odd = next(t for t in cx.chambers() if [d[x] for x in t] == [2, 2, 3])
+    hollow = Complex(verts, [*edges, *(t for t in cx.chambers() if t != odd)])
+    fast, plain = flips_with_and_without(hollow, ball_marks(ball3), ball3.step_map())
+    assert fast.edges_eligible == 342
+    assert (fast.choices_satisfied, len(fast.failures)) == (1010, 16)
+    assert (fast.searches, plain.searches) == (66, 1026)
+
+
 def test_carried_needs_a_bijection_onto_the_star():
     # two claws: u0 = 0 with leaves 1, 2, 3, and u = 10 with leaves 11-14
     edges = [(0, 1), (0, 2), (0, 3), (10, 11), (10, 12), (10, 13), (10, 14)]
@@ -825,21 +841,34 @@ def test_carried_needs_a_bijection_onto_the_star():
     for u, v in edges:
         steps[u][v % 10] = v
         steps[v][-(v % 10)] = u
-    star0 = frozenset({0, 1, 2, 3})
-    ref = (0, star0, _pieces(c, star0), None)
-    simplices = set(edges)
+    graph = _graph(c)
+    ref = _reference(0, frozenset({0, 1, 2, 3}), steps, *graph, None)
     star = frozenset({10, 11, 12, 13})
-    assert _carried(c, ref, steps, (10, 11), star, simplices) == {
+    assert _carried(ref, steps, (10, 11), star, *graph) == {
         10: 0, 11: 1, 12: 2, 13: 3,
     }
     # a star of the same size that tau does not map onto
     other = frozenset({10, 11, 12, 14})
-    assert _carried(c, ref, steps, (10, 11), other, simplices) is None
+    assert _carried(ref, steps, (10, 11), other, *graph) is None
     # a step map that sends two labels to one vertex: tau is onto the
     # smaller star {10, 11, 12} but not injective
     steps[10][3] = 12
     small = frozenset({10, 11, 12})
-    assert _carried(c, ref, steps, (10, 11), small, simplices) is None
+    assert _carried(ref, steps, (10, 11), small, *graph) is None
+
+
+def test_carried_needs_the_edges_not_only_their_number():
+    # a claw at 0 and a path 23 - 21 - 20 - 22: three edges each, no
+    # 3-clique in either, and a step map that makes tau a bijection
+    # from the claw onto the path's vertices; (0, 3) maps onto no edge
+    edges = [(0, 1), (0, 2), (0, 3), (20, 21), (20, 22), (21, 23)]
+    c = Complex([0, 1, 2, 3, 20, 21, 22, 23], edges)
+    steps = {0: {1: 1, 2: 2, 3: 3}, 20: {1: 21, 2: 22, 3: 23}}
+    steps.update({x: {} for x in (1, 2, 3, 21, 22, 23)})
+    graph = _graph(c)
+    ref = _reference(0, frozenset({0, 1, 2, 3}), steps, *graph, None)
+    path = frozenset({20, 21, 22, 23})
+    assert _carried(ref, steps, (20, 21), path, *graph) is None
 
 
 def chamber_types(ball, c):
@@ -901,7 +930,7 @@ def test_carried_star_conjugates_each_searched_flip(ball2, ballcx):
     # reference star, found by is_isomorphic, conjugated by tau, is a
     # flip of the rebuilt star at the carried edge
     c, marks, steps = ballcx, ball_marks(ball2), ball2.step_map()
-    simplices = set(c.simplices(1)).union(c.simplices(2))
+    graph = _graph(c)
     refs: dict = {}
     carried = 0
     for edge in c.simplices(1):
@@ -915,10 +944,10 @@ def test_carried_star_conjugates_each_searched_flip(ball2, ballcx):
         star = star_vertices(c, edge, 1)
         label = next(lab for lab, w in steps[u].items() if w == v)
         if label not in refs:
-            refs[label] = (edge, apexes, star, (u, star, _pieces(c, star), None))
+            refs[label] = (edge, apexes, star, _reference(u, star, steps, *graph, None))
             continue
         (u0, v0), apexes0, star0, ref = refs[label]
-        back = _carried(c, ref, steps, edge, star, simplices)
+        back = _carried(ref, steps, edge, star, *graph)
         assert back is not None
         assert (back[u], back[v]) == (u0, v0)
         assert sorted(back[f] for f in apexes) == apexes0

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from collections import OrderedDict, namedtuple
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,15 @@ def test_tree_experiment_r4_checks_the_count_by_chain(capsys):
     r4 = rep["data"]["counts"][-1]
     assert r4["count"] == r4["chain_order"] == str(4**186)
     assert r4["enumerated"] is None and r4["consistent"] is True
+    assert all(c["status"] == "pass" for c in rep["checks"])
+
+
+def test_tree_experiment_writes_counts_past_the_digit_limit(capsys):
+    # 4^23436 has 14,110 digits, more than str() writes by default
+    code, rep = run_json(["tree", "experiment", "--r", "7", "--s", "1"], capsys)
+    assert code == 0
+    r7 = rep["data"]["counts"][-1]
+    assert (r7["r"], r7["count"]) == (7, str(Decimal(4**23436)))
     assert all(c["status"] == "pass" for c in rep["checks"])
 
 

@@ -1,6 +1,8 @@
 import itertools
 import random
+import sys
 from collections import Counter, deque
+from decimal import Decimal
 
 import pytest
 
@@ -310,6 +312,24 @@ def test_count_json_and_errors():
     for bad in [(-1, 0), (2, 3), (9, 1)]:
         with pytest.raises(ValueError):
             color_automorphism_count(*bad)
+
+
+def test_count_json_past_the_digit_limit():
+    # 4^23436 has 14,110 digits and 8 * 4^117186 has 70,554: each is
+    # written in full, as the decimal module writes it
+    for r, s in [(7, 1), (8, 0)]:
+        c = color_automorphism_count(r, s, check=False)
+        digits = c.to_json_dict()["count"]
+        assert digits == str(Decimal(c.count))
+        assert len(digits) > 4300
+    if hasattr(sys, "set_int_max_str_digits"):
+        # the lowest limit the interpreter accepts
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert c.to_json_dict()["count"] == digits
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 # ----------------------------------------------------------------------
