@@ -11,7 +11,10 @@ worklist of splitter cells (Paige and Tarjan; McKay and Piperno): a
 splitter splits each cell by the multiset of labels it sends there, and
 a cell split outside the worklist queues all its parts but the largest
 (Hopcroft).  Every new cell must hold as many vertices of one complex as
-of the other.
+of the other.  A complex searched against itself starts with one set of
+partition lists, shared by both sides and refined once per splitter,
+until a search individualizes two distinct vertices; a search whose
+root refinement leaves discrete never does.
 
 Each search node individualizes one pair of vertices in the smallest
 non-singleton cell and refines from its parent's partition with the new
@@ -208,31 +211,49 @@ class _Partition:
     comparable.  Every split is logged on `trail`, so a search can undo
     back to any earlier trail length.  `heap` holds (size, start) for
     every non-singleton cell, plus stale entries that target_cell()
-    drops lazily.
+    drops lazily.  `scans` counts the sides scanned per splitter.
+
+    A partition of one side against itself starts with one set of
+    lists: elems_b, pos_b and col_b are elems_a, pos_a and col_a, and
+    every scan, split and undo runs once.  The sides can only start to
+    differ when a pair (a, b) with a != b is individualized; b then gets
+    copies of its own, which it keeps from then on.
     """
 
     __slots__ = (
         "adj_a", "adj_b", "elems_a", "elems_b", "pos_a", "pos_b",
-        "col_a", "col_b", "end", "trail", "heap",
+        "col_a", "col_b", "end", "trail", "heap", "scans",
     )
 
     def __init__(self, sa: _Side, sb: _Side) -> None:
         self.adj_a, self.adj_b = sa.adj, sb.adj
         self.elems_a, self.pos_a, self.col_a = sa.elems[:], sa.pos[:], sa.col[:]
-        self.elems_b, self.pos_b, self.col_b = sb.elems[:], sb.pos[:], sb.col[:]
+        if sb is sa:
+            self.elems_b, self.pos_b, self.col_b = self.elems_a, self.pos_a, self.col_a
+        else:
+            self.elems_b, self.pos_b, self.col_b = sb.elems[:], sb.pos[:], sb.col[:]
         self.end = end = sa.end[:]
         self.trail: list[tuple[int, int]] = []
         self.heap = [(end[s] - s, s) for s in set(self.col_a) if end[s] - s > 1]
         heapq.heapify(self.heap)
+        self.scans = 0
+
+    def _sides(self) -> list[tuple[list[int], list[int], list[int]]]:
+        """(elems, pos, col) of side a, then of side b unless shared."""
+        out = [(self.elems_a, self.pos_a, self.col_a)]
+        if self.elems_b is not self.elems_a:
+            out.append((self.elems_b, self.pos_b, self.col_b))
+        return out
 
     def undo(self, mark: int) -> None:
         """Merge back every split made since the trail had length `mark`,
         newest first."""
         trail, end = self.trail, self.end
+        sides = self._sides()
         while len(trail) > mark:
             s, e = trail.pop()
             m = end[s]
-            for elems, col in ((self.elems_a, self.col_a), (self.elems_b, self.col_b)):
+            for elems, _, col in sides:
                 for x in elems[m:e]:
                     col[x] = s
             end[s] = e
@@ -264,6 +285,9 @@ class _Partition:
             return None
         if self.end[c] - c == 1:
             return c
+        if a != b and self.elems_b is self.elems_a:
+            self.elems_b, self.pos_b = self.elems_a[:], self.pos_a[:]
+            self.col_b = self.col_a[:]
         return self._split(c, [(0, a)], [(0, b)])[-1]
 
     def _split(self, c: int, ta: list, tb: list) -> list[int]:
@@ -277,10 +301,7 @@ class _Partition:
         parts = [c] if mid > c else []
         parts += [mid + i for i, k in enumerate(keys) if not i or k != keys[i - 1]]
         bounds = parts + [ce]
-        for elems, pos, col, touched in (
-            (self.elems_a, self.pos_a, self.col_a, ta),
-            (self.elems_b, self.pos_b, self.col_b, tb),
-        ):
+        for (elems, pos, col), touched in zip(self._sides(), (ta, tb)):
             if mid > c:
                 # swap the touched vertices into the tail [mid, ce)
                 tail = ce
@@ -312,7 +333,9 @@ class _Partition:
         labels its vertices receive from the splitter.  When a cell
         splits outside the worklist, its largest part is not queued:
         counts into it are the counts into the old cell minus those into
-        the other parts (Hopcroft's shortcut).
+        the other parts (Hopcroft's shortcut).  While the sides share
+        their lists, side b's scan would repeat side a's, so it is not
+        made.
         """
         end = self.end
         queue = deque(splitters)
@@ -321,9 +344,14 @@ class _Partition:
             s = queue.popleft()
             queued.discard(s)
             hits_a = _hits(self.adj_a, self.elems_a[s : end[s]], self.col_a)
-            hits_b = _hits(self.adj_b, self.elems_b[s : end[s]], self.col_b)
-            if hits_a.keys() != hits_b.keys():
-                return False
+            if self.elems_b is self.elems_a:
+                self.scans += 1
+                hits_b = hits_a
+            else:
+                self.scans += 2
+                hits_b = _hits(self.adj_b, self.elems_b[s : end[s]], self.col_b)
+                if hits_a.keys() != hits_b.keys():
+                    return False
             split = []
             for c, ta in hits_a.items():
                 if end[c] - c > 1:
@@ -334,10 +362,11 @@ class _Partition:
             for c in sorted(split):
                 ta, tb = hits_a[c], hits_b[c]
                 ta.sort()
-                tb.sort()
                 keys = [k for k, _ in ta]
-                if keys != [k for k, _ in tb]:
-                    return False
+                if tb is not ta:
+                    tb.sort()
+                    if keys != [k for k, _ in tb]:
+                        return False
                 if len(ta) == end[c] - c and keys[0] == keys[-1]:
                     continue
                 parts = self._split(c, ta, tb)
@@ -588,6 +617,7 @@ def automorphisms_fixing(
                 "use the order computation"
             )
         maps.append(m)
+    stats["refine_scans"] = p.scans
     # ids are sorted, so this sorts the witnesses by their (id, image) pairs
     maps.sort()
     return AutomorphismSet(
@@ -650,6 +680,7 @@ def automorphism_order(c: Complex, *, fixed: Iterable = ()) -> AutomorphismSet:
         order *= sum(1 for w in cell if _find(orbit, w) == root)
         ok = p.refine([p.individualize(v, v)])
         assert ok  # identity is always present
+    stats["refine_scans"] = p.scans
     return AutomorphismSet(
         order=order,
         perms=None,

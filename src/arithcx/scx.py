@@ -67,11 +67,11 @@ class Complex:
         *,
         chamber_colors: Mapping[Iterable[VertexId], object] | None = None,
     ) -> None:
-        self._vertices = tuple(vertices)
-        vset = set(self._vertices)
-        if len(vset) != len(self._vertices):
+        verts = tuple(vertices)
+        vset = set(verts)
+        if len(vset) != len(verts):
             raise ValueError("repeated vertex id")
-        by_dim: dict[int, set[tuple]] = {0: {(v,) for v in self._vertices}}
+        by_dim: dict[int, set[tuple]] = {0: {(v,) for v in verts}}
         for s in simplices:
             t = _norm_simplex(s)
             if not t:
@@ -87,6 +87,18 @@ class Complex:
             lower = by_dim.setdefault(d - 1, set())
             for t in by_dim[d]:
                 lower.update(combinations(t, d))
+        self._set(verts, by_dim, chamber_colors)
+
+    def _set(
+        self,
+        vertices: tuple,
+        by_dim: Mapping[int, Iterable[tuple]],
+        chamber_colors: Mapping | None,
+    ) -> None:
+        """Store distinct vertices and, by dimension, simplices that are
+        sorted, distinct, of known vertices and closed under faces, the
+        vertices' singletons included; nothing is checked here."""
+        self._vertices = vertices
         self._simplices: dict[int, frozenset[tuple]] = {
             d: frozenset(ss) for d, ss in by_dim.items() if ss
         }
@@ -236,9 +248,14 @@ def _forward_sets(
 
     An edge is stored once, from its smaller end, so a clique grown only
     by vertices above all of its own is found once and already sorted.
-    Raises ValueError on loops, repeated edges, or unknown endpoints.
+    Raises ValueError on repeated vertex ids, loops, repeated edges, or
+    unknown endpoints.
     """
-    forward: dict[VertexId, set] = {v: set() for v in vertices}
+    forward: dict[VertexId, set] = {}
+    for v in vertices:
+        if v in forward:
+            raise ValueError("repeated vertex id")
+        forward[v] = set()
     for u, v in edges:
         if u == v:
             raise ValueError(f"loop at {u!r}: input graph must be simple")
@@ -259,23 +276,31 @@ def clique_complex(
 ) -> Complex:
     """Flag complex of a simple graph: faces are cliques of size <= max_dim+1.
 
-    Raises ValueError on loops, repeated edges, or unknown endpoints.
+    Raises ValueError on repeated vertex ids, loops, repeated edges, or
+    unknown endpoints.
     """
     if max_dim < 1:
         raise ValueError("max_dim must be >= 1")
     verts = tuple(vertices)
     forward = _forward_sets(verts, edges)
-    simplices: list[tuple] = []
+    # by_dim[d] holds the cliques of d + 1 vertices; each is found once,
+    # sorted, and after every clique it extends, so the families are
+    # closed under faces as they stand
+    by_dim: list[list[tuple]] = [[(v,) for v in verts]]
+    by_dim += [[] for _ in range(max_dim)]
     # (clique, the forward neighbours common to all its vertices)
     stack = [((v,), forward[v]) for v in verts]
     while stack:
         t, common = stack.pop()
+        found = by_dim[len(t)]
         for w in common:
             s = t + (w,)
-            simplices.append(s)
+            found.append(s)
             if len(s) <= max_dim:
                 stack.append((s, common & forward[w]))
-    return Complex(verts, simplices)
+    c = Complex.__new__(Complex)
+    c._set(verts, dict(enumerate(by_dim)), None)
+    return c
 
 
 def triangle_count(
@@ -284,7 +309,8 @@ def triangle_count(
     """Number of 3-cliques of a simple graph, the 2-simplices of its
     clique complex, without building that complex.
 
-    Raises ValueError on loops, repeated edges, or unknown endpoints.
+    Raises ValueError on repeated vertex ids, loops, repeated edges, or
+    unknown endpoints.
     """
     forward = _forward_sets(vertices, edges)
     # each triangle u < v < w once, from its edge (u, v)

@@ -14,6 +14,7 @@ from arithcx.autoeng import (
     _leaf_ok,
     _reference,
     _root,
+    _search,
     _Side,
     automorphism_order,
     automorphisms_fixing,
@@ -527,6 +528,7 @@ def test_radius_four_tree_chain_work_is_pinned():
     # each search's first-path guess is verified at once: one node each
     assert grp.stats == {
         "mode": "chain", "searches": 372, "nodes": 372, "first_leaf_misses": 0,
+        "refine_scans": 3024,
     }
 
 
@@ -539,7 +541,70 @@ def test_radius_two_building_chain_work_is_pinned(ballcx):
     # it would have without it
     assert grp.stats == {
         "mode": "chain", "searches": 14, "nodes": 101, "first_leaf_misses": 13,
+        "refine_scans": 2129,
     }
+
+
+def test_rigid_verdict_refines_one_side(ball3):
+    # rigidity --colors 2 -r 3 --seed 5: the root is discrete, and each of
+    # its 672 splitters is scanned once, not once per side
+    verts, edges = ball3.graph()
+    cx = clique_complex(list(verts), edges, max_dim=3)
+    rng = random.Random(5)
+    colored = color_chambers(cx, {t: rng.randrange(2) for t in cx.chambers()})
+    grp = automorphisms_fixing(colored, [0])
+    assert grp.order == 1
+    assert grp.stats == {"mode": "enumerate", "nodes": 1, "refine_scans": 672}
+
+
+def assert_shared_partition_matches_unshared(c, fixed):
+    """The root and the ordered search leaves are the same whether the
+    partition of c against itself shares one set of lists or holds two
+    equal sets, built from two _Side copies of c."""
+    side, twin = _Side(c), _Side(c)
+    lists = (side.elems[:], side.pos[:], side.col[:])
+    require = {side.idx[v]: side.idx[v] for v in fixed}
+    shared, apart = _root(side, side, require), _root(side, twin, require)
+    assert shared.elems_b is shared.elems_a and apart.elems_b is not apart.elems_a
+    root = (shared.elems_a, shared.col_a, shared.end)
+    assert root == (apart.elems_a, apart.col_a, apart.end)
+    assert root == (apart.elems_b, apart.col_b, apart.end)
+    assert shared.scans * 2 == apart.scans
+    # the first a != b pair gives side b lists of its own; undoing it
+    # restores the partition and never touches the _Side's lists
+    cell = shared.target_cell()
+    if cell is not None:
+        mark = len(shared.trail)
+        a, b = sorted(shared.elems_a[cell : shared.end[cell]])[:2]
+        shared.refine([shared.individualize(a, b)])
+        assert shared.elems_b is not shared.elems_a
+        shared.undo(mark)
+        assert (shared.col_a, shared.end) == root[1:]
+        assert (shared.col_b, shared.end) == root[1:]
+    assert (side.elems, side.pos, side.col) == lists
+    shared = _root(side, side, require)
+    stats_shared: dict = {}
+    stats_apart: dict = {}
+    leaves = list(_search(side, side, shared, stats_shared))
+    assert leaves == list(_search(side, twin, apart, stats_apart))
+    assert stats_shared == stats_apart
+    assert (side.elems, side.pos, side.col) == lists
+    return len(leaves)
+
+
+def test_shared_partition_matches_unshared_on_building_balls(ball2, ballcx):
+    ball1 = [v for v in ballcx.vertices if ball2.dist[v] <= 1]
+    assert assert_shared_partition_matches_unshared(ballcx, ball1) == 256
+    rng = random.Random(0)
+    colored = color_chambers(ballcx, {t: rng.randrange(2) for t in ballcx.chambers()})
+    assert assert_shared_partition_matches_unshared(colored, [0]) == 1
+    assert assert_shared_partition_matches_unshared(colored, []) == 1
+
+
+def test_shared_partition_matches_unshared_on_tree_ball():
+    ball = lift_coloring(2)
+    fixed = [v for v in range(ball.vertex_count()) if ball.dist[v] <= 1]
+    assert assert_shared_partition_matches_unshared(ball.to_complex(), fixed) == 4**6
 
 
 @pytest.fixture

@@ -1,7 +1,8 @@
 """Property tests: engine verdicts do not depend on vertex names, a
 find-one search's first-path guess is its first leaf, a graph's
-triangle count is its clique complex's, and the CLI's report renderer
-writes what json.dumps writes.
+triangle count is its clique complex's, its clique complex is the
+complex of all its cliques, and the CLI's report renderer writes what
+json.dumps writes.
 
 hypothesis is not a declared dependency, so the module is skipped when
 it is missing.
@@ -126,6 +127,35 @@ def test_triangle_count_is_the_clique_complex_count(data):
     edges = [e if data.draw(st.booleans()) else e[::-1] for e in chosen]
     expect = clique_complex(ids, edges, max_dim=2).simplex_count(2)
     assert triangle_count(ids, edges) == expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_clique_complex_is_the_complex_of_all_cliques(data):
+    # clique_complex stores its cliques as found; Complex sorts, checks
+    # and closes the same cliques, handed over in any order
+    n = data.draw(st.integers(0, 9))
+    names = [f"v{i}" for i in range(n)] if n % 2 else list(range(n))
+    ids = data.draw(st.permutations(names))
+    pairs = list(itertools.combinations(ids, 2))
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [e if data.draw(st.booleans()) else e[::-1] for e in chosen]
+    max_dim = data.draw(st.integers(1, 3))
+    linked = {frozenset(e) for e in edges}
+    cliques = [
+        t
+        for k in range(2, max_dim + 2)
+        for t in itertools.combinations(ids, k)
+        if all(frozenset(e) in linked for e in itertools.combinations(t, 2))
+    ]
+    fast = clique_complex(ids, edges, max_dim=max_dim)
+    slow = Complex(ids, data.draw(st.permutations(cliques)))
+    assert fast == slow
+    assert fast.vertices == slow.vertices and fast.dims() == slow.dims()
+    for d in slow.dims():
+        assert fast.simplices(d) == slow.simplices(d)
+    assert fast.maximal_simplices() == slow.maximal_simplices()
+    assert fast.chambers() == slow.chambers()
 
 
 _TEXT = st.text() | st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'))

@@ -205,6 +205,10 @@ def test_clique_complex_rejects_non_simple():
             build([0, 1, 2], [(2, 1), (0, 1), (2, 1)])
         with pytest.raises(ValueError, match="unknown endpoint"):
             build([0, 1], [(0, 2)])
+        with pytest.raises(ValueError, match="^repeated vertex id$"):
+            build([0, 1, 2, 2], [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(ValueError, match="^repeated vertex id$"):
+            build(["a", "a"], [])
     with pytest.raises(ValueError, match="max_dim"):
         clique_complex([0, 1], [(0, 1)], max_dim=0)
 
