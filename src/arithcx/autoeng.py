@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceededError
-from .scx import Complex, InteriorMark, induced_subcomplex, star_vertices
+from .scx import Complex, InteriorMark, induced_subcomplex, star_vertices, triangle_count
 
 __all__ = [
     "VertexMap",
@@ -728,7 +728,9 @@ class PanelFlipReport:
     three chambers pointwise and ask for an automorphism of the
     hop-limited star that swaps the other two.  `searches` counts the
     find-one searches run: three per eligible edge that is not carried
-    (see panel_flip_check).
+    (see panel_flip_check), so 21 for a Cayley ball of the 14 LSV
+    generators whose stars all carry: one searched edge per pair
+    {g, g^-1}.
     """
 
     edges_eligible: int
@@ -764,21 +766,41 @@ def _star_flips(c: Complex, edge: tuple, apexes: list, star: frozenset) -> list[
     return out
 
 
-def _graph(c: Complex) -> tuple[dict, dict]:
+def _graph(c: Complex) -> tuple[dict, dict | None]:
     """Each vertex's sorted neighbour tuple (a tuple takes a quarter of a
     frozenset's memory), and each triangle's label: repr of its chamber
-    color, or "" when c is uncolored."""
+    color, or "" when c is uncolored.
+
+    The labels are None when c is uncolored and its graph has as many
+    3-cliques as c has triangles: then every 3-clique is a triangle
+    labelled "", and an isomorphism of two stars' graphs carries their
+    triangles without a look at any label.
+    """
     colors = c.chamber_colors
-    labels = {t: "" if colors is None else repr(colors[t]) for t in c.simplices(2)}
+    labels = None
+    # counted before the neighbour tuples exist, so that the count's
+    # working sets and the tuples are not held at once
+    hollow = colors is None and (
+        triangle_count(c.vertices, c.simplices(1)) != c.simplex_count(2)
+    )
+    if colors is not None or hollow:
+        labels = {t: "" if colors is None else repr(colors[t]) for t in c.simplices(2)}
     return {v: c.neighbors(v) for v in c.vertices}, labels
 
 
-def _reference(u, star: frozenset, steps, nb, labels, held) -> tuple:
-    """A searched edge's entry for `_carried`: its lower end u, its star,
+def _step_label(steps, x, y):
+    """The first label of a step from x to y, or None."""
+    return next((lab for lab, w in steps[x].items() if w == y), None)
+
+
+def _reference(edge: tuple, star: frozenset, steps, nb, labels, held) -> tuple:
+    """A searched edge's entry for `_carried`: the edge (u, v), its star,
     the steps (x, label, x1) of a breadth-first walk from u inside the
     star, each vertex a of the star with its neighbours b > a there,
     every 3-clique of the star's graph with its label (None when it is
-    not a triangle), and the verdicts {apex: kept}."""
+    not a triangle; no 3-cliques when `labels` is None), and the
+    verdicts {apex: kept}."""
+    u = edge[0]
     walk, seen = [(u, None, u)], {u}
     for _, _, x in walk:
         for lab, x1 in steps[x].items():
@@ -786,34 +808,36 @@ def _reference(u, star: frozenset, steps, nb, labels, held) -> tuple:
                 seen.add(x1)
                 walk.append((x, lab, x1))
     edges = [(a, sorted(b for b in star.intersection(nb[a]) if b > a)) for a in star]
-    cliques = [
+    cliques = [] if labels is None else [
         ((a, b, x), labels.get((a, b, x)))
         for a, up in edges for i, b in enumerate(up) for x in up[i + 1:] if x in nb[b]
     ]
-    return u, star, walk[1:], edges, cliques, held
+    return edge, star, walk[1:], edges, cliques, held
 
 
-def _carried(ref: tuple, steps, edge: tuple, star: frozenset, nb, labels):
+def _carried(ref: tuple, steps, start, edge: tuple, star: frozenset, nb, labels):
     """tau^-1, for the map tau that replays the reference walk from
-    edge's lower end, when tau is a color-keeping isomorphism of the
-    reference star onto star; else None.
+    start, when tau maps the reference edge onto edge (either way round)
+    and is a color-keeping isomorphism of the reference star onto star;
+    else None.
 
     Stars are full subcomplexes of a 2-dimensional complex.  A bijection
     that maps each edge of the reference star's graph onto an edge of
     star's, which has as many, is a graph isomorphism; equal labels on
     the 3-cliques then carry the triangles and their chamber colors.
+    With no labels (see `_graph`) every 3-clique is an uncolored
+    triangle, and the graph isomorphism alone carries them.
     """
-    u0, star0, walk, edges0, cliques0, _ = ref
-    # edge has the reference's label, the first at the lower end that
-    # reaches the upper end, and the walk leaves u0 first: tau maps the
-    # reference edge onto edge
-    tau = {u0: edge[0]}
+    (u0, v0), star0, walk, edges0, cliques0, _ = ref
+    tau = {u0: start}
     for x, lab, x1 in walk:
         y = steps[tau[x]].get(lab)
         if y is None:
             return None
         tau[x1] = y
     if len(tau) != len(star0) or len(star) != len(star0) or set(tau.values()) != star:
+        return None
+    if {tau[u0], tau[v0]} != set(edge):
         return None
     image = tau.__getitem__
     adj = {y: star.intersection(nb[y]) for y in star}
@@ -841,17 +865,23 @@ def panel_flip_check(
     Without `steps`, a find-one search on the star settles each choice.
     `steps[x]` maps labels to the neighbours of vertex x, as right
     multiplication by the generators does in a Cayley ball
-    (`CayleyBall.step_map`); an edge's label is the first step from its
-    lower end to its upper end.  The first eligible edge of each label
-    is searched.  A later edge (u, v) of that label is carried when the
-    map tau that follows equal labels from the first edge's lower end to
-    u (left translation, in a Cayley ball) is an isomorphism of the
-    first star onto this one that keeps the chamber colors (`_carried`).
-    Conjugation by tau then turns the flips of the first star into those
-    of this one, so the choice that fixes apex f has the verdict of the
-    first star's choice that fixes tau^-1(f), kept or failed.  Any other
-    edge is searched in full, so the steps save work but never change a
-    verdict.
+    (`CayleyBall.step_map`); an edge read from one end has the label of
+    the first step from that end to the other.  An edge (u, v) is
+    carried from the reference of its lower-end label, starting at u,
+    or, when that label has none, from the reference of its upper-end
+    label, starting at v: in a Cayley ball, edge (u, v) with u*g = v is
+    the left translate of (1, g) and, ends swapped, of (1, g^-1), so one
+    reference serves each pair {g, g^-1}.  An edge that is not carried
+    is searched, and becomes the reference of its lower-end label when
+    neither of its labels has one.  Carrying needs the map tau that
+    follows equal labels from the reference edge's lower end to the
+    start to map the reference edge onto (u, v) and to be an isomorphism
+    of the reference star onto this one that keeps the chamber colors
+    (`_carried`).  Conjugation by tau then turns the flips of the
+    reference star, which fix both ends of its edge, into those of this
+    one, so the choice that fixes apex f has the verdict of the
+    reference's choice that fixes tau^-1(f), kept or failed.  The steps
+    save work but never change a verdict.
     """
     if c.dimension != 2:
         raise ValueError("panel flips are defined for 2-dimensional complexes")
@@ -877,11 +907,16 @@ def panel_flip_check(
             continue
         eligible += 1
         star = star_vertices(c, edge, hops)
-        label = None
+        label = ref = back = None
         if steps is not None:
-            label = next((lab for lab, w in steps[u].items() if w == v), None)
-        ref = refs.get(label)
-        back = None if ref is None else _carried(ref, steps, edge, star, *graph)
+            label = _step_label(steps, u, v)
+            start, ref = u, refs.get(label)
+            if ref is None:
+                # the edge read from its upper end: (v, u) translates
+                # the reference of v's label with the ends swapped
+                start, ref = v, refs.get(_step_label(steps, v, u))
+            if ref is not None:
+                back = _carried(ref, steps, start, edge, star, *graph)
         if back is not None:
             held = [ref[5][back[f]] for f in apexes]
         else:
@@ -889,7 +924,7 @@ def panel_flip_check(
             searches += 3
             if label is not None and ref is None:
                 verdicts = dict(zip(apexes, held))
-                refs[label] = _reference(u, star, steps, *graph, verdicts)
+                refs[label] = _reference(edge, star, steps, *graph, verdicts)
         failures += [(edge, f) for f, ok in zip(apexes, held) if not ok]
     return PanelFlipReport(
         edges_eligible=eligible,

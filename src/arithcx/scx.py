@@ -223,13 +223,15 @@ class Complex:
 def _checked_colors(c: Complex, chamber_colors: Mapping) -> dict[tuple, object]:
     """The coloring keyed by sorted chambers, in the given order; it
     must name each chamber of c exactly once."""
+    chambers = c._simplices.get(c.dimension, frozenset())
     norm: dict[tuple, object] = {}
     for s, col in chamber_colors.items():
-        t = _norm_simplex(s)
+        # a key that is one of c's chambers is sorted already
+        t = s if s in chambers else _norm_simplex(s)
         if t in norm:
             raise ValueError(f"chamber {t!r} is colored twice")
         norm[t] = col
-    if norm.keys() != c._simplices.get(c.dimension, frozenset()):
+    if norm.keys() != chambers:
         raise ValueError(
             "chamber colors must be a total assignment on the "
             "top-dimensional simplices"
@@ -331,13 +333,16 @@ def link(c: Complex, v: VertexId) -> Complex:
 def star_vertices(c: Complex, seed: Iterable[VertexId], hops: int) -> frozenset:
     """Vertices within `hops` steps of the seed set in the 1-skeleton,
     unordered: `induced_subcomplex` puts them in `vertices` order."""
+    index = c._local_index()
     seen = set(seed)
-    unknown = seen.difference(c._local_index())
+    unknown = seen.difference(index)
     if unknown:
         raise ValueError(f"unknown vertices {unknown!r}")
     frontier = seen
     for _ in range(hops):
-        frontier = {w for u in frontier for w in c.neighbors(u)} - seen
+        # a vertex's neighbours are the other vertices of its maximal
+        # simplices; u itself is in seen already
+        frontier = {w for u in frontier for t in index[u][1] for w in t} - seen
         seen |= frontier
     return frozenset(seen)
 

@@ -16,6 +16,7 @@ from arithcx.autoeng import (
     _root,
     _search,
     _Side,
+    _step_label,
     automorphism_order,
     automorphisms_fixing,
     is_isomorphic,
@@ -648,12 +649,12 @@ def test_first_leaf_guess_is_the_search_first_leaf_on_building_chain(
 def test_first_leaf_guess_is_the_search_first_leaf_on_flip_stars(
     ball3, checked_first_leaf
 ):
-    # the three choices at each of the 14 reference stars of lsv verify -r 3
+    # the three choices at each of the 7 reference stars of lsv verify -r 3
     verts, edges = ball3.graph()
     cx = clique_complex(list(verts), edges, max_dim=3)
     rep = panel_flip_check(cx, ball_marks(ball3), steps=ball3.step_map())
-    assert rep.choices_satisfied == 1029 and rep.searches == 42
-    assert checked_first_leaf["calls"] == 42
+    assert rep.choices_satisfied == 1029 and rep.searches == 21
+    assert checked_first_leaf["calls"] == 21
 
 
 def test_search_depth_is_not_bounded_by_recursion_limit():
@@ -810,18 +811,20 @@ def flips_with_and_without(c, marks, steps, hops=1):
 def test_transported_flips_on_uncolored_radius_two_ball(ball2, ballcx):
     fast, plain = flips_with_and_without(ballcx, ball_marks(ball2), ball2.step_map())
     assert fast.choices_satisfied == 105
-    # one searched reference edge per generator label
-    assert fast.searches == 42
+    # one searched reference edge per generator pair {g, g^-1}
+    assert fast.searches == 21
 
 
 def test_transported_flips_on_uncolored_radius_three_ball(ball3):
     # the lsv verify -r 3 inputs: the search count pins the work
     verts, edges = ball3.graph()
     cx = clique_complex(list(verts), edges, max_dim=3)
+    # every 3-clique is an uncolored triangle: no labels to test
+    assert _graph(cx)[1] is None
     fast, plain = flips_with_and_without(cx, ball_marks(ball3), ball3.step_map())
     assert fast.choices_satisfied == 1029 and fast.failures == ()
     assert plain.searches == 1029
-    assert fast.searches == 42
+    assert fast.searches == 21
 
 
 def test_transported_flips_rejected_by_one_recolored_chamber(ball3):
@@ -834,9 +837,9 @@ def test_transported_flips_rejected_by_one_recolored_chamber(ball3):
     colored = color_chambers(cx, {t: int(t == odd) for t in cx.chambers()})
     fast, _ = flips_with_and_without(colored, ball_marks(ball3), ball3.step_map())
     assert len(fast.failures) >= 6
-    assert 42 < fast.searches < fast.choices_total
-    # 9 edges searched beyond the 14 references
-    assert fast.searches == 69
+    assert 21 < fast.searches < fast.choices_total
+    # 9 edges searched beyond the 7 references
+    assert fast.searches == 48
 
 
 def test_transported_flips_see_a_vertex_the_step_map_lacks(ball3):
@@ -850,8 +853,8 @@ def test_transported_flips_see_a_vertex_the_step_map_lacks(ball3):
     marks = InteriorMark.from_distances({**dict(enumerate(d)), x: 4}, 3)
     fast, _ = flips_with_and_without(cx, marks, ball3.step_map())
     assert fast.failures
-    assert 42 < fast.searches < fast.choices_total
-    assert fast.searches == 54
+    assert 21 < fast.searches < fast.choices_total
+    assert fast.searches == 33
 
 
 @pytest.mark.parametrize("change", ["chord", "gap"])
@@ -880,7 +883,7 @@ def test_transported_flips_see_a_simplex_only_one_star_has(ball3, change):
     cx = clique_complex(list(verts), edges, max_dim=2)
     fast, _ = flips_with_and_without(cx, ball_marks(ball3), ball3.step_map())
     assert (fast.choices_satisfied, len(fast.failures)) == (1021, 8)
-    assert fast.searches == 54
+    assert fast.searches == 33
 
 
 def test_transported_flips_see_a_hollow_chamber(ball3):
@@ -892,10 +895,14 @@ def test_transported_flips_see_a_hollow_chamber(ball3):
     d = ball3.dist
     odd = next(t for t in cx.chambers() if [d[x] for x in t] == [2, 2, 3])
     hollow = Complex(verts, [*edges, *(t for t in cx.chambers() if t != odd)])
+    # one 3-clique is not a triangle, so the labels are kept
+    labels = _graph(hollow)[1]
+    assert labels is not None and odd not in labels
+    assert len(labels) == hollow.simplex_count(2) and set(labels.values()) == {""}
     fast, plain = flips_with_and_without(hollow, ball_marks(ball3), ball3.step_map())
     assert fast.edges_eligible == 342
     assert (fast.choices_satisfied, len(fast.failures)) == (1010, 16)
-    assert (fast.searches, plain.searches) == (66, 1026)
+    assert (fast.searches, plain.searches) == (45, 1026)
 
 
 def test_carried_needs_a_bijection_onto_the_star():
@@ -907,19 +914,22 @@ def test_carried_needs_a_bijection_onto_the_star():
         steps[u][v % 10] = v
         steps[v][-(v % 10)] = u
     graph = _graph(c)
-    ref = _reference(0, frozenset({0, 1, 2, 3}), steps, *graph, None)
+    ref = _reference((0, 1), frozenset({0, 1, 2, 3}), steps, *graph, None)
     star = frozenset({10, 11, 12, 13})
-    assert _carried(ref, steps, (10, 11), star, *graph) == {
+    assert _carried(ref, steps, 10, (10, 11), star, *graph) == {
         10: 0, 11: 1, 12: 2, 13: 3,
     }
+    # tau is an isomorphism of the stars, but maps (0, 1) onto (10, 11),
+    # not onto the edge asked about
+    assert _carried(ref, steps, 10, (10, 12), star, *graph) is None
     # a star of the same size that tau does not map onto
     other = frozenset({10, 11, 12, 14})
-    assert _carried(ref, steps, (10, 11), other, *graph) is None
+    assert _carried(ref, steps, 10, (10, 11), other, *graph) is None
     # a step map that sends two labels to one vertex: tau is onto the
     # smaller star {10, 11, 12} but not injective
     steps[10][3] = 12
     small = frozenset({10, 11, 12})
-    assert _carried(ref, steps, (10, 11), small, *graph) is None
+    assert _carried(ref, steps, 10, (10, 11), small, *graph) is None
 
 
 def test_carried_needs_the_edges_not_only_their_number():
@@ -931,9 +941,9 @@ def test_carried_needs_the_edges_not_only_their_number():
     steps = {0: {1: 1, 2: 2, 3: 3}, 20: {1: 21, 2: 22, 3: 23}}
     steps.update({x: {} for x in (1, 2, 3, 21, 22, 23)})
     graph = _graph(c)
-    ref = _reference(0, frozenset({0, 1, 2, 3}), steps, *graph, None)
+    ref = _reference((0, 1), frozenset({0, 1, 2, 3}), steps, *graph, None)
     path = frozenset({20, 21, 22, 23})
-    assert _carried(ref, steps, (20, 21), path, *graph) is None
+    assert _carried(ref, steps, 20, (20, 21), path, *graph) is None
 
 
 def chamber_types(ball, c):
@@ -957,7 +967,7 @@ def test_transported_flips_carry_failures_of_a_chamber_type_coloring(ball3):
     colored = color_chambers(cx, {t: int(ty == first) for t, ty in types.items()})
     fast, _ = flips_with_and_without(colored, ball_marks(ball3), ball3.step_map())
     assert (fast.choices_satisfied, len(fast.failures)) == (147, 882)
-    assert fast.searches == 42
+    assert fast.searches == 21
 
 
 def test_transported_flips_on_two_colored_radius_two_balls(ball2, ballcx):
@@ -966,9 +976,10 @@ def test_transported_flips_on_two_colored_radius_two_balls(ball2, ballcx):
         colored = color_chambers(
             ballcx, {t: rng.randrange(2) for t in ballcx.chambers()}
         )
+        assert set(_graph(colored)[1].values()) == {"0", "1"}
         fast, _ = flips_with_and_without(colored, ball_marks(ball2), ball2.step_map())
         assert fast.failures
-        assert fast.searches > 42
+        assert fast.searches > 21
         assert fast.searches == 105
 
 
@@ -990,14 +1001,9 @@ def test_garbage_step_map_costs_searches_not_verdicts(ball2, ballcx):
     assert fast.searches == plain.searches
 
 
-def test_carried_star_conjugates_each_searched_flip(ball2, ballcx):
-    # a second route for the carried verdicts: each flip sigma0 of the
-    # reference star, found by is_isomorphic, conjugated by tau, is a
-    # flip of the rebuilt star at the carried edge
-    c, marks, steps = ballcx, ball_marks(ball2), ball2.step_map()
-    graph = _graph(c)
-    refs: dict = {}
-    carried = 0
+def interior_flip_edges(c, marks, steps):
+    """Each interior edge with its sorted apexes, hop-1 star, and labels
+    read from its lower and from its upper end."""
     for edge in c.simplices(1):
         if not marks.simplex_interior(edge):
             continue
@@ -1006,15 +1012,31 @@ def test_carried_star_conjugates_each_searched_flip(ball2, ballcx):
             w for t in c.simplices(2) if set(edge) <= set(t) for w in t if w not in edge
         )
         assert len(apexes) == 3
-        star = star_vertices(c, edge, 1)
-        label = next(lab for lab, w in steps[u].items() if w == v)
-        if label not in refs:
-            refs[label] = (edge, apexes, star, _reference(u, star, steps, *graph, None))
+        labels = (_step_label(steps, u, v), _step_label(steps, v, u))
+        yield edge, apexes, star_vertices(c, edge, 1), labels
+
+
+def test_carried_star_conjugates_each_searched_flip(ball2, ballcx):
+    # a second route for the carried verdicts: each flip sigma0 of the
+    # reference star, found by is_isomorphic, conjugated by tau, is a
+    # flip of the rebuilt star at the carried edge.  An edge whose
+    # lower-end label has no reference is carried from the reference of
+    # its upper-end label, with the ends swapped.
+    c, marks, steps = ballcx, ball_marks(ball2), ball2.step_map()
+    graph = _graph(c)
+    refs: dict = {}
+    carried = swapped = 0
+    for edge, apexes, star, labels in interior_flip_edges(c, marks, steps):
+        (u, v), (label, upper) = edge, labels
+        start, key = (u, label) if label in refs else (v, upper)
+        if key not in refs:
+            ref = _reference(edge, star, steps, *graph, None)
+            refs[label] = (edge, apexes, star, ref)
             continue
-        (u0, v0), apexes0, star0, ref = refs[label]
-        back = _carried(ref, steps, edge, star, *graph)
+        (u0, v0), apexes0, star0, ref = refs[key]
+        back = _carried(ref, steps, start, edge, star, *graph)
         assert back is not None
-        assert (back[u], back[v]) == (u0, v0)
+        assert back[start] == u0 and {back[u], back[v]} == {u0, v0}
         assert sorted(back[f] for f in apexes) == apexes0
         tau = {x: y for y, x in back.items()}
         star0cx = induced_subcomplex(c, star0)
@@ -1031,7 +1053,43 @@ def test_carried_star_conjugates_each_searched_flip(ball2, ballcx):
             assert (sigma(j), sigma(k)) == (k, j)
             assert verify_permutation(starcx, sigma, fixed=(u, v, f))
         carried += 1
-    assert (len(refs), carried) == (14, 21)
+        swapped += start == v
+    assert (len(refs), carried, swapped) == (7, 28, 15)
+
+
+def test_carried_from_the_upper_end_matches_fresh_searches(ball2, ballcx):
+    # a chamber-type coloring fails most flips.  An edge (u, v) with
+    # u * g^-1 = v is the left translate of the reference edge (0, g),
+    # ends swapped: tau starts at v, and its carried verdicts must equal
+    # a fresh search's, kept and failed alike
+    types = chamber_types(ball2, ballcx)
+    first = min(types.values(), key=sorted)
+    c = color_chambers(ballcx, {t: int(ty == first) for t, ty in types.items()})
+    marks, steps = ball_marks(ball2), ball2.step_map()
+    graph = _graph(c)
+    inverse = ball2.generators.inverse_label
+    refs: dict = {}
+    verdicts = []
+    for edge, apexes, star, (label, upper) in interior_flip_edges(c, marks, steps):
+        u, v = edge
+        assert upper == inverse(label)
+        if upper not in refs:
+            held = dict(zip(apexes, autoeng._star_flips(c, edge, apexes, star)))
+            refs.setdefault(label, _reference(edge, star, steps, *graph, held))
+            continue
+        ref = refs[upper]
+        back = _carried(ref, steps, v, edge, star, *graph)
+        assert back is not None and {back[u], back[v]} == set(ref[0])
+        # started at the wrong end, tau maps the reference edge elsewhere
+        assert _carried(ref, steps, u, edge, star, *graph) is None
+        starcx = induced_subcomplex(c, star)
+        for f in apexes:
+            j, k = (w for w in apexes if w != f)
+            fresh = is_isomorphic(starcx, starcx, require={u: u, v: v, f: f, j: k, k: j})
+            verdicts.append((ref[5][back[f]], fresh is not None))
+    assert all(held == fresh for held, fresh in verdicts)
+    assert len(verdicts) == 3 * 15
+    assert {fresh for _, fresh in verdicts} == {True, False}
 
 
 def test_step_map_inverts_each_edge(ball2):

@@ -450,6 +450,28 @@ def test_sphere_sizes_against_word_enumeration_oracle(sym, ball3):
     assert {m.entries for m in ball3.vertices} == ball
 
 
+
+def a2_shape_count(a, b, q=2):
+    """Vertices of shape (a, b) from a fixed vertex of an A~2 building
+    of order q, at graph distance a + b."""
+    if a == b == 0:
+        return 1
+    if a == 0 or b == 0:
+        return (q * q + q + 1) * q ** (2 * (a + b - 1))
+    return (q * q + q + 1) * (q * q + q) * q ** (2 * (a + b - 2))
+
+
+def test_sphere_sizes_in_closed_form(sym, ball3):
+    # a second route for ball growth: up to radius 5 the ball is a ball
+    # of the A~2 building of order 2, the shells the shape sums
+    sizes = cayley_ball(sym, 5).sphere_sizes()
+    assert sizes == tuple(
+        sum(a2_shape_count(a, n - a) for a in range(n + 1)) for n in range(6)
+    )
+    assert sizes[2:] == tuple(14 * (3 * n + 1) * 4 ** (n - 2) for n in range(2, 6))
+    assert sizes == (1, 14, 98, 560, 2912, 14336)
+    assert ball3.sphere_sizes() == sizes[:4]
+
 def test_ball_radius_four_matches_oracle_bfs(sym):
     ball = cayley_ball(sym, 4)
     gens = [m.entries for m in sym.matrices]

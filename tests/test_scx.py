@@ -334,8 +334,15 @@ def test_color_chambers_total_assignment():
     for color in (color_chambers, rebuilt_with_colors):
         colored = color(tri, {(0, 1, 2): "red"})
         assert colored.chamber_colors == {(0, 1, 2): "red"}
-        # keys in any vertex order name the sorted chamber
+        # keys in any vertex order, or as sets, name the sorted chamber
         assert color(tri, {(2, 0, 1): "red"}).chamber_colors == {(0, 1, 2): "red"}
+        assert color(tri, {frozenset(range(3)): "red"}).chamber_colors == {
+            (0, 1, 2): "red"
+        }
+        with pytest.raises(ValueError, match=total):
+            color(tri, {frozenset((0, 1)): "red"})
+        with pytest.raises(ValueError, match=total):
+            color(tri, {(1, 0): "red"})
         with pytest.raises(ValueError, match=total):
             color(tri, {})
         with pytest.raises(ValueError, match=total):
@@ -355,6 +362,15 @@ def test_a_chamber_colored_twice_is_rejected():
             color(tri, {(0, 1, 2): "x", (2, 1, 0): "y"})
         with pytest.raises(ValueError, match=r"chamber \(0, 1\) is colored twice"):
             color(edge, {(0, 1): "a", (1, 0): "b"})
+        # a sorted key after an unsorted or set one, and the other way round
+        for keys in [
+            ((1, 0, 2), (0, 1, 2)),
+            (frozenset(range(3)), (0, 1, 2)),
+            ((0, 1, 2), frozenset(range(3))),
+            (frozenset(range(3)), (2, 1, 0)),
+        ]:
+            with pytest.raises(ValueError, match=r"\(0, 1, 2\) is colored twice"):
+                color(tri, dict(zip(keys, "xy")))
 
 
 def test_color_chambers_matches_the_rebuilt_complex(ballcx):
