@@ -13,18 +13,22 @@ a cell split outside the worklist queues all its parts but the largest
 (Hopcroft).  Every new cell must hold as many vertices of one complex as
 of the other.  A complex searched against itself starts with one set of
 partition lists, shared by both sides and refined once per splitter,
-until a search individualizes two distinct vertices; a search whose
-root refinement leaves discrete never does.
+until a search individualizes two distinct vertices, and again once it
+undoes that step; a search whose root refinement leaves discrete never
+parts them.
 
 Each search node individualizes one pair of vertices in the smallest
-non-singleton cell and refines from its parent's partition with the new
-cell as the only splitter; leaving the node undoes its splits.  Each
-side holds its simplices once, as one labelled family per dimension
-(the chamber color on the colored chambers, "" elsewhere), and every
-emitted bijection is verified against every family of both sides,
-labels included, before it is returned: refinement only prunes, it
-never vouches.  A witness is a VertexMap, one dict from vertex id to
-image id.
+non-singleton cell and, unless that leaves the partition discrete,
+refines with the new cell as the only splitter; leaving the node undoes
+its splits.  Each side holds its simplices once, as one labelled family
+per dimension (the chamber color on the colored chambers, "" elsewhere).
+Every emitted bijection is verified, labels included: refinement only
+prunes, it never vouches.  A leaf is held and checked by the vertices
+it moves (all of them when the sides differ): the check reads each
+simplex that meets a moved vertex once, from its least moved vertex.
+That is exhaustive: the map fixes every other vertex, so it sends every
+other simplex to itself.  A witness is a VertexMap of its moves over
+its side's id tuple.
 
 A find-one search first tries the leaf its first path would reach, each
 cell's vertices in sorted order onto the other side's, and descends
@@ -38,12 +42,13 @@ already give, and the chain stops once the partition is discrete.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceededError
-from .scx import Complex, InteriorMark, induced_subcomplex, star_vertices, triangle_count
+from .scx import Complex, InteriorMark, induced_subcomplex, star_vertices
 
 __all__ = [
     "VertexMap",
@@ -61,47 +66,57 @@ DEFAULT_CAP = 10**6
 
 
 class VertexMap:
-    """An injective map between vertex id sets, held as one dict.
-
-    Equality and hashing read the dict alone, so insertion order does not
-    matter; `domain`, `moved`, `repr` and `to_json_dict` sort the vertex
-    ids when they are asked.
+    """An injective map between vertex id sets, held sparsely: its
+    domain, a sorted id tuple that the maps found on one complex share,
+    and a dict from each id it moves to its image.  Equality and hashing
+    read the domain and the moves alone, so a map found by a search
+    equals the same map built from a full dict in any order.
     """
 
-    __slots__ = ("_map",)
+    __slots__ = ("_domain", "_moves")
 
     def __init__(self, mapping: Mapping) -> None:
         m = dict(mapping)
         if len(set(m.values())) != len(m):
             raise ValueError("mapping is not injective")
-        self._map = m
+        self._domain = tuple(sorted(m))
+        self._moves = {k: v for k, v in m.items() if k != v}
+
+    @classmethod
+    def _sparse(cls, domain: tuple, moves: dict) -> "VertexMap":
+        """The map on `domain` that moves exactly the keys of `moves`."""
+        out = cls.__new__(cls)
+        out._domain, out._moves = domain, moves
+        return out
 
     def __call__(self, v):
-        return self._map[v]
+        return self._moves.get(v, v)
 
     def domain(self) -> tuple:
-        return tuple(sorted(self._map))
+        return self._domain
 
     def apply_simplex(self, s: Iterable) -> tuple:
-        return tuple(sorted(self._map[v] for v in s))
+        return tuple(sorted(self._moves.get(v, v) for v in s))
 
     def compose(self, other: "VertexMap") -> "VertexMap":
         """self after other: (self.compose(other))(v) = self(other(v))."""
-        return type(self)({v: self._map[w] for v, w in other._map.items()})
+        return type(self)({v: self(other(v)) for v in other._domain})
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, VertexMap) and other._map == self._map
+        # tuple comparison's identity shortcut spares a shared domain
+        return isinstance(other, VertexMap) and (other._moves, other._domain) == (
+            self._moves, self._domain)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._map.items()))
+        return hash((len(self._domain), frozenset(self._moves.items())))
 
     def __repr__(self) -> str:
-        mv = {k: v for k, v in sorted(self._map.items()) if k != v}
+        mv = dict(sorted(self._moves.items()))
         name = type(self).__name__
         return f"{name}(moves={mv!r})" if mv else f"{name}(id)"
 
     def to_json_dict(self) -> dict:
-        return {"mapping": [[k, v] for k, v in sorted(self._map.items())]}
+        return {"mapping": [[k, self(k)] for k in self._domain]}
 
 
 class VertexPermutation(VertexMap):
@@ -111,23 +126,25 @@ class VertexPermutation(VertexMap):
 
     def __init__(self, mapping: Mapping) -> None:
         super().__init__(mapping)
-        if set(self._map.values()) != set(self._map):
+        # it is onto its domain iff it permutes the ids it moves
+        if set(self._moves.values()) != self._moves.keys():
             raise ValueError("mapping is not a permutation of its domain")
 
     def is_identity(self) -> bool:
-        return all(k == v for k, v in self._map.items())
+        return not self._moves
 
     def moved(self) -> tuple:
-        return tuple(sorted(k for k, v in self._map.items() if k != v))
+        return tuple(sorted(self._moves))
 
 
 @dataclass(frozen=True)
 class AutomorphismSet:
     """Result of an automorphism computation.
 
-    After an enumeration, `perms` holds the whole group (sorted
-    canonically) and `order == len(perms)`.  After an orbit-stabilizer
-    chain, `perms` is None and the chain's witnesses are in `generators`.
+    After an enumeration, `perms` holds the whole group, sorted by the
+    images of the sorted vertex ids, and `order == len(perms)`.  After
+    an orbit-stabilizer chain, `perms` is None and the chain's witnesses,
+    held by their moves, are in `generators`.
     """
 
     order: int
@@ -144,33 +161,30 @@ class _Side:
     """A complex indexed by the positions of its sorted vertex ids, built
     once for every search on it.
 
-    simplices[d] maps each index simplex of dimension d to its label:
-    repr(color) on the colored chambers, "" everywhere else.  Vertices are
-    left out unless they are the colored chambers, since a bijection maps
-    vertices onto vertices.  Ids are sorted and a complex stores its
-    simplices sorted, so the index simplices come out sorted too.
-    keys[i], vertex i's base key, is its number of incident simplices of
-    each dimension from 1 up and the sorted labels of its incident
-    colored chambers.
-
-    adj[i] holds one (label weight, neighbor) pair per incident edge.
-    Each label weighs a distinct power of a base above every degree, so
-    the weight sum a vertex receives from a splitter encodes the multiset
-    of labels; sides with equal base-key multisets share labels and
-    maximum degree, hence weights.  elems, pos, col and end arrange the
-    vertices by base key: every search's root.
+    simplices[d] maps each sorted index simplex of dimension d to its
+    label: repr(color) on the colored chambers, "" elsewhere; vertices
+    count only as colored chambers.  keys[i], vertex i's base key, counts
+    its incident simplices of each dimension from 1 up and sorts the
+    labels of its colored chambers.  inc[i] lists the index simplices,
+    edges aside, that hold vertex i.  adj[i] holds one (label weight,
+    neighbor) pair per edge: each label weighs a distinct power of a base
+    above every degree, so the weights a vertex receives from a splitter
+    sum to a code of their labels, shared by sides with equal base-key
+    multisets.  elems, pos, col and end arrange the vertices by base key:
+    every search's root.
     """
 
     __slots__ = (
-        "ids", "idx", "adj", "simplices", "keys", "elems", "pos", "col", "end",
+        "ids", "idx", "adj", "inc", "simplices", "keys", "elems", "pos", "col", "end",
     )
 
     def __init__(self, c: Complex) -> None:
-        self.ids = sorted(c.vertices)
+        self.ids = tuple(sorted(c.vertices))
         self.idx = idx = {v: i for i, v in enumerate(self.ids)}
         n = len(self.ids)
         colors = c.chamber_colors or {}
         labelled: list[list[tuple[str, int]]] = [[] for _ in range(n)]
+        self.inc = inc = [[] for _ in range(n)]
         self.simplices: dict[int, dict[tuple, str]] = {}
         counts = [[0] * (c.dimension + 1) for _ in range(n)]
         incident_chamber: list[list[str]] = [[] for _ in range(n)]
@@ -187,6 +201,8 @@ class _Side:
                     counts[i][d] += 1
                     if colored:
                         incident_chamber[i].append(label)
+                    if d != 1:
+                        inc[i].append(it)
                 if d == 1:
                     labelled[it[0]].append((label, it[1]))
                     labelled[it[1]].append((label, it[0]))
@@ -204,25 +220,20 @@ class _Side:
 class _Partition:
     """An ordered partition of both sides' vertices into shared cells.
 
-    Cell c occupies positions [c, end[c]) of both elems_a and elems_b, and
-    its start is its color: col_a[v] == c for every a-vertex v placed
-    there.  Colors are therefore fixed by cell sizes and the canonical
-    order of splits, never by vertex ids, and the two sides stay
-    comparable.  Every split is logged on `trail`, so a search can undo
-    back to any earlier trail length.  `heap` holds (size, start) for
-    every non-singleton cell, plus stale entries that target_cell()
-    drops lazily.  `scans` counts the sides scanned per splitter.
-
-    A partition of one side against itself starts with one set of
-    lists: elems_b, pos_b and col_b are elems_a, pos_a and col_a, and
-    every scan, split and undo runs once.  The sides can only start to
-    differ when a pair (a, b) with a != b is individualized; b then gets
-    copies of its own, which it keeps from then on.
+    Cell c occupies positions [c, end[c]) of both elems_a and elems_b,
+    and its start is its color (col_a[v] == c for each a-vertex v there),
+    so colors follow cell sizes and the canonical order of splits, never
+    vertex ids.  Every split is logged on `trail` for undo.  `heap` holds
+    (size, start) for every non-singleton cell, plus stale entries that
+    target_cell() drops lazily; `scans` counts sides scanned per splitter.
+    A side against itself starts with b's lists being a's, until a pair
+    (a, b) with a != b gives b copies; an undo back to that trail length,
+    `apart_at`, shares them again.
     """
 
     __slots__ = (
         "adj_a", "adj_b", "elems_a", "elems_b", "pos_a", "pos_b",
-        "col_a", "col_b", "end", "trail", "heap", "scans",
+        "col_a", "col_b", "end", "trail", "heap", "scans", "apart_at",
     )
 
     def __init__(self, sa: _Side, sb: _Side) -> None:
@@ -236,7 +247,7 @@ class _Partition:
         self.trail: list[tuple[int, int]] = []
         self.heap = [(end[s] - s, s) for s in set(self.col_a) if end[s] - s > 1]
         heapq.heapify(self.heap)
-        self.scans = 0
+        self.scans, self.apart_at = 0, None
 
     def _sides(self) -> list[tuple[list[int], list[int], list[int]]]:
         """(elems, pos, col) of side a, then of side b unless shared."""
@@ -258,6 +269,9 @@ class _Partition:
                     col[x] = s
             end[s] = e
             heapq.heappush(self.heap, (e - s, s))
+        if self.apart_at is not None and mark <= self.apart_at:
+            self.elems_b, self.pos_b, self.col_b = self.elems_a, self.pos_a, self.col_a
+            self.apart_at = None
 
     def target_cell(self) -> int | None:
         """The smallest non-singleton cell by (size, color), or None when
@@ -270,11 +284,34 @@ class _Partition:
             heapq.heappop(heap)
         return None
 
-    def mapping(self) -> list[int]:
-        """The a->b bijection of a discrete partition."""
-        out = [0] * len(self.elems_a)
-        for a, b in zip(self.elems_a, self.elems_b):
-            out[a] = b
+    def leaf(self, mark: int) -> dict[int, int]:
+        """The map of each cell's a-vertices in sorted order onto its
+        b-vertices in sorted order, every vertex kept when the sides
+        differ.  A side against itself must hold the same cells on both
+        sides at trail length `mark`; a cell not split since then maps
+        onto itself, so only the cells split since are read, and only
+        the vertices that move are kept."""
+        ea, eb, end = self.elems_a, self.elems_b, self.end
+        if eb is ea:
+            return {}
+        every = self.adj_b is not self.adj_a
+        # logged ranges nest or are disjoint
+        spans = [(0, len(ea))] if every else sorted(self.trail[mark:])
+        out, done = {}, 0
+        for c, ce in spans:
+            if ce <= done:
+                continue
+            s, done = c if c > done else done, ce
+            while s < ce:
+                e = end[s]
+                if e == s + 1:
+                    if every or ea[s] != eb[s]:
+                        out[ea[s]] = eb[s]
+                else:
+                    for a, b in zip(sorted(ea[s:e]), sorted(eb[s:e])):
+                        if every or a != b:
+                            out[a] = b
+                s = e
         return out
 
     def individualize(self, a: int, b: int) -> int | None:
@@ -286,9 +323,21 @@ class _Partition:
         if self.end[c] - c == 1:
             return c
         if a != b and self.elems_b is self.elems_a:
+            self.apart_at = len(self.trail)
             self.elems_b, self.pos_b = self.elems_a[:], self.pos_a[:]
             self.col_b = self.col_a[:]
-        return self._split(c, [(0, a)], [(0, b)])[-1]
+        # _split(c, [(0, a)], [(0, b)])[-1], without its general bookkeeping
+        last = self.end[c] - 1
+        for (elems, pos, col), x in zip(self._sides(), (a, b)):
+            y, px = elems[last], pos[x]
+            elems[px], pos[y] = y, px
+            elems[last], pos[x] = x, last
+            col[x] = last
+        self.trail.append((c, self.end[c]))
+        self.end[c], self.end[last] = last, self.end[c]
+        if last - c > 1:
+            heapq.heappush(self.heap, (last - c, c))
+        return last
 
     def _split(self, c: int, ta: list, tb: list) -> list[int]:
         """Split cell c by the (key, vertex) pairs of ta and tb, sorted and
@@ -324,19 +373,11 @@ class _Partition:
         return parts
 
     def refine(self, splitters: Iterable[int]) -> bool:
-        """Refine to the coarsest equitable partition, given that the
-        partition is already equitable with respect to every cell other
-        than the splitters.  False as soon as some cell would hold
-        unequal numbers of a- and b-vertices.
-
-        Each splitter cell splits every cell by the multiset of edge
-        labels its vertices receive from the splitter.  When a cell
-        splits outside the worklist, its largest part is not queued:
-        counts into it are the counts into the old cell minus those into
-        the other parts (Hopcroft's shortcut).  While the sides share
-        their lists, side b's scan would repeat side a's, so it is not
-        made.
-        """
+        """Refine to the coarsest equitable partition, given that it is
+        equitable with respect to every cell but the splitters; False as
+        soon as a cell would hold unequal numbers of a- and b-vertices.
+        A cell split outside the worklist does not queue its largest part
+        (Hopcroft), and shared lists are scanned once."""
         end = self.end
         queue = deque(splitters)
         queued = set(queue)
@@ -435,37 +476,46 @@ def _root(sa: _Side, sb: _Side, require: dict[int, int]) -> _Partition | None:
     return p if p.refine(cells) else None
 
 
-def _leaf_ok(sa: _Side, sb: _Side, mapping: list[int]) -> bool:
-    """Exhaustive: the families have the same dimensions and sizes, and
-    every simplex lands on a simplex with the same label, so the
-    (injective) image of each family is the other side's family."""
-    if sa.simplices.keys() != sb.simplices.keys():
+def _leaf_ok(sa: _Side, sb: _Side, moves: dict[int, int]) -> bool:
+    """Exhaustive check of the bijection that sends each key of `moves`
+    (every vertex when the sides differ) to its value, and fixes the
+    rest.  Each simplex that meets a moved vertex is checked once, from
+    its least moved vertex, to land on a simplex with its label; the
+    others map onto themselves.  Each family then maps injectively into
+    the other side's, which is as large, hence onto it."""
+    fa, fb = sa.simplices, sb.simplices
+    if sb is not sa and (
+        fa.keys() != fb.keys() or any(len(f) != len(fb[d]) for d, f in fa.items())
+    ):
         return False
-    image = mapping.__getitem__
-    for d, fam in sa.simplices.items():
-        target = sb.simplices[d]
-        if len(fam) != len(target):
-            return False
-        if d == 1:
-            for (a, b), label in fam.items():
-                x, y = mapping[a], mapping[b]
-                if target.get((x, y) if x < y else (y, x)) != label:
-                    return False
-            continue
-        for t, label in fam.items():
-            if target.get(tuple(sorted(map(image, t)))) != label:
+    ea, eb, adj, inc, image = fa.get(1), fb.get(1), sa.adj, sa.inc, moves.get
+    for a, b in moves.items():
+        for _, x in adj[a]:
+            y = image(x)
+            if y is None:
+                y = x
+            elif x < a:
+                continue
+            if eb.get((b, y) if b < y else (y, b)) != ea[(a, x) if a < x else (x, a)]:
                 return False
+        for t in inc[a]:
+            for x in t:
+                if x in moves:
+                    break
+            if x == a:
+                d = len(t) - 1
+                if fb[d].get(tuple(sorted([image(x, x) for x in t]))) != fa[d][t]:
+                    return False
     return True
 
 
-def _search(sa: _Side, sb: _Side, p: _Partition, stats: dict):
-    """Lazily yield the verified index mappings a->b below the equitable
-    partition p, which is left as it was found once the generator is
-    exhausted; a caller that stops early undoes p itself.
-
-    The depth-first search keeps its path on an explicit stack, one
-    [a, candidate images of a, next candidate, trail mark] entry per
-    open node, so its depth is not bounded by Python's recursion limit.
+def _search(sa: _Side, sb: _Side, p: _Partition, mark: int, stats: dict):
+    """Lazily yield the verified leaves below the equitable partition p,
+    as `p.leaf(mark)` gives them; p is left as found once the generator
+    is exhausted, and a caller that stops early undoes p itself.  The
+    path lives on an explicit stack of [a, candidate images, next
+    candidate, trail mark] entries, so recursion does not bound depth,
+    and a node left discrete by its pair is checked without a refinement.
     """
     stack: list[list] = []
     while True:
@@ -473,83 +523,72 @@ def _search(sa: _Side, sb: _Side, p: _Partition, stats: dict):
         stats["nodes"] = stats.get("nodes", 0) + 1
         c = p.target_cell()
         if c is None:
-            mapping = p.mapping()
-            if _leaf_ok(sa, sb, mapping):
-                yield mapping
+            leaf = p.leaf(mark)
+            if _leaf_ok(sa, sb, leaf):
+                yield leaf
         else:
             e = p.end[c]
             stack.append([min(p.elems_a[c:e]), sorted(p.elems_b[c:e]), 0, len(p.trail)])
         # advance to the next child of the deepest open node
         while stack:
             top = stack[-1]
-            a, cands, i, mark = top
+            a, cands, i, m = top
             if i:
-                p.undo(mark)  # leave the previous child
+                p.undo(m)  # leave the previous child
             if i == len(cands):
                 stack.pop()
                 continue
             top[2] = i + 1
-            if p.refine([p.individualize(a, cands[i])]):
+            c = p.individualize(a, cands[i])
+            if p.target_cell() is None or p.refine([c]):
                 break
         else:
             return
 
 
-def _cellwise_order(p: _Partition) -> list[int]:
-    """The a->b bijection that maps each cell's a-vertices, in sorted
-    order, onto its b-vertices in sorted order: a cell spans the same
-    positions on both sides."""
-    ea, eb, end = p.elems_a, p.elems_b, p.end
-    out = [0] * len(ea)
-    s, n = 0, len(ea)
-    while s < n:
-        e = end[s]
-        if e - s == 1:
-            out[ea[s]] = eb[s]
-        else:
-            for a, b in zip(sorted(ea[s:e]), sorted(eb[s:e])):
-                out[a] = b
-        s = e
-    return out
-
-
 def _first_leaf(
     sa: _Side, sb: _Side, p: _Partition, pairs: Sequence[tuple[int, int]], stats: dict
-) -> list[int] | None:
-    """The first verified mapping below p once each index pair (a, b) is
+) -> dict[int, int] | None:
+    """The first verified leaf below p once each index pair (a, b) is
     individualized and refined in turn, or None; p is left as it was.
-
-    The search's first path is tried as one leaf before the search
-    descends: each cell's a-vertices in order onto its b-vertices in
-    order.  When _leaf_ok accepts that map, it is the search's own first
-    leaf.  It is increasing on every cell, so the search's first choice,
-    least a-vertex onto least b-vertex, follows it at each level, and
-    refinement splits both sides alike under a map that agrees with the
-    partition.  The accepted guess counts as one node; a rejected one
-    counts in `first_leaf_misses`, and the search then runs as it would
-    have without it.
+    The first path's leaf, p.leaf's cellwise sorted map, is checked
+    before any descent: it is increasing on every cell, and refinement
+    splits both sides alike under it, so it is the search's first leaf
+    when it passes.  It then counts as one node; when it fails, it
+    counts in `first_leaf_misses` and the search runs instead.
     """
-    mark = len(p.trail)
-    leaf = None
+    mark, leaf = len(p.trail), None
     for a, b in pairs:
         c = p.individualize(a, b)
-        if c is None or not p.refine([c]):
+        if c is None or not (p.target_cell() is None or p.refine([c])):
             break
     else:
-        guess = _cellwise_order(p)
+        guess = p.leaf(mark)
         if _leaf_ok(sa, sb, guess):
             stats["nodes"] = stats.get("nodes", 0) + 1
             leaf = guess
         else:
             stats["first_leaf_misses"] = stats.get("first_leaf_misses", 0) + 1
-            leaf = next(_search(sa, sb, p, stats), None)
+            leaf = next(_search(sa, sb, p, mark, stats), None)
     p.undo(mark)
     return leaf
 
 
-def _to_perm(sa: _Side, sb: _Side, mapping: Sequence[int]) -> VertexMap:
-    cls = VertexPermutation if sa.ids == sb.ids else VertexMap
-    return cls({sa.ids[i]: sb.ids[j] for i, j in enumerate(mapping)})
+def _to_perm(sa: _Side, sb: _Side, leaf: dict[int, int]) -> VertexMap:
+    moves = {sa.ids[i]: sb.ids[j] for i, j in leaf.items()}
+    cls = VertexPermutation if sb is sa or sa.ids == sb.ids else VertexMap
+    return cls._sparse(sa.ids, {k: v for k, v in moves.items() if k != v})
+
+
+def _image_order(n: int):
+    """A key that sorts leaves on n vertices as their image lists sort:
+    at the first vertex a that one of two leaves moves, a move down to b
+    keys a*n + b, below the end marker n*n and any later move down, and a
+    move up keys 2*n*n - a*n + b, above the marker and any later move up."""
+    top = n * n
+    return lambda leaf: [
+        a * n + b if b < a else 2 * top - a * n + b for a, b in sorted(leaf.items())
+    ] + [top]
 
 
 def _require_indices(sa: _Side, sb: _Side, require: Mapping | None) -> dict[int, int]:
@@ -576,10 +615,7 @@ def _find(links: dict[int, int], x: int) -> int:
 
 
 def is_isomorphic(
-    a: Complex,
-    b: Complex,
-    *,
-    require: Mapping | None = None,
+    a: Complex, b: Complex, *, require: Mapping | None = None
 ) -> VertexMap | None:
     """A verified witness bijection a -> b that maps chamber colors onto
     chamber colors, or None when none exists.
@@ -590,15 +626,13 @@ def is_isomorphic(
     sa = _Side(a)
     sb = sa if b is a else _Side(b)
     p = _root(sa, sb, _require_indices(sa, sb, require))
-    mapping = None if p is None else next(_search(sa, sb, p, {}), None)
-    return None if mapping is None else _to_perm(sa, sb, mapping)
+    # the sides coincide at trail length 0 when b is a
+    leaf = None if p is None else next(_search(sa, sb, p, 0, {}), None)
+    return None if leaf is None else _to_perm(sa, sb, leaf)
 
 
 def automorphisms_fixing(
-    c: Complex,
-    fixed: Iterable,
-    *,
-    cap: int = DEFAULT_CAP,
+    c: Complex, fixed: Iterable, *, cap: int = DEFAULT_CAP
 ) -> AutomorphismSet:
     """All automorphisms fixing `fixed` pointwise, preserving the chamber
     colors when c has them; `fixed=()` enumerates the whole group.
@@ -609,23 +643,19 @@ def automorphisms_fixing(
     p = _root(side, side, _require_indices(side, side, {v: v for v in fixed}))
     assert p is not None  # identity is always present
     stats: dict = {"mode": "enumerate"}
-    maps: list[list[int]] = []
-    for m in _search(side, side, p, stats):
-        if len(maps) == cap:
+    leaves: list[dict[int, int]] = []
+    for m in _search(side, side, p, len(p.trail), stats):
+        if len(leaves) == cap:
             raise CapExceededError(
                 f"more than {cap} permutations; raise the cap or "
                 "use the order computation"
             )
-        maps.append(m)
+        leaves.append(m)
     stats["refine_scans"] = p.scans
     # ids are sorted, so this sorts the witnesses by their (id, image) pairs
-    maps.sort()
-    return AutomorphismSet(
-        order=len(maps),
-        perms=tuple(_to_perm(side, side, m) for m in maps),
-        generators=(),
-        stats=stats,
-    )
+    leaves.sort(key=_image_order(len(side.ids)))
+    perms = tuple(_to_perm(side, side, m) for m in leaves)
+    return AutomorphismSet(order=len(leaves), perms=perms, generators=(), stats=stats)
 
 
 def automorphism_order(c: Complex, *, fixed: Iterable = ()) -> AutomorphismSet:
@@ -635,12 +665,10 @@ def automorphism_order(c: Complex, *, fixed: Iterable = ()) -> AutomorphismSet:
 
     Level by level, the chain fixes one more vertex v and multiplies the
     order by the size of v's orbit under the stabilizer of the vertices
-    fixed so far.  Each orbit membership question is settled by a
-    find-one search, so the result is exact for groups far beyond any
-    enumeration cap.  The witnesses found at a level merge orbits in a
-    union-find, and no search is made for a w already known to share an
-    orbit with v or with a w whose search failed.  The chain stops once
-    the refined partition is discrete: only the identity remains.
+    fixed so far, each membership settled by a find-one search.  A
+    level's witnesses merge orbits in a union-find, and no search is made
+    for a w known to share an orbit with v or with a w whose search
+    failed.  The chain stops once the partition is discrete.
     """
     side = _Side(c)
     p = _root(side, side, _require_indices(side, side, {v: v for v in fixed}))
@@ -670,8 +698,10 @@ def automorphism_order(c: Complex, *, fixed: Iterable = ()) -> AutomorphismSet:
             gens.append(_to_perm(side, side, witness))
             # the witness fixes all earlier levels, so it maps the cell
             # onto itself
-            for x in cell:
-                rx, ry = _find(orbit, x), _find(orbit, witness[x])
+            for x, y in witness.items():
+                if p.col_a[x] != s:
+                    continue
+                rx, ry = _find(orbit, x), _find(orbit, y)
                 if rx != ry:
                     orbit[rx] = ry
                     if rx in failed:
@@ -681,39 +711,21 @@ def automorphism_order(c: Complex, *, fixed: Iterable = ()) -> AutomorphismSet:
         ok = p.refine([p.individualize(v, v)])
         assert ok  # identity is always present
     stats["refine_scans"] = p.scans
-    return AutomorphismSet(
-        order=order,
-        perms=None,
-        generators=tuple(gens),
-        stats=stats,
-    )
+    return AutomorphismSet(order=order, perms=None, generators=tuple(gens), stats=stats)
 
 
 def verify_permutation(
-    c: Complex,
-    perm: VertexPermutation,
-    *,
-    fixed: Iterable = (),
+    c: Complex, perm: VertexPermutation, *, fixed: Iterable = ()
 ) -> bool:
     """Exhaustively check that perm is an automorphism of c fixing
     `fixed` pointwise, preserving the chamber colors when c has them."""
-    if set(perm.domain()) != set(c.vertices):
+    if set(perm.domain()) != set(c.vertices) or any(perm(v) != v for v in fixed):
         return False
-    for v in fixed:
-        if perm(v) != v:
-            return False
-    for d in c.dims():
-        if d < 1:
-            continue
-        fam = set(c.simplices(d))
-        for t in fam:
-            if perm.apply_simplex(t) not in fam:
-                return False
-    if c.chamber_colors is not None:
-        for t, col in c.chamber_colors.items():
-            if c.chamber_colors.get(perm.apply_simplex(t)) != col:
-                return False
-    return True
+    fams = [set(c.simplices(d)) for d in c.dims() if d >= 1]
+    colors = c.chamber_colors or {}
+    return all(perm.apply_simplex(t) in fam for fam in fams for t in fam) and all(
+        colors.get(perm.apply_simplex(t)) == col for t, col in colors.items()
+    )
 
 
 # ----------------------------------------------------------------------
@@ -724,13 +736,11 @@ def verify_permutation(
 class PanelFlipReport:
     """Outcome of searching local flips at interior codimension-1 cells.
 
-    A choice is one (edge, fixed chamber) selection: fix one of the
-    three chambers pointwise and ask for an automorphism of the
-    hop-limited star that swaps the other two.  `searches` counts the
-    find-one searches run: three per eligible edge that is not carried
-    (see panel_flip_check), so 21 for a Cayley ball of the 14 LSV
-    generators whose stars all carry: one searched edge per pair
-    {g, g^-1}.
+    A choice fixes one of an edge's three chambers pointwise and asks for
+    an automorphism of the hop-limited star that swaps the other two.
+    `searches` counts the find-one searches: three per eligible edge not
+    carried (see panel_flip_check), so 21 for a Cayley ball of the 14
+    LSV generators whose stars all carry, one per pair {g, g^-1}.
     """
 
     edges_eligible: int
@@ -753,8 +763,7 @@ class PanelFlipReport:
 def _star_flips(c: Complex, edge: tuple, apexes: list, star: frozenset) -> list[bool]:
     """For each apex f, whether a search finds a flip of the star that
     fixes the edge and f and swaps the other two apexes."""
-    # one engine index and one root partition, with the edge's ends
-    # fixed, serve all three choices of the star
+    # one index and one root partition, the edge's ends fixed, serve all three
     side = _Side(induced_subcomplex(c, star))
     p = _root(side, side, {side.idx[x]: side.idx[x] for x in edge})
     assert p is not None  # identity is always present
@@ -767,25 +776,25 @@ def _star_flips(c: Complex, edge: tuple, apexes: list, star: frozenset) -> list[
 
 
 def _graph(c: Complex) -> tuple[dict, dict | None]:
-    """Each vertex's sorted neighbour tuple (a tuple takes a quarter of a
-    frozenset's memory), and each triangle's label: repr of its chamber
-    color, or "" when c is uncolored.
-
-    The labels are None when c is uncolored and its graph has as many
-    3-cliques as c has triangles: then every 3-clique is a triangle
-    labelled "", and an isomorphism of two stars' graphs carries their
-    triangles without a look at any label.
-    """
+    """Each vertex's sorted neighbour tuple (a quarter of a frozenset's
+    memory), and each triangle's label: repr of its chamber color, or ""
+    when c is uncolored.  The labels are None when c is uncolored and its
+    graph has as many 3-cliques as c has triangles: then a star graph's
+    isomorphism carries the triangles without a look at any label."""
     colors = c.chamber_colors
+    nb = {v: c.neighbors(v) for v in c.vertices}
     labels = None
-    # counted before the neighbour tuples exist, so that the count's
-    # working sets and the tuples are not held at once
-    hollow = colors is None and (
-        triangle_count(c.vertices, c.simplices(1)) != c.simplex_count(2)
-    )
-    if colors is not None or hollow:
+    if colors is None:
+        # each 3-clique u < v < w once, from the neighbours above u and v
+        cliques = 0
+        for u, around in nb.items():
+            up = around[bisect(around, u):]
+            ups = set(up)
+            for v in up:
+                cliques += len(ups.intersection(nb[v][bisect(nb[v], v):]))
+    if colors is not None or cliques != c.simplex_count(2):
         labels = {t: "" if colors is None else repr(colors[t]) for t in c.simplices(2)}
-    return {v: c.neighbors(v) for v in c.vertices}, labels
+    return nb, labels
 
 
 def _step_label(steps, x, y):
@@ -819,14 +828,10 @@ def _carried(ref: tuple, steps, start, edge: tuple, star: frozenset, nb, labels)
     """tau^-1, for the map tau that replays the reference walk from
     start, when tau maps the reference edge onto edge (either way round)
     and is a color-keeping isomorphism of the reference star onto star;
-    else None.
-
-    Stars are full subcomplexes of a 2-dimensional complex.  A bijection
-    that maps each edge of the reference star's graph onto an edge of
-    star's, which has as many, is a graph isomorphism; equal labels on
-    the 3-cliques then carry the triangles and their chamber colors.
-    With no labels (see `_graph`) every 3-clique is an uncolored
-    triangle, and the graph isomorphism alone carries them.
+    else None.  Stars are full subcomplexes of a 2-dimensional complex,
+    so a bijection that maps the reference graph's edges onto edges of
+    star's, which has as many, is a graph isomorphism, and equal labels
+    on the 3-cliques (or none, see `_graph`) carry the triangles.
     """
     (u0, v0), star0, walk, edges0, cliques0, _ = ref
     tau = {u0: start}
@@ -851,10 +856,7 @@ def _carried(ref: tuple, steps, start, edge: tuple, star: frozenset, nb, labels)
 
 
 def panel_flip_check(
-    c: Complex,
-    marks: InteriorMark,
-    *,
-    hops: int = 1,
+    c: Complex, marks: InteriorMark, *, hops: int = 1,
     steps: Sequence[Mapping] | None = None,
 ) -> PanelFlipReport:
     """For every interior edge with exactly 3 chambers, try all three
@@ -887,9 +889,7 @@ def panel_flip_check(
         raise ValueError("panel flips are defined for 2-dimensional complexes")
     if hops < 1:
         raise ValueError(f"a star needs hops >= 1 to hold the apexes, got {hops}")
-    eligible = 0
-    skipped = 0
-    searches = 0
+    eligible = skipped = searches = 0
     failures: list[tuple] = []
     # label -> `_reference` entry of its first eligible edge
     refs: dict = {}

@@ -485,7 +485,7 @@ def color_automorphism_count(r: int, s: int, *, check: bool = True) -> ColorAutC
     """Count color-preserving automorphisms of ball(r) fixing ball(s).
 
     Always exact: the factorized product is an integer no matter how
-    large.  When `check` is set and the ball is small (r <= 4) the
+    large.  When `check` is set and the ball is small (r <= 5) the
     result is cross-validated by the search engine, by full enumeration
     when the prediction is within ENUMERATION_CAP and by an
     orbit-stabilizer order computation regardless.
@@ -500,7 +500,7 @@ def color_automorphism_count(r: int, s: int, *, check: bool = True) -> ColorAutC
     log2 = (3 if root_choices == 8 else 0) + 2 * sites
     enumerated = None
     chain_order = None
-    if check and 1 <= r <= 4:
+    if check and 1 <= r <= 5:
         ball = lift_coloring(r)
         cx = ball.to_complex()
         fixed = _fixed_ball_indices(ball, s)

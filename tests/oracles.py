@@ -178,6 +178,46 @@ def searched_first_leaf(sa, sb, p, pairs):
         if c is None or not p.refine([c]):
             break
     else:
-        leaf = next(_search(sa, sb, p, {}), None)
+        leaf = next(_search(sa, sb, p, mark, {}), None)
     p.undo(mark)
     return leaf
+
+
+def full_leaf_ok(sa, sb, images) -> bool:
+    """The leaf check over every simplex of both engine sides: the
+    families have the same dimensions and sizes, and every simplex of sa
+    lands, under i -> images[i], on a simplex of sb with the same
+    label."""
+    if sa.simplices.keys() != sb.simplices.keys():
+        return False
+    for d, fam in sa.simplices.items():
+        target = sb.simplices[d]
+        if len(fam) != len(target):
+            return False
+        for t, label in fam.items():
+            if target.get(tuple(sorted(images[i] for i in t))) != label:
+                return False
+    return True
+
+
+class FullMap:
+    """A witness held as one dict from every vertex id to its image: the
+    reference for the engine's sparse VertexMap."""
+
+    def __init__(self, mapping) -> None:
+        self.map = dict(mapping)
+
+    def __call__(self, v):
+        return self.map[v]
+
+    def domain(self) -> tuple:
+        return tuple(sorted(self.map))
+
+    def moved(self) -> tuple:
+        return tuple(sorted(k for k, v in self.map.items() if k != v))
+
+    def compose(self, other: "FullMap") -> "FullMap":
+        return FullMap({v: self.map[w] for v, w in other.map.items()})
+
+    def to_json_dict(self) -> dict:
+        return {"mapping": [[k, v] for k, v in sorted(self.map.items())]}

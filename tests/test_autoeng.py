@@ -1,6 +1,8 @@
 import itertools
 import random
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -371,44 +373,52 @@ def test_verify_permutation_rejects_bad_maps():
     assert not verify_permutation(colored, rot)
 
 
+def leaf_ok(sa, sb, images):
+    """The engine's leaf check on the bijection i -> images[i], given as
+    a search leaf gives it: its moves when a side is checked against
+    itself, every vertex when the sides differ."""
+    full = dict(enumerate(images))
+    return _leaf_ok(sa, sb, full if sb is not sa else {a: b for a, b in full.items() if a != b})
+
+
 def test_leaf_check_enforces_chamber_colors():
     # the leaf check must reject the rotation of the x,y,x,y 4-cycle on
     # its own, without the refinement that separates the edge colors
     side = _Side(edge_colored_cycle())
-    assert not _leaf_ok(side, side, [1, 2, 3, 0])
-    assert _leaf_ok(side, side, [2, 3, 0, 1])
+    assert not leaf_ok(side, side, [1, 2, 3, 0])
+    assert leaf_ok(side, side, [2, 3, 0, 1])
     plain = _Side(cycle(4))
-    assert _leaf_ok(plain, plain, [1, 2, 3, 0])
+    assert leaf_ok(plain, plain, [1, 2, 3, 0])
     assert is_isomorphic(edge_colored_cycle(), cycle(4)) is None
     assert is_isomorphic(cycle(4), edge_colored_cycle()) is None
     # edges are checked as ordered pairs: (0, 1) lands on (1, 0), of the
     # same color, or (0, 2), color B, on an edge of color C
     k4 = _Side(Complex(range(4), K4_EDGES, chamber_colors=K4_MATCHING_COLORS))
-    assert _leaf_ok(k4, k4, [1, 0, 3, 2])
-    assert not _leaf_ok(k4, k4, [0, 1, 3, 2])
-    assert not _leaf_ok(k4, k4, [1, 0, 2, 3])
+    assert leaf_ok(k4, k4, [1, 0, 3, 2])
+    assert not leaf_ok(k4, k4, [0, 1, 3, 2])
+    assert not leaf_ok(k4, k4, [1, 0, 2, 3])
 
 
 def test_leaf_check_compares_every_dimension_of_both_sides():
     # the hollow triangle has no 2-simplex to map onto the filled one's
     hollow = _Side(Complex(range(3), [(0, 1), (1, 2), (0, 2)]))
     filled = _Side(Complex(range(3), [(0, 1, 2)]))
-    assert not _leaf_ok(hollow, filled, [0, 1, 2])
-    assert not _leaf_ok(filled, hollow, [0, 1, 2])
-    assert _leaf_ok(filled, filled, [2, 0, 1])
+    assert not leaf_ok(hollow, filled, [0, 1, 2])
+    assert not leaf_ok(filled, hollow, [0, 1, 2])
+    assert leaf_ok(filled, filled, [2, 0, 1])
     # an edge onto a non-edge, and every edge's image reversed
     path = _Side(Complex(range(3), [(0, 1), (1, 2)]))
-    assert not _leaf_ok(path, path, [0, 2, 1])
-    assert _leaf_ok(path, path, [2, 1, 0])
+    assert not leaf_ok(path, path, [0, 2, 1])
+    assert leaf_ok(path, path, [2, 1, 0])
     solid = _Side(clique_complex(range(4), K4_EDGES, max_dim=3))
-    assert 3 in solid.simplices and _leaf_ok(solid, solid, [3, 1, 0, 2])
+    assert 3 in solid.simplices and leaf_ok(solid, solid, [3, 1, 0, 2])
     # a solid and a hollow tetrahedron: swapping them keeps every edge
     # and triangle, and only the tetrahedron family rejects it
     both = _Side(
         Complex(range(8), [(0, 1, 2, 3), *itertools.combinations(range(4, 8), 3)])
     )
-    assert _leaf_ok(both, both, [1, 0, 2, 3, 4, 5, 7, 6])
-    assert not _leaf_ok(both, both, [4, 5, 6, 7, 0, 1, 2, 3])
+    assert leaf_ok(both, both, [1, 0, 2, 3, 4, 5, 7, 6])
+    assert not leaf_ok(both, both, [4, 5, 6, 7, 0, 1, 2, 3])
 
 
 def test_leaf_check_rejects_label_mismatch_both_ways():
@@ -420,17 +430,17 @@ def test_leaf_check_rejects_label_mismatch_both_ways():
     ):
         colored = _Side(color_chambers(c, {t: "x" for t in c.chambers()}))
         plain = _Side(c)
-        assert _leaf_ok(colored, colored, [0, 1, 2])
-        assert not _leaf_ok(colored, plain, [0, 1, 2])
-        assert not _leaf_ok(plain, colored, [0, 1, 2])
+        assert leaf_ok(colored, colored, [0, 1, 2])
+        assert not leaf_ok(colored, plain, [0, 1, 2])
+        assert not leaf_ok(plain, colored, [0, 1, 2])
     # colored vertices and a colored tetrahedron keep the sorting check
     points = _Side(color_chambers(Complex(range(3)), {(0,): "x", (1,): "y", (2,): "x"}))
-    assert _leaf_ok(points, points, [2, 1, 0])
-    assert not _leaf_ok(points, points, [1, 0, 2])
+    assert leaf_ok(points, points, [2, 1, 0])
+    assert not leaf_ok(points, points, [1, 0, 2])
     k4 = clique_complex(range(4), K4_EDGES, max_dim=3)
     tet = _Side(color_chambers(k4, {(0, 1, 2, 3): "x"}))
-    assert _leaf_ok(tet, tet, [1, 2, 3, 0])
-    assert not _leaf_ok(tet, _Side(k4), [0, 1, 2, 3])
+    assert leaf_ok(tet, tet, [1, 2, 3, 0])
+    assert not leaf_ok(tet, _Side(k4), [0, 1, 2, 3])
 
 
 def test_enumeration_sorted_by_json_mapping():
@@ -519,18 +529,61 @@ def test_chain_order_with_colors_and_fixing():
     assert automorphism_order(cycle(4), fixed=[0]).order == 2
 
 
+def tree_chain(r, traced=True):
+    """The orbit-stabilizer chain of the radius-r colored tree ball with
+    ball(1) fixed, the number of witness entries it holds, and its
+    tracemalloc peak in bytes (None when not traced)."""
+    ball = lift_coloring(r)
+    fixed = [v for v in range(ball.vertex_count()) if ball.dist[v] <= 1]
+    cx = ball.to_complex()
+    peak = None
+    if traced:
+        tracemalloc.start()
+    try:
+        grp = automorphism_order(cx, fixed=fixed)
+        if traced:
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grp.order == 4 ** sum(6 * 5 ** (d - 1) for d in range(1, r))
+    return grp, sum(len(g.moved()) for g in grp.generators), peak
+
+
 def test_radius_four_tree_chain_work_is_pinned():
     # the search's node order fixes these counts; any change to the order
     # in which cells and candidates are tried shows up here
-    ball = lift_coloring(4)
-    fixed = [v for v in range(ball.vertex_count()) if ball.dist[v] <= 1]
-    grp = automorphism_order(ball.to_complex(), fixed=fixed)
-    assert grp.order == 4**186
+    grp, entries, _ = tree_chain(4)
     # each search's first-path guess is verified at once: one node each
     assert grp.stats == {
         "mode": "chain", "searches": 372, "nodes": 372, "first_leaf_misses": 0,
-        "refine_scans": 3024,
+        "refine_scans": 2326,
     }
+    # a witness holds the vertices it moves, not all 937
+    assert entries == 2064
+
+
+def test_radius_five_tree_chain_work_and_memory_are_pinned():
+    grp, entries, peak = tree_chain(5)
+    assert grp.stats == {
+        "mode": "chain", "searches": 1872, "nodes": 1872, "first_leaf_misses": 0,
+        "refine_scans": 12604,
+    }
+    # full witnesses would hold 1,872 x 4,687 entries
+    assert entries == 14064
+    assert peak < 8 * 2**20
+
+
+def test_radius_six_tree_chain_within_ceiling():
+    # 4^4686 on 23,437 vertices: 2.7 s on a shared 2-CPU host
+    t0 = time.monotonic()
+    grp, entries, _ = tree_chain(6, traced=False)
+    elapsed = time.monotonic() - t0
+    assert grp.stats == {
+        "mode": "chain", "searches": 9372, "nodes": 9372, "first_leaf_misses": 0,
+        "refine_scans": 65938,
+    }
+    assert entries == 89064
+    assert elapsed < 60.0, f"the r = 6 tree chain took {elapsed:.1f}s >= 60s"
 
 
 def test_radius_two_building_chain_work_is_pinned(ballcx):
@@ -542,7 +595,7 @@ def test_radius_two_building_chain_work_is_pinned(ballcx):
     # it would have without it
     assert grp.stats == {
         "mode": "chain", "searches": 14, "nodes": 101, "first_leaf_misses": 13,
-        "refine_scans": 2129,
+        "refine_scans": 2020,
     }
 
 
@@ -556,6 +609,19 @@ def test_rigid_verdict_refines_one_side(ball3):
     grp = automorphisms_fixing(colored, [0])
     assert grp.order == 1
     assert grp.stats == {"mode": "enumerate", "nodes": 1, "refine_scans": 672}
+
+
+def test_tree_enumeration_work_is_pinned():
+    # the 4,096 automorphisms of the radius-2 tree ball fixing ball(1):
+    # a node whose pair leaves the partition discrete is checked without
+    # a refinement, and the witnesses hold only the vertices they move
+    ball = lift_coloring(2)
+    fixed = [v for v in range(ball.vertex_count()) if ball.dist[v] <= 1]
+    grp = automorphisms_fixing(ball.to_complex(), fixed)
+    assert grp.order == 4096
+    assert grp.stats == {"mode": "enumerate", "nodes": 8191, "refine_scans": 8201}
+    assert grp.perms[0].is_identity()
+    assert sum(len(p.moved()) for p in grp.perms) == 49152
 
 
 def assert_shared_partition_matches_unshared(c, fixed):
@@ -582,12 +648,17 @@ def assert_shared_partition_matches_unshared(c, fixed):
         shared.undo(mark)
         assert (shared.col_a, shared.end) == root[1:]
         assert (shared.col_b, shared.end) == root[1:]
+        # back at the trail length that parted them, b shares a's lists
+        assert shared.elems_b is shared.elems_a
     assert (side.elems, side.pos, side.col) == lists
     shared = _root(side, side, require)
     stats_shared: dict = {}
     stats_apart: dict = {}
-    leaves = list(_search(side, side, shared, stats_shared))
-    assert leaves == list(_search(side, twin, apart, stats_apart))
+    # shared leaves hold the vertices they move, apart ones every vertex
+    leaves = list(_search(side, side, shared, len(shared.trail), stats_shared))
+    full = [[m.get(i, i) for i in range(len(side.ids))] for m in leaves]
+    apart_leaves = list(_search(side, twin, apart, len(apart.trail), stats_apart))
+    assert full == [[m[i] for i in range(len(side.ids))] for m in apart_leaves]
     assert stats_shared == stats_apart
     assert (side.elems, side.pos, side.col) == lists
     return len(leaves)

@@ -204,6 +204,19 @@ def test_tree_experiment_r4_checks_the_count_by_chain(capsys):
     assert all(c["status"] == "pass" for c in rep["checks"])
 
 
+def test_tree_experiment_r5_checks_the_count_by_chain(capsys):
+    code, rep = run_json(["tree", "experiment", "--r", "5", "--s", "1"], capsys)
+    assert code == 0
+    checks = by_name(rep)
+    # r = 5 is cross-checked by the orbit-stabilizer chain, not skipped
+    assert checks["count-r5-s1-consistent"]["status"] == "pass"
+    assert "skipped_checks" not in rep["data"]
+    r5 = rep["data"]["counts"][-1]
+    assert r5["count"] == r5["chain_order"] == str(4**936)
+    assert r5["enumerated"] is None and r5["consistent"] is True
+    assert all(c["status"] == "pass" for c in rep["checks"])
+
+
 def test_tree_experiment_writes_counts_past_the_digit_limit(capsys):
     # 4^23436 has 14,110 digits, more than str() writes by default
     code, rep = run_json(["tree", "experiment", "--r", "7", "--s", "1"], capsys)

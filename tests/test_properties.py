@@ -1,8 +1,9 @@
 """Property tests: engine verdicts do not depend on vertex names, a
-find-one search's first-path guess is its first leaf, a graph's
-triangle count is its clique complex's, its clique complex is the
-complex of all its cliques, and the CLI's report renderer writes what
-json.dumps writes.
+find-one search's first-path guess is its first leaf, the leaf check
+local to the moved vertices agrees with a check of every simplex, a
+sparse witness behaves as its full dict, a graph's triangle count is
+its clique complex's, its clique complex is the complex of all its
+cliques, and the CLI's report renderer writes what json.dumps writes.
 
 hypothesis is not a declared dependency, so the module is skipped when
 it is missing.
@@ -17,11 +18,12 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import all_simplices, relabel, searched_first_leaf
+from oracles import FullMap, all_simplices, full_leaf_ok, relabel, searched_first_leaf
 
 from arithcx.autoeng import (
     VertexPermutation,
     _first_leaf,
+    _leaf_ok,
     _root,
     _Side,
     automorphism_order,
@@ -34,10 +36,10 @@ from arithcx.scx import Complex, clique_complex, triangle_count
 
 
 @st.composite
-def complexes(draw):
-    """A complex on 1..7 vertices with edges and triangles, its chambers
-    colored or not."""
-    n = draw(st.integers(1, 7))
+def complexes(draw, n=None):
+    """A complex on n vertices (1..7 when n is None) with edges and
+    triangles, its chambers colored or not."""
+    n = draw(st.integers(1, 7)) if n is None else n
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     es = set(edges)
@@ -113,6 +115,58 @@ def test_first_leaf_guess_is_the_search_first_leaf(data):
     b = data.draw(st.sampled_from(p.elems_b[s : p.end[s]]))
     pairs = [(a, b)]
     assert _first_leaf(sa, sb, p, pairs, {}) == searched_first_leaf(sa, sb, p, pairs)
+
+
+def bijections(data, c: Complex) -> list[int]:
+    """Index images of a bijection of c's vertices: a random one, or an
+    automorphism of c's graph or of c without its colors, which keeps
+    the edges and leaves the triangles or colors to decide."""
+    n = len(c.vertices)
+    kind = data.draw(st.sampled_from(["random", "graph", "uncolored"]))
+    if kind == "random" or c.dimension < 1:
+        return data.draw(st.permutations(range(n)))
+    plain = Complex(c.vertices, c.simplices(1) if kind == "graph" else all_simplices(c, 1))
+    perm = data.draw(st.sampled_from(automorphisms_fixing(plain, ()).perms))
+    ids = sorted(c.vertices)
+    at = {v: i for i, v in enumerate(ids)}
+    return [at[perm(v)] for v in ids]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_local_leaf_check_agrees_with_the_full_check(data):
+    c = data.draw(complexes())
+    side = _Side(c)
+    images = bijections(data, c)
+    moves = {i: j for i, j in enumerate(images) if i != j}
+    assert _leaf_ok(side, side, moves) == full_leaf_ok(side, side, images)
+    # onto a relabelled copy or another complex on as many vertices,
+    # every vertex counts
+    n = len(side.ids)
+    sigma = data.draw(st.permutations(range(n)))
+    copy = relabel(c, dict(zip(range(n), sigma)))
+    other = _Side(data.draw(st.sampled_from([copy, data.draw(complexes(n))])))
+    onto = [sigma[j] for j in images]
+    assert _leaf_ok(side, other, dict(enumerate(onto))) == full_leaf_ok(side, other, onto)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sparse_witnesses_match_full_dicts(data):
+    c = data.draw(complexes())
+    fixed = data.draw(st.lists(st.sampled_from(c.vertices), max_size=2, unique=True))
+    perms = automorphisms_fixing(c, fixed).perms
+    p, q = data.draw(st.sampled_from(perms)), data.draw(st.sampled_from(perms))
+    fp, fq = (FullMap({v: g(v) for v in g.domain()}) for g in (p, q))
+    rebuilt = VertexPermutation(dict(reversed(list(fp.map.items()))))
+    assert p == rebuilt and rebuilt == p and hash(p) == hash(rebuilt)
+    assert (p == q) == (fp.map == fq.map)
+    assert p.to_json_dict() == fp.to_json_dict()
+    assert (p.domain(), p.moved()) == (fp.domain(), fp.moved())
+    assert p.compose(q) == VertexPermutation(fp.compose(fq).map)
+    assert p.compose(q).to_json_dict() == fp.compose(fq).to_json_dict()
+    assert all(p(v) == fp(v) for v in c.vertices)
+    assert p.is_identity() == (fp.moved() == ())
 
 
 @settings(max_examples=200, deadline=None)
