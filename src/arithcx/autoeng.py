@@ -141,10 +141,10 @@ class VertexPermutation(VertexMap):
 class AutomorphismSet:
     """Result of an automorphism computation.
 
-    After an enumeration, `perms` holds the whole group, sorted by the
-    images of the sorted vertex ids, and `order == len(perms)`.  After
-    an orbit-stabilizer chain, `perms` is None and the chain's witnesses,
-    held by their moves, are in `generators`.
+    After an enumeration, `perms` holds the whole group in the order the
+    search finds it, which is the same on every run, and `order ==
+    len(perms)`.  After an orbit-stabilizer chain, `perms` is None and
+    the chain's witnesses, held by their moves, are in `generators`.
     """
 
     order: int
@@ -580,17 +580,6 @@ def _to_perm(sa: _Side, sb: _Side, leaf: dict[int, int]) -> VertexMap:
     return cls._sparse(sa.ids, {k: v for k, v in moves.items() if k != v})
 
 
-def _image_order(n: int):
-    """A key that sorts leaves on n vertices as their image lists sort:
-    at the first vertex a that one of two leaves moves, a move down to b
-    keys a*n + b, below the end marker n*n and any later move down, and a
-    move up keys 2*n*n - a*n + b, above the marker and any later move up."""
-    top = n * n
-    return lambda leaf: [
-        a * n + b if b < a else 2 * top - a * n + b for a, b in sorted(leaf.items())
-    ] + [top]
-
-
 def _require_indices(sa: _Side, sb: _Side, require: Mapping | None) -> dict[int, int]:
     out: dict[int, int] = {}
     for a, b in (require or {}).items():
@@ -635,7 +624,8 @@ def automorphisms_fixing(
     c: Complex, fixed: Iterable, *, cap: int = DEFAULT_CAP
 ) -> AutomorphismSet:
     """All automorphisms fixing `fixed` pointwise, preserving the chamber
-    colors when c has them; `fixed=()` enumerates the whole group.
+    colors when c has them; `fixed=()` enumerates the whole group.  They
+    are listed as the search finds them, with no sort.
 
     Raises CapExceededError when there are more than `cap` of them.
     """
@@ -643,19 +633,16 @@ def automorphisms_fixing(
     p = _root(side, side, _require_indices(side, side, {v: v for v in fixed}))
     assert p is not None  # identity is always present
     stats: dict = {"mode": "enumerate"}
-    leaves: list[dict[int, int]] = []
+    perms: list[VertexMap] = []
     for m in _search(side, side, p, len(p.trail), stats):
-        if len(leaves) == cap:
+        if len(perms) == cap:
             raise CapExceededError(
                 f"more than {cap} permutations; raise the cap or "
                 "use the order computation"
             )
-        leaves.append(m)
+        perms.append(_to_perm(side, side, m))
     stats["refine_scans"] = p.scans
-    # ids are sorted, so this sorts the witnesses by their (id, image) pairs
-    leaves.sort(key=_image_order(len(side.ids)))
-    perms = tuple(_to_perm(side, side, m) for m in leaves)
-    return AutomorphismSet(order=len(leaves), perms=perms, generators=(), stats=stats)
+    return AutomorphismSet(len(perms), tuple(perms), generators=(), stats=stats)
 
 
 def automorphism_order(c: Complex, *, fixed: Iterable = ()) -> AutomorphismSet:
@@ -741,6 +728,9 @@ class PanelFlipReport:
     `searches` counts the find-one searches: three per eligible edge not
     carried (see panel_flip_check), so 21 for a Cayley ball of the 14
     LSV generators whose stars all carry, one per pair {g, g^-1}.
+    `thickness` lists the distinct chamber counts of the interior edges,
+    eligible or skipped, in ascending order; an edge's chamber count is
+    the number of its apexes, one per triangle through it.
     """
 
     edges_eligible: int
@@ -748,6 +738,7 @@ class PanelFlipReport:
     choices_satisfied: int
     failures: tuple
     searches: int
+    thickness: tuple[int, ...]
 
     @property
     def choices_total(self) -> int:
@@ -891,6 +882,7 @@ def panel_flip_check(
         raise ValueError(f"a star needs hops >= 1 to hold the apexes, got {hops}")
     eligible = skipped = searches = 0
     failures: list[tuple] = []
+    thickness: set[int] = set()
     # label -> `_reference` entry of its first eligible edge
     refs: dict = {}
     graph = None if steps is None else _graph(c)
@@ -902,6 +894,7 @@ def panel_flip_check(
             w for t in c.incident_maximal(u) if len(t) == 3 and v in t
             for w in t if w != u and w != v
         )
+        thickness.add(len(apexes))
         if len(apexes) != 3:
             skipped += 1
             continue
@@ -932,4 +925,5 @@ def panel_flip_check(
         choices_satisfied=3 * eligible - len(failures),
         failures=tuple(failures),
         searches=searches,
+        thickness=tuple(sorted(thickness)),
     )

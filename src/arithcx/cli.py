@@ -31,6 +31,7 @@ from .autoeng import (
 )
 from .errors import BudgetExceededError, CapExceededError
 from .projmat import (
+    SymmetricGenerators,
     cayley_ball,
     determinant,
     lsv_generators,
@@ -39,6 +40,7 @@ from .projmat import (
 )
 from .qlat import (
     MAX_WORD_LENGTH,
+    QuotientGraph,
     color_automorphism_count,
     free_group_check,
     lift_coloring,
@@ -47,7 +49,6 @@ from .qlat import (
 )
 from .scx import (
     InteriorMark,
-    chamber_count,
     clique_complex,
     color_chambers,
     fano_incidence_graph,
@@ -177,8 +178,8 @@ def _render(report: dict) -> str:
     return _text(report, "\n") + "\n"
 
 
-def _lsv_ball_complex(args: argparse.Namespace):
-    ball = cayley_ball(symmetrize(lsv_generators()), args.radius, args.budget)
+def _lsv_ball_complex(sym: SymmetricGenerators, args: argparse.Namespace):
+    ball = cayley_ball(sym, args.radius, args.budget)
     verts, edges = ball.graph()
     return ball, clique_complex(list(verts), edges, max_dim=3)
 
@@ -191,7 +192,7 @@ def _lsv_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
     r = args.radius
     gens = lsv_generators()
     sym = symmetrize(gens)
-    ball, cx = _lsv_ball_complex(args)
+    ball, cx = _lsv_ball_complex(sym, args)
     dets_ok = all(bool(determinant(m)) for m in gens.matrices)
     distinct = len({m.encode() for m in sym.matrices})
     checks = [
@@ -199,7 +200,7 @@ def _lsv_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
         _check("determinants-nonzero", dets_ok, True),
         _check("symmetrized-distinct", distinct, 14),
     ]
-    orbit = projective_plane_orbit(sym)
+    orbit = projective_plane_orbit(gens.matrices)
     checks.append(_check("plane-orbit-sizes", orbit, [273]))
 
     skipped = []
@@ -232,15 +233,8 @@ def _lsv_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
                 {"pure": True, "dimension": 2},
             )
         )
-        thickness = sorted(
-            {
-                chamber_count(cx, e)
-                for e in cx.simplices(1)
-                if marks.simplex_interior(e)
-            }
-        )
-        checks.append(_check("interior-thickness", thickness, [3]))
         flips = panel_flip_check(cx, marks, hops=1, steps=ball.step_map())
+        checks.append(_check("interior-thickness", list(flips.thickness), [3]))
         checks.append(_check("panel-flip-fraction", flips.fraction, 1.0))
         data["panel_flips"] = {
             "edges_eligible": flips.edges_eligible,
@@ -275,8 +269,7 @@ def _lsv_ball(args: argparse.Namespace) -> tuple[dict, str | None]:
 # tree
 
 
-def _quotient_checks() -> list:
-    qg = quotient_graph()
+def _quotient_checks(qg: QuotientGraph) -> list:
     degrees = [qg.degree(v) for v in qg.vertices]
     parallels = sorted(
         qg.parallel_count(u, v)
@@ -332,7 +325,7 @@ def _tree_experiment(args: argparse.Namespace) -> tuple[dict, str | None]:
     counts = free_group_check(limit)
     expected_counts = {l: 6 * 5 ** (l - 1) for l in range(1, limit + 1)}
     checks = [_check("free-group-counts", counts, expected_counts)]
-    checks += _quotient_checks()
+    checks += _quotient_checks(quotient_graph())
 
     sweep = []
     skipped = []
@@ -391,7 +384,7 @@ def _tree_quotient(args: argparse.Namespace) -> tuple[dict, str | None]:
         ]
     }
     dot = qg.to_complex().to_dot() if args.format == "dot" else None
-    return _report("tree-quotient", args, _quotient_checks(), data), dot
+    return _report("tree-quotient", args, _quotient_checks(qg), data), dot
 
 
 def _tree_flip(args: argparse.Namespace) -> tuple[dict, str | None]:
@@ -409,7 +402,7 @@ def _tree_flip(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def cmd_rigidity_contrast(args: argparse.Namespace) -> tuple[dict, str | None]:
-    ball, cx = _lsv_ball_complex(args)
+    ball, cx = _lsv_ball_complex(symmetrize(lsv_generators()), args)
     center = 0
     data: dict = {
         "vertex_count": len(ball),

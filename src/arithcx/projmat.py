@@ -532,10 +532,8 @@ def cayley_ball(
             skip = known[u]
         elif u:
             skip = parent_skip[parent_step[u]]
-            # a reduced word may not end in a cancelling pair
-            cancel = gens.inverse_label(labels[parent_step[u]])
         else:
-            skip, cancel = 0, None
+            skip = 0
         for i, bit, lab, tables, back_bit in steps:
             if skip & bit:
                 continue
@@ -573,7 +571,7 @@ def cayley_ball(
                 if w > u:
                     edges.append((u, w, lab))
                     known[w] |= back_bit
-                if collision is None and lab != cancel:
+                if collision is None:
                     wa = word_of(w)
                     wb = word_of(u) + (lab,)
                     if wa != wb:
@@ -635,24 +633,18 @@ def _act(m: ProjMatrix, p: tuple[int, int, int]) -> tuple[int, int, int]:
     ))
 
 
-def projective_plane_orbit(
-    gens: SymmetricGenerators | Iterable[ProjMatrix],
-) -> list[int]:
+def projective_plane_orbit(gens: Iterable[ProjMatrix]) -> list[int]:
     """Orbit sizes of the generated group acting on P^2, descending.
 
-    Inverses are added internally, so a plain generator list gives the
-    orbits of the generated subgroup.
+    Only the matrices themselves are applied, never their inverses: each
+    permutes the finite set P^2, so its inverse is one of its powers, and
+    the points reachable from p by products of the matrices are already
+    p's orbit under the group they generate.
     """
-    mats = list(gens.matrices if isinstance(gens, SymmetricGenerators) else gens)
-    if not mats:
+    action = list(gens)
+    if not action:
         raise ValueError("need at least one matrix")
-    spec = mats[0].spec
-    closed = {m.entries: m for m in mats}
-    for m in mats:
-        gi = pgl_inv(m)
-        closed.setdefault(gi.entries, gi)
-    action = list(closed.values())
-
+    spec = action[0].spec
     pts = proj_plane_points(spec)
     idx = {p: i for i, p in enumerate(pts)}
     seen = [False] * len(pts)

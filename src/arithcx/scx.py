@@ -377,23 +377,24 @@ def induced_subcomplex(c: Complex, vertices: Iterable[VertexId]) -> Complex:
 
 @dataclass(frozen=True)
 class InteriorMark:
-    """Per-vertex interior flags for boundary-aware claims.
+    """The interior vertices, for boundary-aware claims; every other
+    vertex, known to the complex or not, is boundary.
 
     For a ball of radius r, a vertex is interior iff its distance from
     the center is at most r - 1; a simplex is interior iff all of its
     vertices are.
     """
 
-    flags: Mapping[VertexId, bool]
+    interior: frozenset
 
     @classmethod
     def from_distances(
         cls, distances: Mapping[VertexId, int], radius: int
     ) -> "InteriorMark":
-        return cls({v: d <= radius - 1 for v, d in distances.items()})
+        return cls(frozenset(v for v, d in distances.items() if d <= radius - 1))
 
     def simplex_interior(self, s: Iterable[VertexId]) -> bool:
-        return all(self.flags.get(v, False) for v in s)
+        return self.interior.issuperset(s)
 
 
 @dataclass(frozen=True)

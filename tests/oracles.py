@@ -4,6 +4,7 @@ import itertools
 from collections import Counter
 
 from arithcx.autoeng import _search
+from arithcx.projmat import _act, pgl_inv, proj_plane_points
 from arithcx.scx import Complex
 
 
@@ -42,6 +43,30 @@ def naive_automorphisms(c: Complex) -> list[tuple]:
         if ok:
             out.append(tuple(m[v] for v in ids))
     return sorted(out)
+
+
+def inverse_closed_plane_orbits(mats) -> list[int]:
+    """Orbit sizes on P^2 of the group the matrices generate, descending,
+    by a closure under the matrices and their inverses alike."""
+    action = list(mats) + [pgl_inv(m) for m in mats]
+    pts = proj_plane_points(action[0].spec)
+    seen: set = set()
+    sizes = []
+    for p in pts:
+        if p in seen:
+            continue
+        orbit = {p}
+        frontier = [p]
+        while frontier:
+            x = frontier.pop()
+            for m in action:
+                y = _act(m, x)
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        seen |= orbit
+        sizes.append(len(orbit))
+    return sorted(sizes, reverse=True)
 
 
 def naive_chamber_count(c: Complex, s) -> int:

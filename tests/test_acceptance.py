@@ -117,7 +117,7 @@ def test_criterion_2_generator_tables():
         assert d == _cofactor_det(m)
     sym = symmetrize(tbl)
     assert len({m.encode() for m in sym.matrices}) == 14
-    assert projective_plane_orbit(sym) == [273]
+    assert projective_plane_orbit(tbl.matrices) == [273]
     _done(2, t0, 10.0, "7 generators, nonzero cofactor-checked dets, "
           "14 distinct symmetrized, plane orbit [273]")
 

@@ -31,6 +31,7 @@ from arithcx.qlat import lift_coloring
 from arithcx.scx import (
     Complex,
     InteriorMark,
+    chamber_count,
     clique_complex,
     color_chambers,
     fano_incidence_graph,
@@ -443,15 +444,23 @@ def test_leaf_check_rejects_label_mismatch_both_ways():
     assert not leaf_ok(tet, _Side(k4), [0, 1, 2, 3])
 
 
-def test_enumeration_sorted_by_json_mapping():
-    # ids 8..11 sort differently as numbers and as reprs
+def test_enumeration_is_the_naive_group_in_a_repeatable_order():
+    # perms come in search order: each is one automorphism, and a second
+    # run lists them in the same order
     for c in (
-        fano_incidence_graph(),
         Complex([10, 8, 11, 9], [(8, 9), (9, 10), (10, 11), (8, 11)]),
         Complex([3, 1, 0, 2], K4_EDGES),
+        edge_colored_cycle(),
+        cycle(5),
     ):
-        maps = [p.to_json_dict()["mapping"] for p in automorphisms_fixing(c, ()).perms]
-        assert len(maps) > 1 and maps == sorted(maps)
+        ids = sorted(c.vertices)
+        runs = [
+            [tuple(p(v) for v in ids) for p in automorphisms_fixing(c, ()).perms]
+            for _ in range(2)
+        ]
+        assert len(runs[0]) > 1 and len(set(runs[0])) == len(runs[0])
+        assert sorted(runs[0]) == naive_automorphisms(c)
+        assert runs[0] == runs[1]
 
 
 def test_vertex_maps_equal_by_dict_alone():
@@ -744,7 +753,7 @@ def test_search_depth_is_not_bounded_by_recursion_limit():
 
 
 def all_interior(c):
-    return InteriorMark({v: True for v in c.vertices})
+    return InteriorMark(frozenset(c.vertices))
 
 
 def three_page_book(colors=None):
@@ -789,6 +798,28 @@ def test_panel_flips_require_a_star_that_holds_the_apexes(hops):
     book = three_page_book()
     with pytest.raises(ValueError, match="hops >= 1"):
         panel_flip_check(book, all_interior(book), hops=hops)
+
+
+def test_panel_flip_thickness_is_the_interior_chamber_counts(ball2, ballcx):
+    verts, _ = ball2.graph()
+    book = three_page_book()
+    tet = Complex(range(4), list(itertools.combinations(range(4), 3)))
+    # the interior edge (1, 5) hangs off the book's spine in no triangle
+    tail = Complex(range(6), [*book.simplices(1), *book.simplices(2), (1, 5)])
+    cases = [
+        (ballcx, InteriorMark.from_distances(dict(zip(verts, ball2.dist)), 2), (3,)),
+        (book, all_interior(book), (1, 3)),
+        (tet, all_interior(tet), (2,)),
+        (tail, all_interior(tail), (0, 1, 3)),
+    ]
+    for c, marks, expected in cases:
+        counts = sorted(
+            {chamber_count(c, e) for e in c.simplices(1) if marks.simplex_interior(e)}
+        )
+        assert list(panel_flip_check(c, marks, hops=1).thickness) == counts
+        assert counts == list(expected)
+    carried = panel_flip_check(ballcx, cases[0][1], hops=1, steps=ball2.step_map())
+    assert carried.thickness == (3,)
 
 
 def test_panel_flips_on_radius_two_ball(ball2, ballcx):

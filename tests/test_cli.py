@@ -437,6 +437,21 @@ def test_reports_are_deterministic(argv, capsys):
     assert first == second
 
 
+def test_benchmark_reports_match_their_pinned_digests(capsys):
+    # perfbench/digests.json pins the stdout sha256 of every benchmark
+    # command; an unchanged digest means an unchanged report
+    pinned = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
+    )
+    assert len(pinned) >= 68
+    changed = []
+    for key, digest in pinned.items():
+        code, out = run(key.split(), capsys)
+        if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(key)
+    assert changed == []
+
+
 def _source_env():
     """Environment whose PYTHONPATH starts at the source root of the
     imported package, so subprocesses run the code under test from any

@@ -25,6 +25,8 @@ from arithcx.projmat import (
     symmetrize,
 )
 
+from oracles import inverse_closed_plane_orbits
+
 # ----------------------------------------------------------------------
 # independent oracles: GF(16) as carry-less multiplication reduced modulo
 # t^4+t+1 (written here, not read from gf2k's tables), the Leibniz
@@ -552,6 +554,42 @@ def test_collision_report(ball2):
     assert col.word_a != col.word_b
 
 
+def assert_collision_is_two_reduced_words(ball):
+    """The ball's collision, when it has one, is two distinct words with
+    no label next to its inverse label, each multiplying out from the
+    identity to the collision vertex."""
+    col = ball.collision
+    if col is None:
+        return
+    gens = ball.generators
+    by_label = dict(zip(gens.labels, gens.matrices))
+    assert col.word_a != col.word_b
+    for word in (col.word_a, col.word_b):
+        assert all(gens.inverse_label(a) != b for a, b in zip(word, word[1:]))
+        acc = identity(GF16)
+        for lab in word:
+            acc = pgl_mul(acc, by_label[lab])
+        assert acc == ball.vertices[col.vertex]
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_lsv_collision_is_two_reduced_words(sym, radius):
+    ball = cayley_ball(sym, radius)
+    assert ball.collision is not None
+    assert_collision_is_two_reduced_words(ball)
+
+
+def test_subset_collisions_are_two_reduced_words(table):
+    # every symmetrized subset of the LSV table at radius 2
+    collided = 0
+    for k in range(1, 8):
+        for picks in itertools.combinations(table.matrices, k):
+            ball = cayley_ball(symmetrize(GeneratorTable("sub", GF16, picks)), 2)
+            collided += ball.collision is not None
+            assert_collision_is_two_reduced_words(ball)
+    assert collided == 71
+
+
 def test_ball_vertex_symmetry_under_left_multiplication(ball2):
     # left multiplication by g at distance d maps B(2-d) into the ball,
     # preserving edges and their labels
@@ -636,7 +674,39 @@ def test_action_on_points_matches_oracle(sym):
 
 
 def test_projective_plane_single_orbit(sym):
-    assert projective_plane_orbit(sym) == [273]
+    assert projective_plane_orbit(sym.matrices) == [273]
+
+
+def small_orbit_diagonals():
+    """diag(1, a, b) for a and b of order dividing 3 or 5 in GF(16)*,
+    the identity aside: each point's orbit under a few of them is small."""
+    mul_rows = GF16.tables()[0]
+    roots = []
+    for x in range(1, 16):
+        powers = [1]
+        for _ in range(5):
+            powers.append(mul_rows[powers[-1]][x])
+        if powers[3] == 1 or powers[5] == 1:
+            roots.append(x)
+    assert len(roots) == 7  # the cube roots and fifth roots of unity
+    return [
+        matrix(GF16, ((1, 0, 0), (0, a, 0), (0, 0, b)))
+        for a in roots for b in roots if (a, b) != (1, 1)
+    ]
+
+
+def test_forward_orbits_match_inverse_closed_oracle(table):
+    # every subset of the LSV table, and diagonal matrices alone and in
+    # pairs, whose orbits are small and many
+    sets = [
+        picks for k in range(1, 8) for picks in itertools.combinations(table.matrices, k)
+    ]
+    diagonals = small_orbit_diagonals()
+    sets += [(m,) for m in diagonals]
+    sets += list(itertools.combinations(diagonals[::4], 2))
+    for mats in sets:
+        assert projective_plane_orbit(mats) == inverse_closed_plane_orbits(mats)
+    assert projective_plane_orbit(diagonals[:1]) != [273]
 
 
 def test_projective_plane_identity_fixes_everything():

@@ -294,7 +294,7 @@ def test_chamber_count_examples():
 
 def test_purity_tetrahedron_boundary():
     c = Complex(range(4), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-    rep = purity_report(c, InteriorMark({v: True for v in c.vertices}))
+    rep = purity_report(c, InteriorMark(frozenset(c.vertices)))
     assert rep.pure
     assert rep.dimension == 2
     assert rep.interior_maximal_by_dim == {2: 4}
@@ -304,13 +304,16 @@ def test_purity_tetrahedron_boundary():
 
 def test_purity_detects_isolated_vertex():
     c = Complex([0, 1, 2, 9], [(0, 1), (1, 2), (0, 2), (0, 1, 2)])
-    rep = purity_report(c, InteriorMark({v: True for v in c.vertices}))
+    rep = purity_report(c, InteriorMark(frozenset(c.vertices)))
     assert not rep.pure
     assert rep.interior_maximal_by_dim == {0: 1, 2: 1}
 
 
 def test_interior_marks_from_distances():
     marks = InteriorMark.from_distances({0: 0, 1: 1, 2: 2}, 2)
+    assert marks == InteriorMark(frozenset({0, 1}))
+    assert InteriorMark.from_distances({}, 3) == InteriorMark(frozenset())
+    assert marks.simplex_interior(())
     assert marks.simplex_interior((0,)) and marks.simplex_interior((1,))
     assert not marks.simplex_interior((2,))
     assert marks.simplex_interior((0, 1))
