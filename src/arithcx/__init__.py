@@ -47,7 +47,6 @@ from .qlat import (
 )
 from .scx import (
     Complex,
-    InteriorMark,
     PurityReport,
     chamber_count,
     clique_complex,
@@ -78,7 +77,6 @@ __all__ = [
     "determinant",
     "projective_plane_orbit",
     "Complex",
-    "InteriorMark",
     "PurityReport",
     "clique_complex",
     "triangle_count",

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceededError
-from .scx import Complex, InteriorMark, induced_subcomplex, star_vertices
+from .scx import Complex, induced_subcomplex, star_vertices
 
 __all__ = [
     "VertexMap",
@@ -724,7 +724,7 @@ class PanelFlipReport:
     """Outcome of searching local flips at interior codimension-1 cells.
 
     A choice fixes one of an edge's three chambers pointwise and asks for
-    an automorphism of the hop-limited star that swaps the other two.
+    an automorphism of the edge's star that swaps the other two.
     `searches` counts the find-one searches: three per eligible edge not
     carried (see panel_flip_check), so 21 for a Cayley ball of the 14
     LSV generators whose stars all carry, one per pair {g, g^-1}.
@@ -847,13 +847,12 @@ def _carried(ref: tuple, steps, start, edge: tuple, star: frozenset, nb, labels)
 
 
 def panel_flip_check(
-    c: Complex, marks: InteriorMark, *, hops: int = 1,
-    steps: Sequence[Mapping] | None = None,
+    c: Complex, interior: frozenset, *, steps: Sequence[Mapping] | None = None
 ) -> PanelFlipReport:
-    """For every interior edge with exactly 3 chambers, try all three
-    fix-one-swap-two flips on the star of radius `hops` (at least 1)
-    around the edge; a flip must preserve the star's chamber colors when
-    it has them.
+    """For every edge with both ends in `interior` and exactly 3
+    chambers, try all three fix-one-swap-two flips on the edge's star,
+    its ends and their neighbours; a flip must preserve the star's
+    chamber colors when it has them.
 
     Without `steps`, a find-one search on the star settles each choice.
     `steps[x]` maps labels to the neighbours of vertex x, as right
@@ -878,8 +877,6 @@ def panel_flip_check(
     """
     if c.dimension != 2:
         raise ValueError("panel flips are defined for 2-dimensional complexes")
-    if hops < 1:
-        raise ValueError(f"a star needs hops >= 1 to hold the apexes, got {hops}")
     eligible = skipped = searches = 0
     failures: list[tuple] = []
     thickness: set[int] = set()
@@ -887,7 +884,7 @@ def panel_flip_check(
     refs: dict = {}
     graph = None if steps is None else _graph(c)
     for edge in c.simplices(1):
-        if not marks.simplex_interior(edge):
+        if not interior.issuperset(edge):
             continue
         u, v = edge
         apexes = sorted(
@@ -899,7 +896,7 @@ def panel_flip_check(
             skipped += 1
             continue
         eligible += 1
-        star = star_vertices(c, edge, hops)
+        star = star_vertices(c, edge)
         label = ref = back = None
         if steps is not None:
             label = _step_label(steps, u, v)

@@ -39,16 +39,15 @@ from .projmat import (
     symmetrize,
 )
 from .qlat import (
+    MAX_COUNT_RADIUS,
     MAX_WORD_LENGTH,
     QuotientGraph,
     color_automorphism_count,
-    free_group_check,
     lift_coloring,
     quotient_graph,
     ray_flip,
 )
 from .scx import (
-    InteriorMark,
     clique_complex,
     color_chambers,
     fano_incidence_graph,
@@ -222,10 +221,8 @@ def _lsv_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
     }
 
     if r >= 2:
-        marks = InteriorMark.from_distances(
-            {i: d for i, d in enumerate(ball.dist)}, r
-        )
-        purity = purity_report(cx, marks)
+        interior = frozenset(i for i, d in enumerate(ball.dist) if d < r)
+        purity = purity_report(cx, interior)
         checks.append(
             _check(
                 "interior-purity",
@@ -233,7 +230,7 @@ def _lsv_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
                 {"pure": True, "dimension": 2},
             )
         )
-        flips = panel_flip_check(cx, marks, hops=1, steps=ball.step_map())
+        flips = panel_flip_check(cx, interior, steps=ball.step_map())
         checks.append(_check("interior-thickness", list(flips.thickness), [3]))
         checks.append(_check("panel-flip-fraction", flips.fraction, 1.0))
         data["panel_flips"] = {
@@ -322,7 +319,7 @@ def _tree_experiment(args: argparse.Namespace) -> tuple[dict, str | None]:
     cx = ball.to_complex()
 
     limit = min(r, MAX_WORD_LENGTH)
-    counts = free_group_check(limit)
+    counts = ball.class_counts(limit)
     expected_counts = {l: 6 * 5 ** (l - 1) for l in range(1, limit + 1)}
     checks = [_check("free-group-counts", counts, expected_counts)]
     checks += _quotient_checks(quotient_graph())
@@ -532,6 +529,8 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
     if fix is not None:
         if not 0 <= fix < args.radius:
             parser.error("--fix-radius must satisfy 0 <= s < r")
+    if args.name == "tree-experiment" and args.radius > MAX_COUNT_RADIUS:
+        parser.error(f"--radius must be at most {MAX_COUNT_RADIUS} to count")
     if args.format == "dot" and not args.has_dot:
         parser.error(f"{args.name} has no DOT export")
 

@@ -21,7 +21,6 @@ by color_automorphism_count and witnessed explicitly by ray_flip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .autoeng import VertexPermutation, automorphism_order, automorphisms_fixing
 from .errors import BudgetExceededError
@@ -196,38 +195,23 @@ def _generator_classes() -> tuple[LambdaClass, ...]:
     return tuple(canonical_rep(q) for q in norm5_generators())
 
 
-def _reduced_words(limit: int) -> Iterator[tuple[int, list[tuple[tuple[int, ...], LambdaClass]]]]:
-    """Yield (length, [(word, class), ...]) for reduced words of each
-    length 1..limit."""
-    gens = _generator_classes()
-    level: list[tuple[tuple[int, ...], LambdaClass]] = [((), IDENTITY_CLASS)]
-    for length in range(1, limit + 1):
-        nxt = []
-        for word, cls in level:
-            for g in range(6):
-                if word and g == GENERATOR_INVERSE[word[-1]]:
-                    continue
-                nxt.append((word + (g,), cls * gens[g]))
-        yield length, nxt
-        level = nxt
-
-
 # the longest reduced words free_group_check counts
 MAX_WORD_LENGTH = 7
 
 
 def free_group_check(limit: int) -> dict[int, int]:
-    """Distinct class counts over reduced words of lengths 1..limit.
+    """Distinct class counts over reduced words of lengths 1..limit,
+    read from the radius-`limit` ball (`ColoredTreeBall.class_counts`).
 
     The generators act freely at scale `limit` iff the count at every
     length l equals 6 * 5**(l-1), i.e. no two reduced words collide.
+    Two words of lengths up to `limit` that share a class give a
+    relation of even length (a class keeps the parity of its norm's
+    power of 5) at most 2 * limit, whose halves collide at one length.
     """
     if not 1 <= limit <= MAX_WORD_LENGTH:
         raise ValueError(f"limit must be within 1..{MAX_WORD_LENGTH}, got {limit}")
-    counts: dict[int, int] = {}
-    for length, pairs in _reduced_words(limit):
-        counts[length] = len({cls for _, cls in pairs})
-    return counts
+    return lift_coloring(limit).class_counts(limit)
 
 
 # ----------------------------------------------------------------------
@@ -241,8 +225,7 @@ class ColoredTreeBall:
     Parallel tuples: words[i] is the reduced generator-index word of
     vertex i, classes[i] its lattice class, fibers[i] its Z/4Z label,
     dist[i] = len(words[i]).  Edges are (parent, child, generator index
-    applied at the parent, color); child_table[i] lists vertex i's
-    (generator, child, color) triples in generator order.
+    applied at the parent, color), each parent's in generator order.
     """
 
     radius: int
@@ -251,7 +234,6 @@ class ColoredTreeBall:
     fibers: tuple[int, ...]
     dist: tuple[int, ...]
     edges: tuple[tuple[int, int, int, str], ...]
-    child_table: tuple[tuple[tuple[int, int, str], ...], ...]
 
     def sphere_sizes(self) -> tuple[int, ...]:
         sizes = [0] * (self.radius + 1)
@@ -259,9 +241,13 @@ class ColoredTreeBall:
             sizes[d] += 1
         return tuple(sizes)
 
-    def children(self, v: int) -> tuple[tuple[int, int, str], ...]:
-        """(generator, child index, color) triples, generator order."""
-        return self.child_table[v]
+    def class_counts(self, limit: int) -> dict[int, int]:
+        """The number of distinct classes at each distance 1..limit."""
+        found: dict[int, set[LambdaClass]] = {l: set() for l in range(1, limit + 1)}
+        for cls, d in zip(self.classes, self.dist):
+            if 1 <= d <= limit:
+                found[d].add(cls)
+        return {l: len(classes) for l, classes in found.items()}
 
     def vertex_count(self) -> int:
         return len(self.words)
@@ -293,9 +279,9 @@ def lift_coloring(r: int, *, vertex_budget: int = 10**6) -> ColoredTreeBall:
     """Build the radius-r tree ball with fiber labels and the matching
     coloring pulled back from the quotient.
 
-    Raises BudgetExceededError past `vertex_budget` vertices and
-    RuntimeError if two reduced words ever share a class (which would
-    disprove freeness).
+    One vertex per reduced word, whether or not two words share a
+    class: `class_counts` shows a collision.  Raises
+    BudgetExceededError past `vertex_budget` vertices.
     """
     if r < 1:
         raise ValueError(f"radius must be at least 1, got {r}")
@@ -310,8 +296,6 @@ def lift_coloring(r: int, *, vertex_budget: int = 10**6) -> ColoredTreeBall:
     fibers: list[int] = [0]
     dist: list[int] = [0]
     edges: list[tuple[int, int, int, str]] = []
-    children: list[list[tuple[int, int, str]]] = [[]]
-    seen: dict[LambdaClass, int] = {IDENTITY_CLASS: 0}
     frontier = [0]
     for depth in range(1, r + 1):
         nxt = []
@@ -320,23 +304,14 @@ def lift_coloring(r: int, *, vertex_budget: int = 10**6) -> ColoredTreeBall:
             for g in range(6):
                 if word and g == GENERATOR_INVERSE[word[-1]]:
                     continue
-                cls = classes[u] * gens[g]
-                if cls in seen:
-                    raise RuntimeError(
-                        f"class collision: words {words[seen[cls]]} and "
-                        f"{word + (g,)} both reach {cls}"
-                    )
                 v = len(words)
                 fiber = (fibers[u] + FIBER_IMAGE[g]) % 4
                 words.append(word + (g,))
-                classes.append(cls)
+                classes.append(classes[u] * gens[g])
                 fibers.append(fiber)
                 dist.append(depth)
                 color = _edge_color(fibers[u], fiber)
                 edges.append((u, v, g, color))
-                children[u].append((g, v, color))
-                children.append([])
-                seen[cls] = v
                 nxt.append(v)
         frontier = nxt
     return ColoredTreeBall(
@@ -346,7 +321,6 @@ def lift_coloring(r: int, *, vertex_budget: int = 10**6) -> ColoredTreeBall:
         fibers=tuple(fibers),
         dist=tuple(dist),
         edges=tuple(edges),
-        child_table=tuple(map(tuple, children)),
     )
 
 
@@ -536,7 +510,11 @@ def ray_flip(ball: ColoredTreeBall, v: int) -> VertexPermutation:
     """
     if not 0 <= v < ball.vertex_count():
         raise ValueError(f"no vertex {v} in the ball")
-    kids = {g: (w, color) for g, w, color in ball.children(v)}
+    # each vertex's (generator, child, color) triples, generator order
+    children: list[list[tuple[int, int, str]]] = [[] for _ in ball.words]
+    for u, w, g, color in ball.edges:
+        children[u].append((g, w, color))
+    kids = {g: (w, color) for g, w, color in children[v]}
     pair = next(
         ((a, b) for a, b in SAME_COLOR_PAIRS if a in kids and b in kids),
         None,
@@ -556,9 +534,9 @@ def ray_flip(ball: ColoredTreeBall, v: int) -> VertexPermutation:
         mapping[u2] = u1
         by_color_1: dict[str, list[int]] = {}
         by_color_2: dict[str, list[int]] = {}
-        for _, w, color in ball.children(u1):
+        for _, w, color in children[u1]:
             by_color_1.setdefault(color, []).append(w)
-        for _, w, color in ball.children(u2):
+        for _, w, color in children[u2]:
             by_color_2.setdefault(color, []).append(w)
         # matched vertices have equal inbound colors, hence equal
         # outward color profiles; tie-break by generator order

@@ -1,5 +1,4 @@
-"""Finite abstract simplicial complexes with chamber colors and
-locality marks.
+"""Finite abstract simplicial complexes with chamber colors.
 
 A Complex stores the downward closure of the simplices it is given,
 grouped by dimension, and an optional total coloring of its chambers
@@ -16,7 +15,6 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 __all__ = [
     "Complex",
-    "InteriorMark",
     "PurityReport",
     "clique_complex",
     "triangle_count",
@@ -330,21 +328,17 @@ def link(c: Complex, v: VertexId) -> Complex:
     return Complex(c._in_order({x for r in rests for x in r}), [r for r in rests if r])
 
 
-def star_vertices(c: Complex, seed: Iterable[VertexId], hops: int) -> frozenset:
-    """Vertices within `hops` steps of the seed set in the 1-skeleton,
+def star_vertices(c: Complex, seed: Iterable[VertexId]) -> frozenset:
+    """The seed vertices and their neighbours in the 1-skeleton,
     unordered: `induced_subcomplex` puts them in `vertices` order."""
     index = c._local_index()
-    seen = set(seed)
-    unknown = seen.difference(index)
+    seed = set(seed)
+    unknown = seed.difference(index)
     if unknown:
         raise ValueError(f"unknown vertices {unknown!r}")
-    frontier = seen
-    for _ in range(hops):
-        # a vertex's neighbours are the other vertices of its maximal
-        # simplices; u itself is in seen already
-        frontier = {w for u in frontier for t in index[u][1] for w in t} - seen
-        seen |= frontier
-    return frozenset(seen)
+    # a vertex's neighbours are the other vertices of its maximal
+    # simplices, and every vertex lies in one of them
+    return frozenset(w for u in seed for t in index[u][1] for w in t)
 
 
 def induced_subcomplex(c: Complex, vertices: Iterable[VertexId]) -> Complex:
@@ -372,29 +366,7 @@ def induced_subcomplex(c: Complex, vertices: Iterable[VertexId]) -> Complex:
 
 
 # ----------------------------------------------------------------------
-# interiority and purity
-
-
-@dataclass(frozen=True)
-class InteriorMark:
-    """The interior vertices, for boundary-aware claims; every other
-    vertex, known to the complex or not, is boundary.
-
-    For a ball of radius r, a vertex is interior iff its distance from
-    the center is at most r - 1; a simplex is interior iff all of its
-    vertices are.
-    """
-
-    interior: frozenset
-
-    @classmethod
-    def from_distances(
-        cls, distances: Mapping[VertexId, int], radius: int
-    ) -> "InteriorMark":
-        return cls(frozenset(v for v, d in distances.items() if d <= radius - 1))
-
-    def simplex_interior(self, s: Iterable[VertexId]) -> bool:
-        return self.interior.issuperset(s)
+# purity
 
 
 @dataclass(frozen=True)
@@ -420,10 +392,14 @@ def chamber_count(c: Complex, s: Iterable[VertexId]) -> int:
     return sum(1 for m in c.incident_maximal(t[0]) if len(m) == size and ts.issubset(m))
 
 
-def purity_report(c: Complex, marks: InteriorMark) -> PurityReport:
+def purity_report(c: Complex, interior: frozenset) -> PurityReport:
+    """Count the maximal simplices whose vertices all lie in `interior`;
+    every other vertex, known to c or not, is boundary.  For a ball of
+    radius r the interior vertices are those at distance at most r - 1
+    from the center."""
     by_dim: dict[int, int] = {}
     for t in c.maximal_simplices():
-        if marks.simplex_interior(t):
+        if interior.issuperset(t):
             by_dim[len(t) - 1] = by_dim.get(len(t) - 1, 0) + 1
     pure = len(by_dim) <= 1
     dimension = max(by_dim) if by_dim else None

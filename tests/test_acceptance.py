@@ -40,7 +40,6 @@ from arithcx.qlat import (
     ray_flip,
 )
 from arithcx.scx import (
-    InteriorMark,
     chamber_count,
     clique_complex,
     color_chambers,
@@ -174,12 +173,12 @@ def _girth(adj):
 def test_criterion_3_building_ball_structure():
     t0 = time.monotonic()
     ball, cx = _lsv_ball_complex(2)
-    marks = InteriorMark.from_distances(dict(enumerate(ball.dist)), 2)
+    interior = frozenset(i for i, d in enumerate(ball.dist) if d < 2)
 
-    rep = purity_report(cx, marks)
+    rep = purity_report(cx, interior)
     assert rep.pure and rep.dimension == 2
 
-    interior_edges = [t for t in cx.simplices(1) if marks.simplex_interior(t)]
+    interior_edges = [t for t in cx.simplices(1) if interior.issuperset(t)]
     assert interior_edges
     assert all(chamber_count(cx, t) == 3 for t in interior_edges)
 
@@ -192,7 +191,7 @@ def test_criterion_3_building_ball_structure():
     assert is_isomorphic(lk, fano_incidence_graph()) is not None
     assert automorphisms_fixing(lk, ()).order == 336
 
-    flips = panel_flip_check(cx, marks, hops=1)
+    flips = panel_flip_check(cx, interior)
     assert flips.fraction == 1.0
     assert not flips.failures
     _done(3, t0, 120.0, "pure dim 2, interior thickness 3, link is the "

@@ -30,7 +30,6 @@ from arithcx.projmat import cayley_ball, lsv_generators, symmetrize
 from arithcx.qlat import lift_coloring
 from arithcx.scx import (
     Complex,
-    InteriorMark,
     chamber_count,
     clique_complex,
     color_chambers,
@@ -753,7 +752,7 @@ def test_search_depth_is_not_bounded_by_recursion_limit():
 
 
 def all_interior(c):
-    return InteriorMark(frozenset(c.vertices))
+    return frozenset(c.vertices)
 
 
 def three_page_book(colors=None):
@@ -764,7 +763,7 @@ def three_page_book(colors=None):
 
 def test_panel_flips_on_plain_book():
     book = three_page_book()
-    rep = panel_flip_check(book, all_interior(book), hops=1)
+    rep = panel_flip_check(book, all_interior(book))
     assert rep.edges_eligible == 1 and rep.edges_skipped == 6
     assert rep.choices_total == 3 and rep.choices_satisfied == 3
     assert rep.fraction == 1.0 and rep.failures == ()
@@ -772,7 +771,7 @@ def test_panel_flips_on_plain_book():
 
 def test_panel_flips_blocked_by_distinct_colors():
     book = three_page_book({(0, 1, 2): "r", (0, 1, 3): "g", (0, 1, 4): "b"})
-    rep = panel_flip_check(book, all_interior(book), hops=1)
+    rep = panel_flip_check(book, all_interior(book))
     assert rep.fraction == 0.0 and len(rep.failures) == 3
 
 
@@ -782,7 +781,7 @@ def test_panel_flips_vacuous_on_tetrahedron():
         list(itertools.combinations(range(4), 2))
         + list(itertools.combinations(range(4), 3)),
     )
-    rep = panel_flip_check(tet, all_interior(tet), hops=2)
+    rep = panel_flip_check(tet, all_interior(tet))
     assert rep.edges_eligible == 0 and rep.edges_skipped == 6
     assert rep.fraction is None
 
@@ -792,58 +791,47 @@ def test_panel_flips_require_dimension_two():
         panel_flip_check(cycle(4), all_interior(cycle(4)))
 
 
-@pytest.mark.parametrize("hops", [0, -1])
-def test_panel_flips_require_a_star_that_holds_the_apexes(hops):
-    # with fewer than one hop the star is the edge alone, without apexes
-    book = three_page_book()
-    with pytest.raises(ValueError, match="hops >= 1"):
-        panel_flip_check(book, all_interior(book), hops=hops)
-
-
 def test_panel_flip_thickness_is_the_interior_chamber_counts(ball2, ballcx):
-    verts, _ = ball2.graph()
     book = three_page_book()
     tet = Complex(range(4), list(itertools.combinations(range(4), 3)))
     # the interior edge (1, 5) hangs off the book's spine in no triangle
     tail = Complex(range(6), [*book.simplices(1), *book.simplices(2), (1, 5)])
     cases = [
-        (ballcx, InteriorMark.from_distances(dict(zip(verts, ball2.dist)), 2), (3,)),
+        (ballcx, ball_marks(ball2), (3,)),
         (book, all_interior(book), (1, 3)),
         (tet, all_interior(tet), (2,)),
         (tail, all_interior(tail), (0, 1, 3)),
     ]
-    for c, marks, expected in cases:
+    for c, interior, expected in cases:
         counts = sorted(
-            {chamber_count(c, e) for e in c.simplices(1) if marks.simplex_interior(e)}
+            {chamber_count(c, e) for e in c.simplices(1) if interior.issuperset(e)}
         )
-        assert list(panel_flip_check(c, marks, hops=1).thickness) == counts
+        assert list(panel_flip_check(c, interior).thickness) == counts
         assert counts == list(expected)
-    carried = panel_flip_check(ballcx, cases[0][1], hops=1, steps=ball2.step_map())
+    carried = panel_flip_check(ballcx, cases[0][1], steps=ball2.step_map())
     assert carried.thickness == (3,)
 
 
 def test_panel_flips_on_radius_two_ball(ball2, ballcx):
-    verts, _ = ball2.graph()
-    marks = InteriorMark.from_distances(dict(zip(verts, ball2.dist)), 2)
-    rep = panel_flip_check(ballcx, marks, hops=1)
+    rep = panel_flip_check(ballcx, ball_marks(ball2))
     assert rep.edges_eligible == 35 and rep.edges_skipped == 0
     assert rep.choices_total == 105 and rep.choices_satisfied == 105
     assert rep.fraction == 1.0
 
 
-def fresh_root_flips(c, marks, hops):
+def fresh_root_flips(c, interior):
     """panel_flip_check's colored verdicts with a fresh root per choice:
     one is_isomorphic call pinning the edge, the fixed apex and the swap."""
     satisfied, failures = 0, []
     for edge in c.simplices(1):
-        if not marks.simplex_interior(edge):
+        if not interior.issuperset(edge):
             continue
         apexes = sorted(
             w for t in c.simplices(2) if set(edge) <= set(t) for w in t if w not in edge
         )
         if len(apexes) != 3:
             continue
-        star = induced_subcomplex(c, star_vertices(c, edge, hops))
+        star = induced_subcomplex(c, star_vertices(c, edge))
         u, v = edge
         for f in apexes:
             j, k = (w for w in apexes if w != f)
@@ -858,29 +846,28 @@ def fresh_root_flips(c, marks, hops):
 def test_panel_flips_match_fresh_root_choices(ball2, ballcx):
     # each star's three choices share one root partition; the verdicts
     # must equal those of a fresh root with all five vertices pinned
-    verts, _ = ball2.graph()
-    marks = InteriorMark.from_distances(dict(zip(verts, ball2.dist)), 2)
-    cases = [(ballcx, marks, 1)]
+    interior = ball_marks(ball2)
+    cases = [(ballcx, interior)]
     rng = random.Random(440)
     for _ in range(2):
         colors = {t: rng.randrange(2) for t in ballcx.chambers()}
-        cases.append((color_chambers(ballcx, colors), marks, 1))
+        cases.append((color_chambers(ballcx, colors), interior))
     for i in range(12):
         g = random_two_complex(rng, rng.randint(5, 8), 0.8, 0.8)
         if g.dimension == 2:
             g = random_coloring(rng, g, 2) if i % 2 else g
-            cases.append((g, all_interior(g), 1 + i % 2))
+            cases.append((g, all_interior(g)))
     # swapping 2 and 3 moves the pendant edges (0, 5), (2, 5) only onto
     # (1, 6), (3, 6): every flip would have to swap the edge's own ends
     book = three_page_book()
     twisted = Complex(
         range(7), all_simplices(book, 1) + [(0, 5), (2, 5), (1, 6), (3, 6)]
     )
-    cases.append((twisted, all_interior(twisted), 1))
+    cases.append((twisted, all_interior(twisted)))
     total_satisfied = total_failed = 0
-    for c, marks, hops in cases:
-        rep = panel_flip_check(c, marks, hops=hops)
-        satisfied, failures = fresh_root_flips(c, marks, hops)
+    for c, interior in cases:
+        rep = panel_flip_check(c, interior)
+        satisfied, failures = fresh_root_flips(c, interior)
         assert (rep.choices_satisfied, rep.failures) == (satisfied, failures)
         assert rep.choices_total == satisfied + len(failures)
         total_satisfied += satisfied
@@ -894,14 +881,14 @@ def ball3():
 
 
 def ball_marks(ball):
-    return InteriorMark.from_distances(dict(enumerate(ball.dist)), ball.radius)
+    return frozenset(i for i, d in enumerate(ball.dist) if d < ball.radius)
 
 
-def flips_with_and_without(c, marks, steps, hops=1):
+def flips_with_and_without(c, interior, steps):
     """panel_flip_check with the step map and without it; the two must
     agree choice by choice."""
-    fast = panel_flip_check(c, marks, hops=hops, steps=steps)
-    plain = panel_flip_check(c, marks, hops=hops)
+    fast = panel_flip_check(c, interior, steps=steps)
+    plain = panel_flip_check(c, interior)
     verdict = lambda r: (  # noqa: E731
         r.choices_satisfied, r.failures, r.edges_eligible, r.edges_skipped
     )
@@ -952,8 +939,7 @@ def test_transported_flips_see_a_vertex_the_step_map_lacks(ball3):
     d, x = ball3.dist, len(verts)
     u, w = next((a, b) for a, b, _ in ball3.edges if (d[a], d[b]) == (2, 3))
     cx = clique_complex([*verts, x], [*edges, (u, x), (w, x)], max_dim=3)
-    marks = InteriorMark.from_distances({**dict(enumerate(d)), x: 4}, 3)
-    fast, _ = flips_with_and_without(cx, marks, ball3.step_map())
+    fast, _ = flips_with_and_without(cx, ball_marks(ball3), ball3.step_map())
     assert fast.failures
     assert 21 < fast.searches < fast.choices_total
     assert fast.searches == 33
@@ -1085,13 +1071,6 @@ def test_transported_flips_on_two_colored_radius_two_balls(ball2, ballcx):
         assert fast.searches == 105
 
 
-def test_transported_flips_on_boundary_cut_stars(ball2, ballcx):
-    # hop-2 stars of the radius-2 ball reach past its boundary
-    fast, _ = flips_with_and_without(ballcx, ball_marks(ball2), ball2.step_map(), hops=2)
-    assert fast.choices_satisfied > 0 and fast.failures
-    assert fast.searches == 105
-
-
 def test_garbage_step_map_costs_searches_not_verdicts(ball2, ballcx):
     rng = random.Random(442)
     steps = []
@@ -1103,11 +1082,11 @@ def test_garbage_step_map_costs_searches_not_verdicts(ball2, ballcx):
     assert fast.searches == plain.searches
 
 
-def interior_flip_edges(c, marks, steps):
+def interior_flip_edges(c, interior, steps):
     """Each interior edge with its sorted apexes, hop-1 star, and labels
     read from its lower and from its upper end."""
     for edge in c.simplices(1):
-        if not marks.simplex_interior(edge):
+        if not interior.issuperset(edge):
             continue
         u, v = edge
         apexes = sorted(
@@ -1115,7 +1094,7 @@ def interior_flip_edges(c, marks, steps):
         )
         assert len(apexes) == 3
         labels = (_step_label(steps, u, v), _step_label(steps, v, u))
-        yield edge, apexes, star_vertices(c, edge, 1), labels
+        yield edge, apexes, star_vertices(c, edge), labels
 
 
 def test_carried_star_conjugates_each_searched_flip(ball2, ballcx):

@@ -15,6 +15,7 @@ import pytest
 
 import arithcx
 import arithcx.cli
+import arithcx.qlat
 import arithcx.scx
 from arithcx.autoeng import automorphisms_fixing
 from arithcx.cli import main
@@ -226,6 +227,20 @@ def test_tree_experiment_writes_counts_past_the_digit_limit(capsys):
     assert all(c["status"] == "pass" for c in rep["checks"])
 
 
+def test_tree_experiment_reports_a_class_collision(monkeypatch, capsys):
+    # a2 forced into a1's class: the ball and its coloring are unchanged,
+    # so every check but the freeness count still passes
+    gens = arithcx.qlat._generator_classes()
+    forced = (gens[0], gens[0], *gens[2:])
+    monkeypatch.setattr(arithcx.qlat, "_generator_classes", lambda: forced)
+    code, rep = run_json(["tree", "experiment", "--r", "3", "--s", "1"], capsys)
+    assert code == 1
+    failed = [c["name"] for c in rep["checks"] if c["status"] == "fail"]
+    assert failed == ["free-group-counts"]
+    counts = arithcx.qlat.free_group_check(3)
+    assert all(counts[l] < n for l, n in {1: 6, 2: 30, 3: 150}.items())
+
+
 def test_tree_quotient_golden(capsys):
     code, rep = run_json(["tree", "quotient"], capsys)
     assert code == 0
@@ -317,6 +332,7 @@ def test_vacuous_coloring_single_chamber_equals_stabilizer():
         ["lsv", "verify", "--format", "dot"],
         ["rigidity", "--format", "dot"],
         ["lsv", "verify", "--radius", "-1"],
+        ["tree", "experiment", "--r", "9", "--budget", "10000000"],
     ],
 )
 def test_usage_errors_exit2(argv, capsys):
@@ -450,6 +466,29 @@ def test_benchmark_reports_match_their_pinned_digests(capsys):
         if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
             changed.append(key)
     assert changed == []
+
+
+def test_traced_benchmark_commands(monkeypatch, capsys):
+    # perfbench/spans.py wraps public functions by name; a spanned
+    # function renamed or removed breaks the traced benchmark runs
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from spans import Tracer
+
+    argvs = [
+        ["lsv", "verify", "-r", "2"],
+        ["lsv", "ball", "-r", "2"],
+        ["rigidity", "--colors", "2", "-r", "2"],
+        ["rigidity", "--colors", "1", "-r", "2"],
+        ["tree", "experiment", "--r", "3", "--s", "1"],
+    ]
+    tracer = Tracer()
+    with tracer.installed():
+        codes = [run(argv, capsys)[0] for argv in argvs]
+    assert codes == [0] * len(argvs)
+    _, calls, _ = tracer.self_times()
+    assert calls["autoeng.panel_flip_check"] == 1
+    assert calls["scx.purity_report"] == 1
+    assert tracer.counters["autoeng.flip_choices_satisfied"] == 105
 
 
 def _source_env():

@@ -366,7 +366,7 @@ def test_ray_flip_is_in_the_enumerated_group():
 
 def test_ray_flip_prefers_first_generator_pair():
     ball = lift_coloring(2)
-    kids = {g: w for g, w, _ in ball.children(1)}
+    kids = {g: w for u, w, g, _ in ball.edges if u == 1}
     # vertex 1 is the a1-child of the root: its inbound edge excludes
     # generator a1c, leaving the (a1, a3c) pair fully outward
     assert sorted(kids) == [0, 1, 2, 4, 5]

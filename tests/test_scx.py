@@ -14,7 +14,6 @@ from oracles import (
 
 from arithcx.scx import (
     Complex,
-    InteriorMark,
     chamber_count,
     clique_complex,
     color_chambers,
@@ -294,7 +293,7 @@ def test_chamber_count_examples():
 
 def test_purity_tetrahedron_boundary():
     c = Complex(range(4), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-    rep = purity_report(c, InteriorMark(frozenset(c.vertices)))
+    rep = purity_report(c, frozenset(c.vertices))
     assert rep.pure
     assert rep.dimension == 2
     assert rep.interior_maximal_by_dim == {2: 4}
@@ -304,21 +303,9 @@ def test_purity_tetrahedron_boundary():
 
 def test_purity_detects_isolated_vertex():
     c = Complex([0, 1, 2, 9], [(0, 1), (1, 2), (0, 2), (0, 1, 2)])
-    rep = purity_report(c, InteriorMark(frozenset(c.vertices)))
+    rep = purity_report(c, frozenset(c.vertices))
     assert not rep.pure
     assert rep.interior_maximal_by_dim == {0: 1, 2: 1}
-
-
-def test_interior_marks_from_distances():
-    marks = InteriorMark.from_distances({0: 0, 1: 1, 2: 2}, 2)
-    assert marks == InteriorMark(frozenset({0, 1}))
-    assert InteriorMark.from_distances({}, 3) == InteriorMark(frozenset())
-    assert marks.simplex_interior(())
-    assert marks.simplex_interior((0,)) and marks.simplex_interior((1,))
-    assert not marks.simplex_interior((2,))
-    assert marks.simplex_interior((0, 1))
-    assert not marks.simplex_interior((1, 2))
-    assert not marks.simplex_interior((77,))  # unknown defaults to boundary
 
 
 # ----------------------------------------------------------------------
@@ -458,16 +445,16 @@ def test_ball_triangles_against_adjacency_oracle(ball2, ballcx):
 
 
 def test_ball_interior_thickness(ball2, ballcx):
-    marks = InteriorMark.from_distances(dict(enumerate(ball2.dist)), 2)
-    interior_edges = [e for e in ballcx.simplices(1) if marks.simplex_interior(e)]
+    interior = frozenset(i for i, d in enumerate(ball2.dist) if d < 2)
+    interior_edges = [e for e in ballcx.simplices(1) if interior.issuperset(e)]
     assert len(interior_edges) == 35  # 14 spokes + 21 link edges
     for e in interior_edges:
         assert chamber_count(ballcx, e) == 3
 
 
 def test_ball_purity_report(ball2, ballcx):
-    marks = InteriorMark.from_distances(dict(enumerate(ball2.dist)), 2)
-    rep = purity_report(ballcx, marks)
+    interior = frozenset(i for i, d in enumerate(ball2.dist) if d < 2)
+    rep = purity_report(ballcx, interior)
     assert rep.pure
     assert rep.dimension == 2
     assert rep.interior_maximal_by_dim == {2: 21}
@@ -499,7 +486,7 @@ def test_fano_incidence_graph_shape():
 
 
 def test_star_and_induced(ballcx):
-    w = star_vertices(ballcx, (0,), 1)
+    w = star_vertices(ballcx, (0,))
     assert len(w) == 15
     sub = induced_subcomplex(ballcx, w)
     assert len(sub.vertices) == 15
@@ -508,9 +495,8 @@ def test_star_and_induced(ballcx):
     assert sub.vertices == tuple(v for v in ballcx.vertices if v in w)
     with pytest.raises(ValueError):
         induced_subcomplex(ballcx, [10**9])
-    for hops in (0, 1):
-        with pytest.raises(ValueError):
-            star_vertices(ballcx, (0, 10**9), hops)
+    with pytest.raises(ValueError):
+        star_vertices(ballcx, (0, 10**9))
 
 
 def test_induced_keeps_total_chamber_colors():
