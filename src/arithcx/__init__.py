@@ -20,7 +20,7 @@ from .autoeng import (
     verify_permutation,
 )
 from .errors import BudgetExceededError, CapExceededError, ResourceLimitError
-from .gf2k import GF2, GF16, FieldElem, FieldSpec
+from .gf2k import GF2, GF16, FieldSpec
 from .projmat import (
     CayleyBall,
     GeneratorTable,
@@ -34,7 +34,6 @@ from .projmat import (
 from .qlat import (
     ColorAutCount,
     ColoredTreeBall,
-    LambdaClass,
     Quaternion,
     QuotientGraph,
     canonical_rep,
@@ -65,7 +64,6 @@ __all__ = [
     "CapExceededError",
     "ResourceLimitError",
     "FieldSpec",
-    "FieldElem",
     "GF2",
     "GF16",
     "ProjMatrix",
@@ -96,7 +94,6 @@ __all__ = [
     "verify_permutation",
     "panel_flip_check",
     "Quaternion",
-    "LambdaClass",
     "ColoredTreeBall",
     "QuotientGraph",
     "ColorAutCount",

@@ -192,7 +192,7 @@ def _lsv_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
     gens = lsv_generators()
     sym = symmetrize(gens)
     ball, cx = _lsv_ball_complex(sym, args)
-    dets_ok = all(bool(determinant(m)) for m in gens.matrices)
+    dets_ok = all(determinant(m) for m in gens.matrices)
     distinct = len({m.encode() for m in sym.matrices})
     checks = [
         _check("generator-count", len(gens), 7),
@@ -214,7 +214,9 @@ def _lsv_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
         "sphere_sizes": list(ball.sphere_sizes()),
         "edge_count": len(ball.edges),
         "triangle_count": cx.simplex_count(2),
-        "generator_determinants": [str(determinant(m)) for m in gens.matrices],
+        "generator_determinants": [
+            m.spec.names[determinant(m)] for m in gens.matrices
+        ],
         "collision": None
         if ball.collision is None
         else ball.collision.to_json_dict(),

@@ -19,11 +19,8 @@ tests cross-check GF(16) against an independently constructed copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
     "FieldSpec",
-    "FieldElem",
     "GF2",
     "GF16",
     "format_poly",
@@ -157,7 +154,7 @@ class FieldSpec:
         return f"FieldSpec(2^{self.degree}; m={format_poly(self.modulus)})"
 
     # ------------------------------------------------------------------
-    # raw int arithmetic
+    # arithmetic on element bitmasks
 
     def tables(self) -> tuple[list[list[int]], list[int]]:
         """Multiplication rows and inverse table.
@@ -175,39 +172,6 @@ class FieldSpec:
         if a == 0:
             raise ValueError("zero has no multiplicative inverse")
         return self._tables[1][a]
-
-
-@dataclass(frozen=True, slots=True)
-class FieldElem:
-    """A field element: coefficient bitmask plus its field."""
-
-    bits: int
-    spec: FieldSpec
-
-    def __add__(self, other: "FieldElem") -> "FieldElem":
-        _check_specs(self, other)
-        return FieldElem(self.bits ^ other.bits, self.spec)
-
-    def __mul__(self, other: "FieldElem") -> "FieldElem":
-        _check_specs(self, other)
-        return FieldElem(self.spec.mul(self.bits, other.bits), self.spec)
-
-    def inv(self) -> "FieldElem":
-        return FieldElem(self.spec.inv(self.bits), self.spec)
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __str__(self) -> str:
-        return format_poly(self.bits)
-
-    def __repr__(self) -> str:
-        return f"FieldElem({format_poly(self.bits)!r}, {self.spec!r})"
-
-
-def _check_specs(a: FieldElem, b: FieldElem) -> None:
-    if a.spec != b.spec:
-        raise ValueError(f"mismatched field specs: {a.spec!r} vs {b.spec!r}")
 
 
 GF2 = FieldSpec(0b11)

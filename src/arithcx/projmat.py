@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
-from .gf2k import GF16, FieldElem, FieldSpec, format_poly, parse_poly
+from .gf2k import GF16, FieldSpec, format_poly, parse_poly
 from .scx import dot_graph
 
 __all__ = [
@@ -88,22 +88,15 @@ class ProjMatrix:
 def matrix(spec: FieldSpec, rows: Sequence[Sequence]) -> ProjMatrix:
     """Build a (not yet canonical) matrix from 3x3 entries.
 
-    Entries may be bitmask ints, FieldElem values, or polynomial
-    strings such as 't^2+1'.
+    Entries may be element bitmasks (ints) or polynomial strings such
+    as 't^2+1'.
     """
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise ValueError("expected a 3x3 entry table")
     bits = []
     for row in rows:
         for e in row:
-            if isinstance(e, FieldElem):
-                if e.spec != spec:
-                    raise ValueError("entry from a different field")
-                b = e.bits
-            elif isinstance(e, str):
-                b = parse_poly(e)
-            else:
-                b = int(e)
+            b = parse_poly(e) if isinstance(e, str) else int(e)
             if not 0 <= b < spec.size:
                 raise ValueError(f"entry {e!r} out of range for {spec!r}")
             bits.append(b)
@@ -114,18 +107,21 @@ def identity(spec: FieldSpec) -> ProjMatrix:
     return ProjMatrix(spec, (1, 0, 0, 0, 1, 0, 0, 0, 1), canonical=True)
 
 
-def determinant(m: ProjMatrix) -> FieldElem:
-    """Determinant by cofactor expansion along the first row."""
+def determinant(m: ProjMatrix) -> int:
+    """Determinant by cofactor expansion along the first row.
+
+    The result is the element's bitmask d; `m.spec.names[d]` writes it
+    as a polynomial in t.
+    """
     mul_rows = m.spec.tables()[0]
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = m.entries
     r3, r4, r5 = mul_rows[a3], mul_rows[a4], mul_rows[a5]
     # char 2: minus signs vanish
-    det = (
+    return (
         mul_rows[a0][r4[a8] ^ r5[a7]]
         ^ mul_rows[a1][r3[a8] ^ r5[a6]]
         ^ mul_rows[a2][r3[a7] ^ r4[a6]]
     )
-    return FieldElem(det, m.spec)
 
 
 def _canonical(
@@ -284,47 +280,41 @@ def lsv_generators() -> GeneratorTable:
 class SymmetricGenerators:
     """A generator list closed under inverses.
 
-    Labels are 1-based indices into the source table, negated for
-    inverses.  `self_inverse` lists labels whose generator equals its
-    own inverse (those appear once, with the positive label).
+    Labels are 1-based indices into the source table, negated for the
+    inverses that `symmetrize` appends.  `inverses` maps each label to
+    the label of its generator's inverse, as read from the matrices: a
+    generator whose inverse is already in the table keeps that entry's
+    label, and a self-inverse one maps to itself.
     """
 
     fieldspec: FieldSpec
     matrices: tuple[ProjMatrix, ...]
     labels: tuple[int, ...]
-    self_inverse: tuple[int, ...]
+    inverses: dict[int, int]
 
     def __len__(self) -> int:
         return len(self.matrices)
 
     def inverse_label(self, label: int) -> int:
-        if abs(label) in self.self_inverse:
-            return label
-        return -label
+        return self.inverses[label]
 
 
 def symmetrize(tbl: GeneratorTable) -> SymmetricGenerators:
     """Append the inverses of a table, deduplicating canonical forms."""
-    mats: list[ProjMatrix] = []
-    labels: list[int] = []
-    self_inverse: list[int] = []
-    seen: dict[tuple, int] = {}
-    for j, g in enumerate(tbl.matrices):
-        mats.append(g)
-        labels.append(j + 1)
-        seen[g.entries] = j + 1
-    for j, g in enumerate(tbl.matrices):
+    mats = list(tbl.matrices)
+    labels = list(range(1, len(mats) + 1))
+    label_of = {g.entries: lab for g, lab in zip(mats, labels)}
+    inverses: dict[int, int] = {}
+    for lab, g in enumerate(tbl.matrices, 1):
         gi = pgl_inv(g)
-        if gi.entries in seen:
-            if seen[gi.entries] == j + 1:
-                self_inverse.append(j + 1)
-            continue
-        mats.append(gi)
-        labels.append(-(j + 1))
-        seen[gi.entries] = -(j + 1)
-    return SymmetricGenerators(
-        tbl.fieldspec, tuple(mats), tuple(labels), tuple(self_inverse)
-    )
+        back = label_of.get(gi.entries)
+        if back is None:
+            back = label_of[gi.entries] = -lab
+            mats.append(gi)
+            labels.append(back)
+        inverses[lab] = back
+        inverses[back] = lab
+    return SymmetricGenerators(tbl.fieldspec, tuple(mats), tuple(labels), inverses)
 
 
 # ----------------------------------------------------------------------
@@ -443,7 +433,8 @@ def cayley_ball(
 
     Args:
         gens: symmetric generator set (validated: canonical, closed
-            under inverse, identity excluded).
+            under inverse with `inverses` read from the matrices,
+            identity excluded).
         radius: ball radius, >= 0.
         vertex_budget: abort with BudgetExceededError as soon as the
             ball exceeds this many vertices.
@@ -459,11 +450,13 @@ def cayley_ball(
     it is read again from the tables of the multiple c*g that makes it
     lead with 1, so the product comes out canonical with no scaling
     pass.  Each edge is multiplied out once, from its lower end, which
-    sets the edge's bit in the upper end's mask of known back-edges.
-    Until the first collision is found only the parent edge is skipped,
-    since any other back-edge may be that collision.  A `ProjMatrix` is
-    built once per returned vertex.  The budget error names the shell
-    being grown, the radius and the vertex count.
+    sets the edge's bit in the upper end's mask of known back-edges; a
+    vertex skips the steps in its mask.  So a step that meets a known
+    vertex meets it from below and not along its parent edge, and the
+    first such step is the first collision.  Until then each mask holds
+    only the parent edge, by the bit of the matrix inverse.  A
+    `ProjMatrix` is built once per returned vertex.  The budget error
+    names the shell being grown, the radius and the vertex count.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -480,19 +473,17 @@ def cayley_ball(
     labels = gens.labels
     k = spec.degree
     # steps[i]: (generator i, its bit, its label, its tables, the bit of
-    # the generator that steps back); parent_skip[i]: that back bit when
-    # the reduced-word test excludes the step back, else 0
+    # the generator that steps back)
     steps = []
-    parent_skip = []
     for i, (m, lab) in enumerate(zip(gens.matrices, labels)):
         back = position.get(pgl_inv(m).entries)
-        if back is None:
-            raise ValueError(f"generator set not symmetric at label {lab}")
+        if back is None or labels[back] != gens.inverses.get(lab):
+            raise ValueError(
+                f"generator set not symmetric, or its inverse labels wrong, "
+                f"at label {lab}"
+            )
         tables = _generator_tables(mul_rows, inv, m.entries, k)
         steps.append((i, 1 << i, lab, tables, 1 << back))
-        parent_skip.append(
-            1 << back if labels[back] == gens.inverse_label(lab) else 0
-        )
 
     mask = spec.size - 1
     k2, k3, k6 = 2 * k, 3 * k, 6 * k
@@ -528,12 +519,7 @@ def cayley_ball(
         x = verts[u]
         du = dist[u]
         a0, a1, a2, a3, a4, a5, a6, a7, a8 = unpack(x)
-        if collision is not None:
-            skip = known[u]
-        elif u:
-            skip = parent_skip[parent_step[u]]
-        else:
-            skip = 0
+        skip = known[u]
         for i, bit, lab, tables, back_bit in steps:
             if skip & bit:
                 continue
@@ -568,14 +554,11 @@ def cayley_ball(
                 known.append(back_bit)
                 edges.append((u, w, lab))
             else:
-                if w > u:
-                    edges.append((u, w, lab))
-                    known[w] |= back_bit
+                # met from below (w > u), and w is not u's child
+                edges.append((u, w, lab))
+                known[w] |= back_bit
                 if collision is None:
-                    wa = word_of(w)
-                    wb = word_of(u) + (lab,)
-                    if wa != wb:
-                        collision = (w, wa, wb)
+                    collision = (w, word_of(w), word_of(u) + (lab,))
         u += 1
 
     # canonical order: by (distance, encoded bytes), as ProjMatrix.encode

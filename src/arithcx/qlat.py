@@ -28,7 +28,6 @@ from .scx import Complex, dot_graph
 
 __all__ = [
     "Quaternion",
-    "LambdaClass",
     "ColoredTreeBall",
     "QuotientEdge",
     "QuotientGraph",
@@ -154,29 +153,10 @@ def _is_power_of_5(n: int) -> bool:
     return n == 1
 
 
-@dataclass(frozen=True, slots=True)
-class LambdaClass:
-    """A quaternion of norm a power of 5, up to scaling by +-5^k.
-
-    The stored representative is primitive (not all coefficients
-    divisible by 5) with positive first nonzero coefficient.
-    """
-
-    rep: Quaternion
-
-    def __mul__(self, other: "LambdaClass") -> "LambdaClass":
-        return canonical_rep(self.rep * other.rep)
-
-    def is_identity(self) -> bool:
-        return self.rep == Quaternion(1, 0, 0, 0)
-
-    def __str__(self) -> str:
-        return f"[{self.rep}]"
-
-
-def canonical_rep(a: Quaternion) -> LambdaClass:
-    """The class of a quaternion whose norm is a power of 5: divide out
-    5s, then negate if the first nonzero coefficient is negative."""
+def canonical_rep(a: Quaternion) -> Quaternion:
+    """The class of a quaternion whose norm is a power of 5, up to
+    scaling by +-5^k: its primitive multiple (not every coefficient
+    divisible by 5) whose first nonzero coefficient is positive."""
     if not a:
         raise ValueError("the zero quaternion has no class")
     if not _is_power_of_5(a.norm()):
@@ -184,14 +164,11 @@ def canonical_rep(a: Quaternion) -> LambdaClass:
     a = _strip_fives(a)
     for c in a.coefficients():
         if c:
-            return LambdaClass(-a if c < 0 else a)
+            return -a if c < 0 else a
     raise AssertionError("unreachable")
 
 
-IDENTITY_CLASS = LambdaClass(Quaternion(1, 0, 0, 0))
-
-
-def _generator_classes() -> tuple[LambdaClass, ...]:
+def _generator_classes() -> tuple[Quaternion, ...]:
     return tuple(canonical_rep(q) for q in norm5_generators())
 
 
@@ -223,15 +200,16 @@ class ColoredTreeBall:
     """A radius-r ball in the 6-regular tree, breadth-first order.
 
     Parallel tuples: words[i] is the reduced generator-index word of
-    vertex i, classes[i] its lattice class, fibers[i] its Z/4Z label,
-    dist[i] = len(words[i]).  Edges are (parent, child, generator index
-    applied at the parent, color), each parent's in generator order.
+    vertex i, classes[i] its lattice class (`canonical_rep` of the
+    word's product), dist[i] = len(words[i]).  Edges are (parent,
+    child, generator index applied at the parent, color), each
+    parent's in generator order; the color is read from the Z/4Z fiber
+    labels of the two ends.
     """
 
     radius: int
     words: tuple[tuple[int, ...], ...]
-    classes: tuple[LambdaClass, ...]
-    fibers: tuple[int, ...]
+    classes: tuple[Quaternion, ...]
     dist: tuple[int, ...]
     edges: tuple[tuple[int, int, int, str], ...]
 
@@ -243,7 +221,7 @@ class ColoredTreeBall:
 
     def class_counts(self, limit: int) -> dict[int, int]:
         """The number of distinct classes at each distance 1..limit."""
-        found: dict[int, set[LambdaClass]] = {l: set() for l in range(1, limit + 1)}
+        found: dict[int, set[Quaternion]] = {l: set() for l in range(1, limit + 1)}
         for cls, d in zip(self.classes, self.dist):
             if 1 <= d <= limit:
                 found[d].add(cls)
@@ -263,7 +241,7 @@ class ColoredTreeBall:
 
     def to_dot(self) -> str:
         render = {"A": "red", "B": "green", "C": "blue"}
-        nodes = [(f"n{i}", f'label="{cls.rep}"') for i, cls in enumerate(self.classes)]
+        nodes = [(f"n{i}", f'label="{cls}"') for i, cls in enumerate(self.classes)]
         edges = [
             (f"n{u}", f"n{v}", f'label="{c}:{GENERATOR_NAMES[g]}", color={render[c]}')
             for u, v, g, c in self.edges
@@ -276,8 +254,9 @@ def _edge_color(fiber_u: int, fiber_v: int) -> str:
 
 
 def lift_coloring(r: int, *, vertex_budget: int = 10**6) -> ColoredTreeBall:
-    """Build the radius-r tree ball with fiber labels and the matching
-    coloring pulled back from the quotient.
+    """Build the radius-r tree ball with the matching coloring pulled
+    back from the quotient along the Z/4Z fiber labels, which are kept
+    only while the edges are colored.
 
     One vertex per reduced word, whether or not two words share a
     class: `class_counts` shows a collision.  Raises
@@ -292,7 +271,7 @@ def lift_coloring(r: int, *, vertex_budget: int = 10**6) -> ColoredTreeBall:
         )
     gens = _generator_classes()
     words: list[tuple[int, ...]] = [()]
-    classes: list[LambdaClass] = [IDENTITY_CLASS]
+    classes: list[Quaternion] = [Quaternion(1, 0, 0, 0)]
     fibers: list[int] = [0]
     dist: list[int] = [0]
     edges: list[tuple[int, int, int, str]] = []
@@ -307,7 +286,7 @@ def lift_coloring(r: int, *, vertex_budget: int = 10**6) -> ColoredTreeBall:
                 v = len(words)
                 fiber = (fibers[u] + FIBER_IMAGE[g]) % 4
                 words.append(word + (g,))
-                classes.append(classes[u] * gens[g])
+                classes.append(canonical_rep(classes[u] * gens[g]))
                 fibers.append(fiber)
                 dist.append(depth)
                 color = _edge_color(fibers[u], fiber)
@@ -318,7 +297,6 @@ def lift_coloring(r: int, *, vertex_budget: int = 10**6) -> ColoredTreeBall:
         radius=r,
         words=tuple(words),
         classes=tuple(classes),
-        fibers=tuple(fibers),
         dist=tuple(dist),
         edges=tuple(edges),
     )

@@ -1,6 +1,8 @@
 """Source hygiene checks that need no installed linter."""
 
 import ast
+import importlib
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -142,3 +144,23 @@ def test_no_callerless_functions():
     }
     users = [ast.parse(path.read_text(), str(path)) for path in USERS]
     assert callerless(defining, users, spanned) == []
+
+
+def test_every_export_resolves_once():
+    # a name deleted from a module must not linger in an `__all__`,
+    # where it would break `from arithcx import *`
+    modules = ["arithcx"] + [
+        f"arithcx.{path.stem}"
+        for path in SOURCES
+        if path.parent.name == "arithcx" and path.stem != "__init__"
+    ]
+    checked = 0
+    for name in modules:
+        module = importlib.import_module(name)
+        exports = getattr(module, "__all__", None)
+        if exports is None:
+            continue
+        checked += 1
+        assert [e for e, n in Counter(exports).items() if n > 1] == [], name
+        assert [e for e in exports if not hasattr(module, e)] == [], name
+    assert checked >= 7

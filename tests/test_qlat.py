@@ -28,6 +28,10 @@ def conj(q):
     return Quaternion(q.a0, -q.a1, -q.a2, -q.a3)
 
 
+# the identity class
+ONE = Quaternion(1, 0, 0, 0)
+
+
 def random_quaternion(rng, lo=-9, hi=9):
     return Quaternion(*(rng.randint(lo, hi) for _ in range(4)))
 
@@ -125,13 +129,13 @@ def test_generator_tables_consistent():
     gens = norm5_generators()
     for i in range(6):
         assert gens[GENERATOR_INVERSE[i]] == conj(gens[i])
-        assert canonical_rep(gens[i] * gens[GENERATOR_INVERSE[i]]).is_identity()
+        assert canonical_rep(gens[i] * gens[GENERATOR_INVERSE[i]]) == ONE
         assert FIBER_IMAGE[GENERATOR_INVERSE[i]] == (-FIBER_IMAGE[i]) % 4
 
 
 def test_canonical_rep_golden_and_errors():
-    assert canonical_rep(Quaternion(-5, 10, 0, 0)).rep == Quaternion(1, -2, 0, 0)
-    assert canonical_rep(Quaternion(1, 0, 0, 0)).is_identity()
+    assert canonical_rep(Quaternion(-5, 10, 0, 0)) == Quaternion(1, -2, 0, 0)
+    assert canonical_rep(Quaternion(1, 0, 0, 0)) == ONE
     with pytest.raises(ValueError):
         canonical_rep(Quaternion(0, 0, 0, 0))
     with pytest.raises(ValueError):
@@ -152,8 +156,8 @@ def test_class_inverse():
     rng = random.Random(317)
     for _ in range(50):
         cls = canonical_rep(random_norm5_word_product(rng))
-        # rep * conj(rep) is the scalar norm(rep), a power of 5
-        assert (cls * canonical_rep(conj(cls.rep))).is_identity()
+        # cls * conj(cls) is the scalar norm(cls), a power of 5
+        assert canonical_rep(cls * conj(cls)) == ONE
 
 
 def test_free_group_counts():
@@ -201,10 +205,12 @@ def test_tree_ball_structure(r):
         if ball.dist[i] < r:
             assert sum(color_count[i].values()) == 6
             assert set(color_count[i].values()) == {2}
-    # fiber labels are a homomorphism onto the quotient
+    # fiber labels, read from the words, are a homomorphism onto the
+    # quotient, and each edge has the color of its fibers' matching
+    fibers = [sum(FIBER_IMAGE[g] for g in w) % 4 for w in ball.words]
     for u, v, g, col in ball.edges:
-        assert ball.fibers[v] == (ball.fibers[u] + FIBER_IMAGE[g]) % 4
-        assert col == MATCHING_COLOR[frozenset({ball.fibers[u], ball.fibers[v]})]
+        assert fibers[v] == (fibers[u] + FIBER_IMAGE[g]) % 4
+        assert col == MATCHING_COLOR[frozenset({fibers[u], fibers[v]})]
     assert all(len(w) == d for w, d in zip(ball.words, ball.dist))
 
 
