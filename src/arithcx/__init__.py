@@ -54,7 +54,6 @@ from .scx import (
     induced_subcomplex,
     link,
     purity_report,
-    triangle_count,
 )
 
 __version__ = "0.1.0"
@@ -77,7 +76,6 @@ __all__ = [
     "Complex",
     "PurityReport",
     "clique_complex",
-    "triangle_count",
     "link",
     "induced_subcomplex",
     "chamber_count",

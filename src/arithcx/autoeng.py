@@ -773,7 +773,12 @@ def _graph(c: Complex) -> tuple[dict, dict | None]:
     graph has as many 3-cliques as c has triangles: then a star graph's
     isomorphism carries the triangles without a look at any label."""
     colors = c.chamber_colors
-    nb = {v: c.neighbors(v) for v in c.vertices}
+    # sorted: the sorted edges list a vertex's lower neighbours first
+    lists: dict = {v: [] for v in c.vertices}
+    for u, v in c.simplices(1):
+        lists[u].append(v)
+        lists[v].append(u)
+    nb = {v: tuple(ns) for v, ns in lists.items()}
     labels = None
     if colors is None:
         # each 3-clique u < v < w once, from the neighbours above u and v
@@ -789,8 +794,8 @@ def _graph(c: Complex) -> tuple[dict, dict | None]:
 
 
 def _step_label(steps, x, y):
-    """The first label of a step from x to y, or None."""
-    return next((lab for lab, w in steps[x].items() if w == y), None)
+    """The first position of y in x's row of steps, or None."""
+    return steps[x].index(y) if y in steps[x] else None
 
 
 def _reference(edge: tuple, star: frozenset, steps, nb, labels, held) -> tuple:
@@ -803,7 +808,7 @@ def _reference(edge: tuple, star: frozenset, steps, nb, labels, held) -> tuple:
     u = edge[0]
     walk, seen = [(u, None, u)], {u}
     for _, _, x in walk:
-        for lab, x1 in steps[x].items():
+        for lab, x1 in enumerate(steps[x]):
             if x1 in star and x1 not in seen:
                 seen.add(x1)
                 walk.append((x, lab, x1))
@@ -827,8 +832,8 @@ def _carried(ref: tuple, steps, start, edge: tuple, star: frozenset, nb, labels)
     (u0, v0), star0, walk, edges0, cliques0, _ = ref
     tau = {u0: start}
     for x, lab, x1 in walk:
-        y = steps[tau[x]].get(lab)
-        if y is None:
+        y = steps[tau[x]][lab]
+        if y < 0:
             return None
         tau[x1] = y
     if len(tau) != len(star0) or len(star) != len(star0) or set(tau.values()) != star:
@@ -847,7 +852,7 @@ def _carried(ref: tuple, steps, start, edge: tuple, star: frozenset, nb, labels)
 
 
 def panel_flip_check(
-    c: Complex, interior: frozenset, *, steps: Sequence[Mapping] | None = None
+    c: Complex, interior: frozenset, *, steps: Sequence[Sequence[int]] | None = None
 ) -> PanelFlipReport:
     """For every edge with both ends in `interior` and exactly 3
     chambers, try all three fix-one-swap-two flips on the edge's star,
@@ -855,25 +860,25 @@ def panel_flip_check(
     chamber colors when it has them.
 
     Without `steps`, a find-one search on the star settles each choice.
-    `steps[x]` maps labels to the neighbours of vertex x, as right
-    multiplication by the generators does in a Cayley ball
-    (`CayleyBall.step_map`); an edge read from one end has the label of
-    the first step from that end to the other.  An edge (u, v) is
-    carried from the reference of its lower-end label, starting at u,
-    or, when that label has none, from the reference of its upper-end
-    label, starting at v: in a Cayley ball, edge (u, v) with u*g = v is
-    the left translate of (1, g) and, ends swapped, of (1, g^-1), so one
-    reference serves each pair {g, g^-1}.  An edge that is not carried
-    is searched, and becomes the reference of its lower-end label when
-    neither of its labels has one.  Carrying needs the map tau that
-    follows equal labels from the reference edge's lower end to the
-    start to map the reference edge onto (u, v) and to be an isomorphism
-    of the reference star onto this one that keeps the chamber colors
-    (`_carried`).  Conjugation by tau then turns the flips of the
-    reference star, which fix both ends of its edge, into those of this
-    one, so the choice that fixes apex f has the verdict of the
-    reference's choice that fixes tau^-1(f), kept or failed.  The steps
-    save work but never change a verdict.
+    `steps[x]` is vertex x's row, entry i its neighbour x*g_i or
+    negative for none, as in a Cayley ball (`CayleyBall.steps`); an edge
+    read from one end has the label of the first position of the other
+    end in that end's row.  An edge (u, v) is carried from the reference
+    of its lower-end label, starting at u, or, when that label has none,
+    from the reference of its upper-end label, starting at v: in a
+    Cayley ball, edge (u, v) with u*g = v is the left translate of
+    (1, g) and, ends swapped, of (1, g^-1), so one reference serves each
+    pair {g, g^-1}.  An edge that is not carried is searched, and
+    becomes the reference of its lower-end label when neither of its
+    labels has one.  Carrying needs the map tau that follows equal
+    labels from the reference edge's lower end to the start to map the
+    reference edge onto (u, v) and to be an isomorphism of the reference
+    star onto this one that keeps the chamber colors (`_carried`).
+    Conjugation by tau then turns the flips of the reference star, which
+    fix both ends of its edge, into those of this one, so the choice
+    that fixes apex f has the verdict of the reference's choice that
+    fixes tau^-1(f), kept or failed.  The steps save work but never
+    change a verdict.
     """
     if c.dimension != 2:
         raise ValueError("panel flips are defined for 2-dimensional complexes")

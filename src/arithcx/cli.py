@@ -31,7 +31,6 @@ from .autoeng import (
 )
 from .errors import BudgetExceededError, CapExceededError
 from .projmat import (
-    SymmetricGenerators,
     cayley_ball,
     determinant,
     lsv_generators,
@@ -47,14 +46,7 @@ from .qlat import (
     quotient_graph,
     ray_flip,
 )
-from .scx import (
-    clique_complex,
-    color_chambers,
-    fano_incidence_graph,
-    link,
-    purity_report,
-    triangle_count,
-)
+from .scx import color_chambers, fano_incidence_graph, link, purity_report
 
 SCHEMA = "arithcx-report/1"
 
@@ -177,12 +169,6 @@ def _render(report: dict) -> str:
     return _text(report, "\n") + "\n"
 
 
-def _lsv_ball_complex(sym: SymmetricGenerators, args: argparse.Namespace):
-    ball = cayley_ball(sym, args.radius, args.budget)
-    verts, edges = ball.graph()
-    return ball, clique_complex(list(verts), edges, max_dim=3)
-
-
 # ----------------------------------------------------------------------
 # lsv
 
@@ -191,7 +177,8 @@ def _lsv_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
     r = args.radius
     gens = lsv_generators()
     sym = symmetrize(gens)
-    ball, cx = _lsv_ball_complex(sym, args)
+    ball = cayley_ball(sym, r, args.budget)
+    cx = ball.to_complex()
     dets_ok = all(determinant(m) for m in gens.matrices)
     distinct = len({m.encode() for m in sym.matrices})
     checks = [
@@ -212,7 +199,7 @@ def _lsv_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
     data: dict = {
         "vertex_count": len(ball),
         "sphere_sizes": list(ball.sphere_sizes()),
-        "edge_count": len(ball.edges),
+        "edge_count": cx.simplex_count(1),
         "triangle_count": cx.simplex_count(2),
         "generator_determinants": [
             m.spec.names[determinant(m)] for m in gens.matrices
@@ -232,7 +219,7 @@ def _lsv_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
                 {"pure": True, "dimension": 2},
             )
         )
-        flips = panel_flip_check(cx, interior, steps=ball.step_map())
+        flips = panel_flip_check(cx, interior, steps=ball.steps)
         checks.append(_check("interior-thickness", list(flips.thickness), [3]))
         checks.append(_check("panel-flip-fraction", flips.fraction, 1.0))
         data["panel_flips"] = {
@@ -254,10 +241,10 @@ def _lsv_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 def _lsv_ball(args: argparse.Namespace) -> tuple[dict, str | None]:
     ball = cayley_ball(symmetrize(lsv_generators()), args.radius, args.budget)
-    # triangles counted first: the graph and its adjacency sets are freed
-    # before the report, the peak of this command's memory, is built
+    # triangles counted first: their list is freed before the report,
+    # the peak of this command's memory, is built
     data = {
-        "triangle_count": triangle_count(*ball.graph()),
+        "triangle_count": len(ball.triangles()),
         "ball": ball.to_json_dict(),
     }
     dot = ball.to_dot() if args.format == "dot" else None
@@ -401,7 +388,8 @@ def _tree_flip(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def cmd_rigidity_contrast(args: argparse.Namespace) -> tuple[dict, str | None]:
-    ball, cx = _lsv_ball_complex(symmetrize(lsv_generators()), args)
+    ball = cayley_ball(symmetrize(lsv_generators()), args.radius, args.budget)
+    cx = ball.to_complex()
     center = 0
     data: dict = {
         "vertex_count": len(ball),

@@ -4,8 +4,10 @@ A point of PGL3 is represented by the matrix scaled so that its first
 nonzero entry in row-major order is 1; two matrices are the same group
 element iff their canonical forms coincide.  The module carries the
 seven Lubotzky-Samuels-Vishne generator matrices over GF(16) and grows
-breadth-first Cayley balls around the identity, which the rest of the
-package turns into simplicial complexes.
+breadth-first Cayley balls around the identity, held as rows of steps:
+entry i of row u is the index of u*g_i.  Each triangle of a ball is the
+left translate of one at the identity, so its edges, triangles and
+complex are read from the rows.
 
 General products go through one kernel, `_product`, which multiplies
 two row-major 9-tuples of entry bitmasks with the field's
@@ -26,13 +28,15 @@ References:
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
 from .gf2k import GF16, FieldSpec, format_poly, parse_poly
-from .scx import dot_graph
+from .scx import Complex, dot_graph
 
 __all__ = [
     "ProjMatrix",
@@ -343,16 +347,16 @@ class CayleyBall:
 
     Vertices are canonical matrices, index 0 is the identity, and the
     vertex order is sorted by encoded bytes within each distance shell.
-    Edges carry the label of the generator g with v = u*g for u < v.
-    The edge set is the full induced subgraph on the ball, including
-    edges between two outermost vertices.
+    `steps[u][i]` is the index of u*g_i, for g_i the i-th generator, or
+    -1 off the ball: the full induced graph, edges between two outermost
+    vertices included, with one label per neighbour.
     """
 
     generators: SymmetricGenerators
     radius: int
     vertices: tuple[ProjMatrix, ...]
     dist: tuple[int, ...]
-    edges: tuple[tuple[int, int, int], ...]
+    steps: tuple[tuple[int, ...], ...]
     collision: CollisionReport | None
 
     def __len__(self) -> int:
@@ -362,19 +366,49 @@ class CayleyBall:
         counts = Counter(self.dist)
         return tuple(counts.get(d, 0) for d in range(self.radius + 1))
 
-    def graph(self) -> tuple[range, list[tuple[int, int]]]:
-        """Vertex indices and unlabeled edge pairs, for complex building."""
-        return range(len(self.vertices)), [(u, v) for u, v, _ in self.edges]
-
-    def step_map(self) -> list[dict[int, int]]:
-        """Labelled adjacency: entry u maps each label lab to u*g_lab,
-        for every edge at u, inverse steps included."""
-        out: list[dict[int, int]] = [{} for _ in self.vertices]
-        inverse = self.generators.inverse_label
-        for u, v, lab in self.edges:
-            out[u][lab] = v
-            out[v][inverse(lab)] = u
+    def edges(self) -> list[tuple[int, int, int]]:
+        """Each edge as (u, v, label) with u < v and v = u*g_label,
+        sorted; one label per neighbour makes (u, v) the sort key."""
+        labels = self.generators.labels
+        out: list[tuple[int, int, int]] = []
+        for u, row in enumerate(self.steps):
+            out += sorted((u, v, lab) for v, lab in zip(row, labels) if v > u)
         return out
+
+    def _identity_pairs(self) -> list[tuple[int, int]]:
+        """The positions i < j of the triangles {1, g_i, g_j}."""
+        at, steps = self.steps[0], self.steps
+        n = len(at) if self.radius else 0  # radius 0: no steps
+        return [(i, j) for i, j in combinations(range(n), 2) if at[j] in steps[at[i]]]
+
+    def triangles(self) -> list[tuple[int, int, int]]:
+        """Each triangle (u, v, w) with u < v < w, once: the translate
+        {u, u*g_i, u*g_j} of each triangle {1, g_i, g_j}, kept from its
+        lowest vertex u.  Two vertices of the ball that are adjacent in
+        the Cayley graph are adjacent in the ball."""
+        pairs = self._identity_pairs()
+        out: list[tuple[int, int, int]] = []
+        for u, row in enumerate(self.steps):
+            for i, j in pairs:
+                v, w = row[i], row[j]
+                if v > u and w > u:
+                    out.append((u, v, w) if v < w else (u, w, v))
+        return out
+
+    def to_complex(self) -> Complex:
+        """The ball's clique complex; ValueError when the identity lies
+        in a 4-clique, whose tetrahedra the complex would lack."""
+        pairs = set(self._identity_pairs())
+        labels = self.generators.labels
+        for i, j, k in combinations(range(len(labels)), 3):
+            if {(i, j), (i, k), (j, k)} <= pairs:
+                lab = f"{labels[i]}, {labels[j]}, {labels[k]}"
+                raise ValueError(f"the identity and labels {lab} span a 4-clique")
+        verts = tuple(range(len(self.vertices)))
+        edges = [(u, v) for u, row in enumerate(self.steps) for v in row if v > u]
+        c = Complex.__new__(Complex)
+        c._set(verts, {0: [(v,) for v in verts], 1: edges, 2: self.triangles()}, None)
+        return c
 
     def to_json_dict(self) -> dict:
         return {
@@ -388,7 +422,7 @@ class CayleyBall:
                 {"index": i, "distance": self.dist[i], "rows": m.rows()}
                 for i, m in enumerate(self.vertices)
             ],
-            "edges": [list(e) for e in self.edges],
+            "edges": self.edges(),
             "collision": None
             if self.collision is None
             else self.collision.to_json_dict(),
@@ -399,7 +433,7 @@ class CayleyBall:
         return dot_graph(
             "cayley_ball",
             ((f"v{i}", f'label="{i} (d={d})"') for i, d in enumerate(self.dist)),
-            ((f"v{u}", f"v{v}", f'label="{lab}"') for u, v, lab in self.edges),
+            ((f"v{u}", f"v{v}", f'label="{lab}"') for u, v, lab in self.edges()),
         )
 
 
@@ -437,11 +471,11 @@ def cayley_ball(
             identity excluded).
         radius: ball radius, >= 0.
         vertex_budget: abort with BudgetExceededError as soon as the
-            ball exceeds this many vertices.
+            ball exceeds this many vertices (below 1, at once).
 
     Returns:
-        CayleyBall with exact BFS distance labels, the full induced
-        edge set, and the first reduced-word collision seen (if any).
+        CayleyBall with exact BFS distance labels, the steps of the
+        full induced graph, and the first reduced-word collision seen.
 
     The search holds each vertex as one int, its nine k-bit entries
     packed with entry 0 most significant, so ordering by (distance,
@@ -450,16 +484,19 @@ def cayley_ball(
     it is read again from the tables of the multiple c*g that makes it
     lead with 1, so the product comes out canonical with no scaling
     pass.  Each edge is multiplied out once, from its lower end, which
-    sets the edge's bit in the upper end's mask of known back-edges; a
-    vertex skips the steps in its mask.  So a step that meets a known
-    vertex meets it from below and not along its parent edge, and the
-    first such step is the first collision.  Until then each mask holds
-    only the parent edge, by the bit of the matrix inverse.  A
-    `ProjMatrix` is built once per returned vertex.  The budget error
-    names the shell being grown, the radius and the vertex count.
+    fills both ends' entries of a flat step array; a vertex skips the
+    steps whose entries are known.  So a step that meets a known vertex
+    meets it from below and not along its parent edge, and the first
+    such step is the first collision.  Until then each vertex knows only
+    its parent edge, at the position of the matrix inverse.  A
+    `ProjMatrix` and a row of steps are built once per returned vertex.
+    The budget error names the shell being grown, the radius and the
+    vertex count.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    if vertex_budget < 1:
+        raise BudgetExceededError(f"vertex budget {vertex_budget} is below one vertex")
     spec = gens.fieldspec
     mul_rows, inv = spec.tables()
     ident = identity(spec).entries
@@ -472,9 +509,9 @@ def cayley_ball(
         position[m.entries] = i
     labels = gens.labels
     k = spec.degree
-    # steps[i]: (generator i, its bit, its label, its tables, the bit of
+    # moves[i]: (generator i, its label, its tables, the position of
     # the generator that steps back)
-    steps = []
+    moves = []
     for i, (m, lab) in enumerate(zip(gens.matrices, labels)):
         back = position.get(pgl_inv(m).entries)
         if back is None or labels[back] != gens.inverses.get(lab):
@@ -483,7 +520,9 @@ def cayley_ball(
                 f"at label {lab}"
             )
         tables = _generator_tables(mul_rows, inv, m.entries, k)
-        steps.append((i, 1 << i, lab, tables, 1 << back))
+        moves.append((i, lab, tables, back))
+    width = len(moves)
+    unknown = array("i", [-1]) * width
 
     mask = spec.size - 1
     k2, k3, k6 = 2 * k, 3 * k, 6 * k
@@ -502,8 +541,8 @@ def cayley_ball(
     dist: list[int] = [0]
     parent: list[int] = [-1]
     parent_step: list[int] = [-1]
-    known: list[int] = [0]
-    edges: list[tuple[int, int, int]] = []
+    # adj[u * width + i]: the vertex u*g_i, -1 until known or off the ball
+    adj = array("i", unknown)
     collision: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
 
     def word_of(i: int) -> tuple[int, ...]:
@@ -519,9 +558,9 @@ def cayley_ball(
         x = verts[u]
         du = dist[u]
         a0, a1, a2, a3, a4, a5, a6, a7, a8 = unpack(x)
-        skip = known[u]
-        for i, bit, lab, tables, back_bit in steps:
-            if skip & bit:
+        base = u * width
+        for i, lab, tables, back in moves:
+            if adj[base + i] >= 0:
                 continue
             t0, t1, t2 = tables[1]
             r0 = t0[a0] ^ t1[a1] ^ t2[a2]
@@ -551,29 +590,24 @@ def cayley_ball(
                 dist.append(du + 1)
                 parent.append(u)
                 parent_step.append(i)
-                known.append(back_bit)
-                edges.append((u, w, lab))
-            else:
+                adj += unknown
+            elif collision is None:
                 # met from below (w > u), and w is not u's child
-                edges.append((u, w, lab))
-                known[w] |= back_bit
-                if collision is None:
-                    collision = (w, word_of(w), word_of(u) + (lab,))
+                collision = (w, word_of(w), word_of(u) + (lab,))
+            adj[base + i] = w
+            adj[w * width + back] = u
         u += 1
 
     # canonical order: by (distance, encoded bytes), as ProjMatrix.encode
     order = sorted(range(len(verts)), key=lambda i: (dist[i], verts[i]))
     vertices = tuple(ProjMatrix(spec, unpack(verts[i]), True) for i in order)
-    pos = [0] * len(verts)
+    # a step off the ball, -1, reads pos[-1], which stays -1
+    pos = [0] * len(verts) + [-1]
     for new, old in enumerate(order):
         pos[old] = new
-    new_edges = []
-    for a, b, lab in edges:
-        na, nb = pos[a], pos[b]
-        if na < nb:
-            new_edges.append((na, nb, lab))
-        else:
-            new_edges.append((nb, na, gens.inverse_label(lab)))
+    # the remapped entries, cut into rows of `width` by one shared iterator
+    rows = list(zip(*[iter(map(pos.__getitem__, adj))] * width))
+    steps = tuple(map(rows.__getitem__, order))
     report = None
     if collision is not None:
         report = CollisionReport(pos[collision[0]], collision[1], collision[2])
@@ -582,7 +616,7 @@ def cayley_ball(
         radius=radius,
         vertices=vertices,
         dist=tuple(dist[i] for i in order),
-        edges=tuple(sorted(new_edges)),
+        steps=steps,
         collision=report,
     )
 

@@ -17,7 +17,6 @@ __all__ = [
     "Complex",
     "PurityReport",
     "clique_complex",
-    "triangle_count",
     "link",
     "star_vertices",
     "induced_subcomplex",
@@ -187,10 +186,6 @@ class Complex:
             raise ValueError(f"unknown vertices {unknown!r}")
         return tuple(sorted(vs, key=lambda v: index[v][0]))
 
-    def neighbors(self, v: VertexId) -> tuple:
-        """The vertices that share an edge with v, sorted."""
-        return tuple(sorted({x for t in self.incident_maximal(v) for x in t if x != v}))
-
     # -- equality and export ---------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -241,34 +236,6 @@ def _checked_colors(c: Complex, chamber_colors: Mapping) -> dict[tuple, object]:
 # construction helpers
 
 
-def _forward_sets(
-    vertices: Iterable[VertexId], edges: Iterable[tuple[VertexId, VertexId]]
-) -> dict[VertexId, set]:
-    """Each vertex's neighbours with a larger id, in `vertices` order.
-
-    An edge is stored once, from its smaller end, so a clique grown only
-    by vertices above all of its own is found once and already sorted.
-    Raises ValueError on repeated vertex ids, loops, repeated edges, or
-    unknown endpoints.
-    """
-    forward: dict[VertexId, set] = {}
-    for v in vertices:
-        if v in forward:
-            raise ValueError("repeated vertex id")
-        forward[v] = set()
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"loop at {u!r}: input graph must be simple")
-        if u not in forward or v not in forward:
-            raise ValueError(f"edge ({u!r}, {v!r}) has an unknown endpoint")
-        if v < u:
-            u, v = v, u
-        if v in forward[u]:
-            raise ValueError(f"repeated edge {(u, v)!r}: input graph must be simple")
-        forward[u].add(v)
-    return forward
-
-
 def clique_complex(
     vertices: Sequence[VertexId],
     edges: Iterable[tuple[VertexId, VertexId]],
@@ -282,7 +249,23 @@ def clique_complex(
     if max_dim < 1:
         raise ValueError("max_dim must be >= 1")
     verts = tuple(vertices)
-    forward = _forward_sets(verts, edges)
+    # each vertex's neighbours above it: a clique grown only by vertices
+    # above all of its own is found once and already sorted
+    forward: dict[VertexId, set] = {}
+    for v in verts:
+        if v in forward:
+            raise ValueError("repeated vertex id")
+        forward[v] = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"loop at {u!r}: input graph must be simple")
+        if u not in forward or v not in forward:
+            raise ValueError(f"edge ({u!r}, {v!r}) has an unknown endpoint")
+        if v < u:
+            u, v = v, u
+        if v in forward[u]:
+            raise ValueError(f"repeated edge {(u, v)!r}: input graph must be simple")
+        forward[u].add(v)
     # by_dim[d] holds the cliques of d + 1 vertices; each is found once,
     # sorted, and after every clique it extends, so the families are
     # closed under faces as they stand
@@ -301,20 +284,6 @@ def clique_complex(
     c = Complex.__new__(Complex)
     c._set(verts, dict(enumerate(by_dim)), None)
     return c
-
-
-def triangle_count(
-    vertices: Iterable[VertexId], edges: Iterable[tuple[VertexId, VertexId]]
-) -> int:
-    """Number of 3-cliques of a simple graph, the 2-simplices of its
-    clique complex, without building that complex.
-
-    Raises ValueError on repeated vertex ids, loops, repeated edges, or
-    unknown endpoints.
-    """
-    forward = _forward_sets(vertices, edges)
-    # each triangle u < v < w once, from its edge (u, v)
-    return sum(len(fu & forward[v]) for fu in forward.values() for v in fu)
 
 
 def link(c: Complex, v: VertexId) -> Complex:

@@ -69,6 +69,12 @@ def inverse_closed_plane_orbits(mats) -> list[int]:
     return sorted(sizes, reverse=True)
 
 
+def ball_graph(ball) -> tuple[range, list[tuple[int, int]]]:
+    """A Cayley ball's vertex indices and its unlabelled edges (u, v),
+    u < v, sorted."""
+    return range(len(ball)), [(u, v) for u, v, _ in ball.edges()]
+
+
 def naive_chamber_count(c: Complex, s) -> int:
     """Chambers containing s, by a scan of every chamber."""
     if not c.has_simplex(s):

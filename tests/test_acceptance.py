@@ -14,7 +14,7 @@ import subprocess
 import sys
 import time
 
-from oracles import naive_automorphisms, random_graph, random_two_complex
+from oracles import ball_graph, naive_automorphisms, random_graph, random_two_complex
 
 from arithcx.autoeng import (
     automorphism_order,
@@ -57,8 +57,8 @@ def _done(n: int, t0: float, ceiling: float, blurb: str) -> None:
 
 def _lsv_ball_complex(radius: int):
     ball = cayley_ball(symmetrize(lsv_generators()), radius)
-    verts, edges = ball.graph()
-    return ball, clique_complex(list(verts), edges, max_dim=3)
+    verts, edges = ball_graph(ball)
+    return ball, clique_complex(verts, edges, max_dim=3)
 
 
 # ----------------------------------------------------------------------

@@ -40,6 +40,7 @@ from arithcx.scx import (
 )
 from oracles import (
     all_simplices,
+    ball_graph,
     naive_automorphisms,
     naive_refine,
     random_coloring,
@@ -84,8 +85,7 @@ def ball2():
 
 @pytest.fixture(scope="module")
 def ballcx(ball2):
-    verts, edges = ball2.graph()
-    return clique_complex(list(verts), edges, max_dim=3)
+    return ball2.to_complex()
 
 
 # ----------------------------------------------------------------------
@@ -610,8 +610,7 @@ def test_radius_two_building_chain_work_is_pinned(ballcx):
 def test_rigid_verdict_refines_one_side(ball3):
     # rigidity --colors 2 -r 3 --seed 5: the root is discrete, and each of
     # its 672 splitters is scanned once, not once per side
-    verts, edges = ball3.graph()
-    cx = clique_complex(list(verts), edges, max_dim=3)
+    cx = ball3.to_complex()
     rng = random.Random(5)
     colored = color_chambers(cx, {t: rng.randrange(2) for t in cx.chambers()})
     grp = automorphisms_fixing(colored, [0])
@@ -729,9 +728,8 @@ def test_first_leaf_guess_is_the_search_first_leaf_on_flip_stars(
     ball3, checked_first_leaf
 ):
     # the three choices at each of the 7 reference stars of lsv verify -r 3
-    verts, edges = ball3.graph()
-    cx = clique_complex(list(verts), edges, max_dim=3)
-    rep = panel_flip_check(cx, ball_marks(ball3), steps=ball3.step_map())
+    cx = ball3.to_complex()
+    rep = panel_flip_check(cx, ball_marks(ball3), steps=ball3.steps)
     assert rep.choices_satisfied == 1029 and rep.searches == 21
     assert checked_first_leaf["calls"] == 21
 
@@ -808,7 +806,7 @@ def test_panel_flip_thickness_is_the_interior_chamber_counts(ball2, ballcx):
         )
         assert list(panel_flip_check(c, interior).thickness) == counts
         assert counts == list(expected)
-    carried = panel_flip_check(ballcx, cases[0][1], steps=ball2.step_map())
+    carried = panel_flip_check(ballcx, cases[0][1], steps=ball2.steps)
     assert carried.thickness == (3,)
 
 
@@ -898,7 +896,7 @@ def flips_with_and_without(c, interior, steps):
 
 
 def test_transported_flips_on_uncolored_radius_two_ball(ball2, ballcx):
-    fast, plain = flips_with_and_without(ballcx, ball_marks(ball2), ball2.step_map())
+    fast, plain = flips_with_and_without(ballcx, ball_marks(ball2), ball2.steps)
     assert fast.choices_satisfied == 105
     # one searched reference edge per generator pair {g, g^-1}
     assert fast.searches == 21
@@ -906,11 +904,10 @@ def test_transported_flips_on_uncolored_radius_two_ball(ball2, ballcx):
 
 def test_transported_flips_on_uncolored_radius_three_ball(ball3):
     # the lsv verify -r 3 inputs: the search count pins the work
-    verts, edges = ball3.graph()
-    cx = clique_complex(list(verts), edges, max_dim=3)
+    cx = ball3.to_complex()
     # every 3-clique is an uncolored triangle: no labels to test
     assert _graph(cx)[1] is None
-    fast, plain = flips_with_and_without(cx, ball_marks(ball3), ball3.step_map())
+    fast, plain = flips_with_and_without(cx, ball_marks(ball3), ball3.steps)
     assert fast.choices_satisfied == 1029 and fast.failures == ()
     assert plain.searches == 1029
     assert fast.searches == 21
@@ -919,12 +916,11 @@ def test_transported_flips_on_uncolored_radius_three_ball(ball3):
 def test_transported_flips_rejected_by_one_recolored_chamber(ball3):
     # every chamber color 0 except one far from the identity: the stars
     # that hold it are not carried, and the search decides those edges
-    verts, edges = ball3.graph()
-    cx = clique_complex(list(verts), edges, max_dim=3)
+    cx = ball3.to_complex()
     d = ball3.dist
     odd = next(t for t in cx.chambers() if [d[x] for x in t] == [2, 2, 3])
     colored = color_chambers(cx, {t: int(t == odd) for t in cx.chambers()})
-    fast, _ = flips_with_and_without(colored, ball_marks(ball3), ball3.step_map())
+    fast, _ = flips_with_and_without(colored, ball_marks(ball3), ball3.steps)
     assert len(fast.failures) >= 6
     assert 21 < fast.searches < fast.choices_total
     # 9 edges searched beyond the 7 references
@@ -935,11 +931,11 @@ def test_transported_flips_see_a_vertex_the_step_map_lacks(ball3):
     # a new vertex x joined to an edge (u, w) from shell 2 to shell 3:
     # the stars at u gain a vertex that no label reaches, and x blocks
     # every flip that moves w
-    verts, edges = ball3.graph()
+    verts, edges = ball_graph(ball3)
     d, x = ball3.dist, len(verts)
-    u, w = next((a, b) for a, b, _ in ball3.edges if (d[a], d[b]) == (2, 3))
+    u, w = next((a, b) for a, b in edges if (d[a], d[b]) == (2, 3))
     cx = clique_complex([*verts, x], [*edges, (u, x), (w, x)], max_dim=3)
-    fast, _ = flips_with_and_without(cx, ball_marks(ball3), ball3.step_map())
+    fast, _ = flips_with_and_without(cx, ball_marks(ball3), ball3.steps)
     assert fast.failures
     assert 21 < fast.searches < fast.choices_total
     assert fast.searches == 33
@@ -951,7 +947,7 @@ def test_transported_flips_see_a_simplex_only_one_star_has(ball3, change):
     # gap where an edge between two shell-3 vertices was: the stars
     # around it keep their vertices but gain or lose simplices.  Only
     # tau^-1 sees a gained simplex, only tau a lost one.
-    verts, edges = ball3.graph()
+    verts, edges = ball_graph(ball3)
     d = ball3.dist
     if change == "chord":
         nbrs = {v: set() for v in verts}
@@ -969,7 +965,7 @@ def test_transported_flips_see_a_simplex_only_one_star_has(ball3, change):
         gone = next((a, b) for a, b in edges if d[a] == d[b] == 3)
         edges = [e for e in edges if e != gone]
     cx = clique_complex(list(verts), edges, max_dim=2)
-    fast, _ = flips_with_and_without(cx, ball_marks(ball3), ball3.step_map())
+    fast, _ = flips_with_and_without(cx, ball_marks(ball3), ball3.steps)
     assert (fast.choices_satisfied, len(fast.failures)) == (1021, 8)
     assert fast.searches == 33
 
@@ -978,8 +974,8 @@ def test_transported_flips_see_a_hollow_chamber(ball3):
     # one chamber from shell 2 to shell 3 removed, its edges kept: the
     # stars that hold it have the same graph as their references, and
     # only the labels of the 3-cliques tell the hollow one apart
-    verts, edges = ball3.graph()
-    cx = clique_complex(list(verts), edges, max_dim=3)
+    verts, edges = ball_graph(ball3)
+    cx = ball3.to_complex()
     d = ball3.dist
     odd = next(t for t in cx.chambers() if [d[x] for x in t] == [2, 2, 3])
     hollow = Complex(verts, [*edges, *(t for t in cx.chambers() if t != odd)])
@@ -987,7 +983,7 @@ def test_transported_flips_see_a_hollow_chamber(ball3):
     labels = _graph(hollow)[1]
     assert labels is not None and odd not in labels
     assert len(labels) == hollow.simplex_count(2) and set(labels.values()) == {""}
-    fast, plain = flips_with_and_without(hollow, ball_marks(ball3), ball3.step_map())
+    fast, plain = flips_with_and_without(hollow, ball_marks(ball3), ball3.steps)
     assert fast.edges_eligible == 342
     assert (fast.choices_satisfied, len(fast.failures)) == (1010, 16)
     assert (fast.searches, plain.searches) == (45, 1026)
@@ -997,10 +993,11 @@ def test_carried_needs_a_bijection_onto_the_star():
     # two claws: u0 = 0 with leaves 1, 2, 3, and u = 10 with leaves 11-14
     edges = [(0, 1), (0, 2), (0, 3), (10, 11), (10, 12), (10, 13), (10, 14)]
     c = Complex([0, 1, 2, 3, 10, 11, 12, 13, 14], edges)
-    steps = [{} for _ in range(15)]
+    # label k at position k - 1, its inverse at k + 3
+    steps = [[-1] * 8 for _ in range(15)]
     for u, v in edges:
-        steps[u][v % 10] = v
-        steps[v][-(v % 10)] = u
+        steps[u][v % 10 - 1] = v
+        steps[v][v % 10 + 3] = u
     graph = _graph(c)
     ref = _reference((0, 1), frozenset({0, 1, 2, 3}), steps, *graph, None)
     star = frozenset({10, 11, 12, 13})
@@ -1015,7 +1012,7 @@ def test_carried_needs_a_bijection_onto_the_star():
     assert _carried(ref, steps, 10, (10, 11), other, *graph) is None
     # a step map that sends two labels to one vertex: tau is onto the
     # smaller star {10, 11, 12} but not injective
-    steps[10][3] = 12
+    steps[10][2] = 12
     small = frozenset({10, 11, 12})
     assert _carried(ref, steps, 10, (10, 11), small, *graph) is None
 
@@ -1026,8 +1023,8 @@ def test_carried_needs_the_edges_not_only_their_number():
     # from the claw onto the path's vertices; (0, 3) maps onto no edge
     edges = [(0, 1), (0, 2), (0, 3), (20, 21), (20, 22), (21, 23)]
     c = Complex([0, 1, 2, 3, 20, 21, 22, 23], edges)
-    steps = {0: {1: 1, 2: 2, 3: 3}, 20: {1: 21, 2: 22, 3: 23}}
-    steps.update({x: {} for x in (1, 2, 3, 21, 22, 23)})
+    steps = [[-1] * 3 for _ in range(24)]
+    steps[0], steps[20] = [1, 2, 3], [21, 22, 23]
     graph = _graph(c)
     ref = _reference((0, 1), frozenset({0, 1, 2, 3}), steps, *graph, None)
     path = frozenset({20, 21, 22, 23})
@@ -1037,7 +1034,7 @@ def test_carried_needs_the_edges_not_only_their_number():
 def chamber_types(ball, c):
     """Each chamber's type: the unsigned generator labels of its three
     edges, one of the 7 lines of the Fano plane."""
-    label = {(u, v): abs(lab) for u, v, lab in ball.edges}
+    label = {(u, v): abs(lab) for u, v, lab in ball.edges()}
     return {
         t: frozenset(label[e] for e in itertools.combinations(t, 2))
         for t in c.chambers()
@@ -1047,13 +1044,12 @@ def chamber_types(ball, c):
 def test_transported_flips_carry_failures_of_a_chamber_type_coloring(ball3):
     # a coloring by chamber type is invariant under left translation, so
     # every edge is carried, its failed choices with it
-    verts, edges = ball3.graph()
-    cx = clique_complex(list(verts), edges, max_dim=3)
+    cx = ball3.to_complex()
     types = chamber_types(ball3, cx)
     assert len(set(types.values())) == 7
     first = min(types.values(), key=sorted)
     colored = color_chambers(cx, {t: int(ty == first) for t, ty in types.items()})
-    fast, _ = flips_with_and_without(colored, ball_marks(ball3), ball3.step_map())
+    fast, _ = flips_with_and_without(colored, ball_marks(ball3), ball3.steps)
     assert (fast.choices_satisfied, len(fast.failures)) == (147, 882)
     assert fast.searches == 21
 
@@ -1065,7 +1061,7 @@ def test_transported_flips_on_two_colored_radius_two_balls(ball2, ballcx):
             ballcx, {t: rng.randrange(2) for t in ballcx.chambers()}
         )
         assert set(_graph(colored)[1].values()) == {"0", "1"}
-        fast, _ = flips_with_and_without(colored, ball_marks(ball2), ball2.step_map())
+        fast, _ = flips_with_and_without(colored, ball_marks(ball2), ball2.steps)
         assert fast.failures
         assert fast.searches > 21
         assert fast.searches == 105
@@ -1073,11 +1069,7 @@ def test_transported_flips_on_two_colored_radius_two_balls(ball2, ballcx):
 
 def test_garbage_step_map_costs_searches_not_verdicts(ball2, ballcx):
     rng = random.Random(442)
-    steps = []
-    for here in ball2.step_map():
-        labels = list(here)
-        rng.shuffle(labels)
-        steps.append(dict(zip(labels, here.values())))
+    steps = [rng.sample(row, len(row)) for row in ball2.steps]
     fast, plain = flips_with_and_without(ballcx, ball_marks(ball2), steps)
     assert fast.searches == plain.searches
 
@@ -1103,7 +1095,7 @@ def test_carried_star_conjugates_each_searched_flip(ball2, ballcx):
     # flip of the rebuilt star at the carried edge.  An edge whose
     # lower-end label has no reference is carried from the reference of
     # its upper-end label, with the ends swapped.
-    c, marks, steps = ballcx, ball_marks(ball2), ball2.step_map()
+    c, marks, steps = ballcx, ball_marks(ball2), ball2.steps
     graph = _graph(c)
     refs: dict = {}
     carried = swapped = 0
@@ -1146,14 +1138,14 @@ def test_carried_from_the_upper_end_matches_fresh_searches(ball2, ballcx):
     types = chamber_types(ball2, ballcx)
     first = min(types.values(), key=sorted)
     c = color_chambers(ballcx, {t: int(ty == first) for t, ty in types.items()})
-    marks, steps = ball_marks(ball2), ball2.step_map()
+    marks, steps = ball_marks(ball2), ball2.steps
     graph = _graph(c)
-    inverse = ball2.generators.inverse_label
+    labels, inverse = ball2.generators.labels, ball2.generators.inverse_label
     refs: dict = {}
     verdicts = []
     for edge, apexes, star, (label, upper) in interior_flip_edges(c, marks, steps):
         u, v = edge
-        assert upper == inverse(label)
+        assert labels[upper] == inverse(labels[label])
         if upper not in refs:
             held = dict(zip(apexes, autoeng._star_flips(c, edge, apexes, star)))
             refs.setdefault(label, _reference(edge, star, steps, *graph, held))
@@ -1174,11 +1166,24 @@ def test_carried_from_the_upper_end_matches_fresh_searches(ball2, ballcx):
 
 
 def test_step_map_inverts_each_edge(ball2):
-    steps = ball2.step_map()
-    inverse = ball2.generators.inverse_label
-    assert [len(s) for s in steps[:15]] == [14] * 15
-    for u, v, lab in ball2.edges:
-        assert steps[u][lab] == v and steps[v][inverse(lab)] == u
+    steps, gens = ball2.steps, ball2.generators
+    labels = gens.labels
+    back = [labels.index(gens.inverse_label(lab)) for lab in labels]
+    assert {len(row) for row in steps} == {14}
+    # the steps of every vertex short of the boundary stay in the ball
+    assert all(-1 not in row for row, d in zip(steps, ball2.dist) if d < 2)
+    assert sum(-1 in row for row in steps) == 98
+    for u, row in enumerate(steps):
+        for i, w in enumerate(row):
+            if w >= 0:
+                assert steps[w][back[i]] == u
+    # each edge once, from its lower end, labelled by its generator there
+    assert ball2.edges() == sorted(
+        (u, w, lab)
+        for u, row in enumerate(steps)
+        for w, lab in zip(row, labels)
+        if w > u
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1215,8 +1220,7 @@ def test_vf2_heawood_group(nx):
 def test_vf2_radius_one_building_ball_with_center_fixed(nx):
     # a clique complex: its automorphisms are those of its 1-skeleton
     ball = cayley_ball(symmetrize(lsv_generators()), 1)
-    verts, edges = ball.graph()
-    cx = clique_complex(list(verts), edges, max_dim=3)
+    cx = ball.to_complex()
     assert vf2_automorphism_count(nx, cx, label=lambda v: v == 0) == 336
     assert automorphisms_fixing(cx, [0]).order == 336
     assert automorphism_order(cx, fixed=[0]).order == 336
@@ -1310,6 +1314,5 @@ def test_schreier_sims_confirms_tree_chain(sympy_groups, r, order):
 
 def test_schreier_sims_confirms_building_chains(sympy_groups, ballcx, ball3):
     assert assert_witnesses_generate_chain_order(sympy_groups, ballcx, [0]) == 86016
-    verts, edges = ball3.graph()
-    cx3 = clique_complex(list(verts), edges, max_dim=3)
+    cx3 = ball3.to_complex()
     assert assert_witnesses_generate_chain_order(sympy_groups, cx3, [0]) == 336 * 2**17

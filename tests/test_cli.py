@@ -15,6 +15,7 @@ import pytest
 
 import arithcx
 import arithcx.cli
+import arithcx.projmat
 import arithcx.qlat
 import arithcx.scx
 from arithcx.autoeng import automorphisms_fixing
@@ -90,16 +91,28 @@ def test_lsv_ball_radius0_single_vertex(capsys):
 
 
 def test_lsv_ball_builds_no_complex(monkeypatch, capsys):
-    # the report counts triangles from the graph: no complex is built
+    # the report counts triangles from the steps: no complex is built
     def refuse(*args, **kwargs):
         raise AssertionError("lsv ball built a complex")
 
-    monkeypatch.setattr(arithcx.cli, "clique_complex", refuse)
     monkeypatch.setattr(arithcx.scx, "clique_complex", refuse)
     monkeypatch.setattr(arithcx.scx.Complex, "__init__", refuse)
+    monkeypatch.setattr(arithcx.projmat.CayleyBall, "to_complex", refuse)
     code, rep = run_json(["lsv", "ball", "--radius", "2"], capsys)
     assert code == 0
     assert rep["data"]["triangle_count"] == 231
+
+
+def test_ball_complexes_need_no_clique_search(monkeypatch, capsys):
+    # lsv verify and rigidity translate the triangles at the identity
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command searched for cliques")
+
+    monkeypatch.setattr(arithcx.scx, "clique_complex", refuse)
+    code, rep = run_json(["lsv", "verify", "-r", "2"], capsys)
+    assert code == 0 and rep["data"]["triangle_count"] == 231
+    code, rep = run_json(["rigidity", "-r", "2"], capsys)
+    assert code == 0 and rep["data"]["chamber_count"] == 231
 
 
 def test_lsv_verify_budget_exceeded_exit2(capsys):
@@ -460,12 +473,58 @@ def test_benchmark_reports_match_their_pinned_digests(capsys):
         (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
     )
     assert len(pinned) >= 68
+    assert changed_reports(pinned, capsys) == []
+
+
+def changed_reports(pinned, capsys):
+    """The argvs, keys of `pinned`, whose run fails or whose stdout has
+    another sha256 than the pinned one."""
     changed = []
     for key, digest in pinned.items():
         code, out = run(key.split(), capsys)
         if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
             changed.append(key)
-    assert changed == []
+    return changed
+
+
+# stdout sha256 of runs larger than the benchmark's, pinned at commit
+# 36f4cd2; together they take about 5 s in-process
+SCALE_DIGESTS = {
+    "lsv verify -r 4": (
+        "454a763dad830e14bc01b40ca7b776c51de3bee3bb414578edd0fd8704d8529a"
+    ),
+    "lsv verify -r 5": (
+        "fddc21d96e8a99ca49481c8a723656d3553d155075c9899037c25bf2c5070cc6"
+    ),
+    "lsv ball -r 4": (
+        "e91642c8b1c2deb6e1feb259a712ab5084c37bd885eae00e375f49edc1ef1a0f"
+    ),
+    "lsv ball -r 4 --format dot": (
+        "b70f38ffb9d076275e7a06c592b7f6bd4a3e0ef1374708ccf57828c53f7ddffc"
+    ),
+    "rigidity --colors 1 -r 3": (
+        "f424239999d8fc3829a577bc615cb7bf24ec3310e2646531c91cb0a55ce8bcca"
+    ),
+    "rigidity --colors 2 -r 4 --seed 0": (
+        "d37da35557e0b782275449be3815f58cb6aed133a6786ce4360aa56323aed9e8"
+    ),
+    "rigidity --colors 2 -r 4 --seed 1": (
+        "dd490bfca338cd408d82301926e55874653a5de4bf65dfccbb102e54cc172a5d"
+    ),
+    "rigidity --colors 2 -r 5 --seed 0": (
+        "769333a812afcaeb1913841f7eb0298466c31415f67e28554a34aae2de045419"
+    ),
+    "tree experiment --r 4": (
+        "e5975d657084c0a96d000af73012f5231636bc4d21bb362e73d65da28191fa02"
+    ),
+    "tree experiment --r 5 --s 1": (
+        "75aaa6c42b2d3897ff3b370cf5ca42b4a8eeec0c830f44ccae12d23c26ace394"
+    ),
+}
+
+
+def test_scale_reports_match_their_pinned_digests(capsys):
+    assert changed_reports(SCALE_DIGESTS, capsys) == []
 
 
 def test_traced_benchmark_commands(monkeypatch, capsys):

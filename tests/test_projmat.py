@@ -24,6 +24,7 @@ from arithcx.projmat import (
     projective_plane_orbit,
     symmetrize,
 )
+from arithcx.scx import clique_complex
 
 from oracles import inverse_closed_plane_orbits
 
@@ -393,7 +394,8 @@ def test_ball_radius_zero(sym):
     b = cayley_ball(sym, 0)
     assert len(b) == 1
     assert b.vertices[0] == identity(GF16)
-    assert b.edges == ()
+    assert b.edges() == []
+    assert b.steps == ((-1,) * 14,)
     assert b.sphere_sizes() == (1,)
 
 
@@ -401,28 +403,29 @@ def test_ball_radius_one_golden(sym):
     b = cayley_ball(sym, 1)
     # 15 vertices; 14 spokes plus the 21 edges among the neighbors
     assert len(b) == 15
-    assert len(b.edges) == 35
+    assert len(b.edges()) == 35
     assert b.sphere_sizes() == (1, 14)
 
 
 def test_ball_radius_two_golden(ball2):
     assert ball2.sphere_sizes() == (1, 14, 98)
     assert len(ball2) == 113
-    assert len(ball2.edges) == 343
+    assert len(ball2.edges()) == 343
     assert ball2.vertices[0] == identity(GF16)
     assert len({m.entries for m in ball2.vertices}) == 113
 
 
 def test_ball_distances_against_second_bfs(ball2):
-    assert list(ball2.dist) == second_bfs_distances(len(ball2), ball2.edges)
+    assert list(ball2.dist) == second_bfs_distances(len(ball2), ball2.edges())
 
 
 def test_ball_edge_labels_consistent(ball3):
     # pgl_mul is a second route to every edge, in both directions: the
     # ball multiplies each edge out once, from its lower end
     by_label = dict(zip(ball3.generators.labels, ball3.generators.matrices))
-    assert len(ball3.edges) > 2 * len(ball3)
-    for u, v, lab in ball3.edges:
+    edges = ball3.edges()
+    assert len(edges) > 2 * len(ball3)
+    for u, v, lab in edges:
         assert pgl_mul(ball3.vertices[u], by_label[lab]) == ball3.vertices[v]
         back = ball3.generators.inverse_label(lab)
         assert pgl_mul(ball3.vertices[v], by_label[back]) == ball3.vertices[u]
@@ -480,7 +483,7 @@ def test_ball_radius_four_matches_oracle_bfs(sym):
     assert [m.entries for m in ball.vertices] == order
     assert all(m.canonical for m in ball.vertices)
     assert list(ball.dist) == dist
-    assert list(ball.edges) == edges
+    assert ball.edges() == edges
     col = ball.collision
     assert col is not None and col.word_a != col.word_b
     assert (col.vertex, col.word_a, col.word_b) == collision
@@ -516,7 +519,7 @@ def test_ball_and_collision_match_oracle_bfs(table, picks, radius, sizes, collid
     assert ball.sphere_sizes() == sizes
     assert [m.entries for m in ball.vertices] == order
     assert list(ball.dist) == dist
-    assert list(ball.edges) == edges
+    assert ball.edges() == edges
     assert (collision is not None) == collides
     col = ball.collision
     assert (col and (col.vertex, col.word_a, col.word_b)) == collision
@@ -541,10 +544,27 @@ def test_first_collision_found_from_its_lower_end(table):
         sub = symmetrize(tbl)
         ball = cayley_ball(sub, 2)
         gens = [m.entries for m in sub.matrices]
-        _, _, edges, collision = oracle_ball(gens, sub.labels, 2)
-        assert list(ball.edges) == edges
+        order, _, edges, collision = oracle_ball(gens, sub.labels, 2)
+        assert ball.edges() == edges
         col = ball.collision
         assert (col and (col.vertex, col.word_a, col.word_b)) == collision
+        # the triangles walked from the identity are the clique search's,
+        # and no table here has a 4-clique
+        pairs = [(u, v) for u, v, _ in edges]
+        assert ball.to_complex() == clique_complex(range(len(order)), pairs, max_dim=3)
+
+
+def test_complex_refused_when_the_identity_lies_in_a_4_clique(table):
+    # g1, g1^2, g1^3 and the identity are pairwise one step apart: the
+    # flag complex has tetrahedra, which the translated triangles lack
+    g1 = table.matrices[0]
+    g2 = pgl_mul(g1, g1)
+    sub = symmetrize(GeneratorTable("powers", GF16, (g1, g2, pgl_mul(g2, g1))))
+    ball = cayley_ball(sub, 2)
+    pairs = [(u, v) for u, v, _ in ball.edges()]
+    assert clique_complex(range(len(ball)), pairs, max_dim=3).simplex_count(3) == 10
+    with pytest.raises(ValueError, match="identity and labels 1, 2, 3 span a 4-clique"):
+        ball.to_complex()
 
 
 def test_table_holding_a_generator_and_its_inverse(table):
@@ -564,9 +584,10 @@ def test_table_holding_a_generator_and_its_inverse(table):
     assert ball.sphere_sizes() == (1, 4, 12, 36)
     assert [m.entries for m in ball.vertices] == order
     assert list(ball.dist) == dist
-    assert list(ball.edges) == edges
+    assert ball.edges() == edges
     assert ball.collision is None and collision is None
-    assert {lab for out in ball.step_map() for lab in out} == set(sym.labels)
+    stepped = {lab for row in ball.steps for lab, w in zip(sym.labels, row) if w >= 0}
+    assert stepped == set(sym.labels)
     assert_collision_is_two_reduced_words(ball)
     assert sym.inverses == {1: 2, 2: 1, 3: -3, -3: 3}
 
@@ -646,7 +667,7 @@ def test_ball_vertex_symmetry_under_left_multiplication(ball2):
         inner[r_inner] = [
             i for i, d in enumerate(ball2.dist) if d <= r_inner
         ]
-    edge_set = {(u, v): lab for u, v, lab in ball2.edges}
+    edge_set = {(u, v): lab for u, v, lab in ball2.edges()}
     for gi in picks:
         g = ball2.vertices[gi]
         d = ball2.dist[gi]
@@ -681,6 +702,11 @@ def test_vertex_budget_enforced(sym):
         "ball exceeds vertex budget 2000 while growing shell 4 of radius 9: "
         "2000 vertices built, 1327 of them in shell 4"
     )
+    # below one vertex, not even the identity fits
+    for budget in (0, -1):
+        with pytest.raises(BudgetExceededError) as exc:
+            cayley_ball(sym, 0, vertex_budget=budget)
+        assert str(exc.value) == f"vertex budget {budget} is below one vertex"
     # a budget that the whole ball fits is no error
     assert len(cayley_ball(sym, 2, vertex_budget=113)) == 113
 

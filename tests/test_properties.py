@@ -32,7 +32,7 @@ from arithcx.autoeng import (
     verify_permutation,
 )
 from arithcx.cli import _render
-from arithcx.scx import Complex, clique_complex, triangle_count
+from arithcx.scx import Complex, clique_complex
 
 
 @st.composite
@@ -167,20 +167,6 @@ def test_sparse_witnesses_match_full_dicts(data):
     assert p.compose(q).to_json_dict() == fp.compose(fq).to_json_dict()
     assert all(p(v) == fp(v) for v in c.vertices)
     assert p.is_identity() == (fp.moved() == ())
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_triangle_count_is_the_clique_complex_count(data):
-    n = data.draw(st.integers(0, 12))
-    names = [f"v{i}" for i in range(n)] if n % 2 else list(range(n))
-    ids = data.draw(st.permutations(names))
-    pairs = list(itertools.combinations(ids, 2))
-    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    # each edge in either orientation
-    edges = [e if data.draw(st.booleans()) else e[::-1] for e in chosen]
-    expect = clique_complex(ids, edges, max_dim=2).simplex_count(2)
-    assert triangle_count(ids, edges) == expect
 
 
 @settings(max_examples=200, deadline=None)

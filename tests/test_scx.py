@@ -7,6 +7,7 @@ import pytest
 from arithcx.projmat import cayley_ball, lsv_generators, symmetrize
 from oracles import (
     all_simplices,
+    ball_graph,
     naive_chamber_count,
     naive_induced_subcomplex,
     naive_link,
@@ -22,7 +23,6 @@ from arithcx.scx import (
     link,
     purity_report,
     star_vertices,
-    triangle_count,
 )
 
 
@@ -33,8 +33,17 @@ def ball2():
 
 @pytest.fixture(scope="module")
 def ballcx(ball2):
-    verts, edges = ball2.graph()
-    return clique_complex(list(verts), edges, max_dim=3)
+    verts, edges = ball_graph(ball2)
+    return clique_complex(verts, edges, max_dim=3)
+
+
+def adjacency(c):
+    """Each vertex's neighbours in c's 1-skeleton, sorted."""
+    adj = {v: [] for v in c.vertices}
+    for u, v in c.simplices(1):
+        adj[u].append(v)
+        adj[v].append(u)
+    return {v: sorted(ns) for v, ns in adj.items()}
 
 
 def graph_girth(vertices, adj):
@@ -192,22 +201,20 @@ def test_clique_complex_small_graphs():
 
 
 def test_clique_complex_rejects_non_simple():
-    # triangle_count reads the same forward sets, with the same errors
-    for build in (clique_complex, triangle_count):
-        with pytest.raises(ValueError, match="loop at 0"):
-            build([0, 1], [(0, 0)])
-        with pytest.raises(ValueError, match="repeated edge"):
-            build([0, 1], [(0, 1), (1, 0)])
-        with pytest.raises(ValueError, match="repeated edge"):
-            build([0, 1], [(1, 0), (0, 1)])
-        with pytest.raises(ValueError, match="repeated edge"):
-            build([0, 1, 2], [(2, 1), (0, 1), (2, 1)])
-        with pytest.raises(ValueError, match="unknown endpoint"):
-            build([0, 1], [(0, 2)])
-        with pytest.raises(ValueError, match="^repeated vertex id$"):
-            build([0, 1, 2, 2], [(0, 1), (1, 2), (0, 2)])
-        with pytest.raises(ValueError, match="^repeated vertex id$"):
-            build(["a", "a"], [])
+    with pytest.raises(ValueError, match="loop at 0"):
+        clique_complex([0, 1], [(0, 0)])
+    with pytest.raises(ValueError, match="repeated edge"):
+        clique_complex([0, 1], [(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match="repeated edge"):
+        clique_complex([0, 1], [(1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="repeated edge"):
+        clique_complex([0, 1, 2], [(2, 1), (0, 1), (2, 1)])
+    with pytest.raises(ValueError, match="unknown endpoint"):
+        clique_complex([0, 1], [(0, 2)])
+    with pytest.raises(ValueError, match="^repeated vertex id$"):
+        clique_complex([0, 1, 2, 2], [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError, match="^repeated vertex id$"):
+        clique_complex(["a", "a"], [])
     with pytest.raises(ValueError, match="max_dim"):
         clique_complex([0, 1], [(0, 1)], max_dim=0)
 
@@ -265,7 +272,7 @@ def test_link_of_clique_complex_matches_neighbor_subgraph():
         cx = clique_complex(verts, edges, max_dim=4)
         v = rng.randrange(n)
         lk = link(cx, v)
-        nbrs = set(cx.neighbors(v))
+        nbrs = set(adjacency(cx)[v])
         sub_edges = [e for e in cx.simplices(1) if set(e) <= nbrs]
         if nbrs:
             expect = clique_complex(sorted(nbrs), sub_edges, max_dim=4)
@@ -413,26 +420,30 @@ def test_ball_complex_goldens(ballcx):
 
 
 def test_triangle_count_equals_the_clique_complex_count():
+    # the triangles translated from the identity are the clique search's
     sym = symmetrize(lsv_generators())
     counts = []
     for r in range(5):
-        verts, edges = cayley_ball(sym, r).graph()
-        counts.append(triangle_count(verts, edges))
-        assert counts[-1] == clique_complex(verts, edges).simplex_count(2)
+        ball = cayley_ball(sym, r)
+        verts, edges = ball_graph(ball)
+        tris = ball.triangles()
+        counts.append(len(tris))
+        assert sorted(tris) == list(clique_complex(verts, edges).simplices(2))
     assert counts == [0, 21, 231, 1575, 8967]
 
 
 def test_triangle_count_against_networkx():
     nx = pytest.importorskip("networkx")
-    verts, edges = cayley_ball(symmetrize(lsv_generators()), 3).graph()
+    ball = cayley_ball(symmetrize(lsv_generators()), 3)
+    verts, edges = ball_graph(ball)
     g = nx.Graph()
     g.add_nodes_from(verts)
     g.add_edges_from(edges)
-    assert triangle_count(verts, edges) == sum(nx.triangles(g).values()) // 3 == 1575
+    assert len(ball.triangles()) == sum(nx.triangles(g).values()) // 3 == 1575
 
 
 def test_ball_triangles_against_adjacency_oracle(ball2, ballcx):
-    verts, edges = ball2.graph()
+    verts, edges = ball_graph(ball2)
     adj = {v: set() for v in verts}
     for u, v in edges:
         adj[u].add(v)
@@ -442,6 +453,7 @@ def test_ball_triangles_against_adjacency_oracle(ball2, ballcx):
         for w in adj[u] & adj[v]:
             tris.add(tuple(sorted((u, v, w))))
     assert set(ballcx.simplices(2)) == tris
+    assert sorted(ball2.triangles()) == sorted(tris)
 
 
 def test_ball_interior_thickness(ball2, ballcx):
@@ -465,7 +477,7 @@ def test_link_of_identity_shape(ballcx):
     assert len(lk.vertices) == 14
     assert lk.simplex_count(1) == 21
     assert lk.dimension == 1
-    adj = {v: lk.neighbors(v) for v in lk.vertices}
+    adj = adjacency(lk)
     assert all(len(ns) == 3 for ns in adj.values())
     assert is_bipartite(lk.vertices, adj)
     assert graph_girth(lk.vertices, adj) == 6
@@ -475,7 +487,7 @@ def test_fano_incidence_graph_shape():
     g = fano_incidence_graph()
     assert len(g.vertices) == 14
     assert g.simplex_count(1) == 21
-    adj = {v: g.neighbors(v) for v in g.vertices}
+    adj = adjacency(g)
     assert all(len(ns) == 3 for ns in adj.values())
     assert is_bipartite(g.vertices, adj)
     assert graph_girth(g.vertices, adj) == 6
