@@ -6,18 +6,27 @@ Reports are byte-identical across runs with the same config and seed:
 all internal orderings are canonical and the only randomness is the
 seeded chamber coloring of the rigidity command.
 
+A report is built whole by its command's handler and then streamed:
+written to its sink a dict key and a list item at a time, so that the
+report's text never exists as one string.  With --out the JSON goes
+to the file first and stdout gets a copy of the file.
+
 Exit codes: 0 when every check passed, 1 when some check failed,
 2 on usage errors and exceeded budgets, 3 on any other error (an
-internal fault, or a report that cannot be written to --out).  An
-exceeded budget and every code-3 error print a JSON diagnostic naming
-the error's type and message in place of the report.
+internal fault, a report that cannot be written to --out, or a failed
+write to stdout).  An exceeded budget and every code-3 error print a
+JSON diagnostic naming the error's type and message in place of the
+report; when writing to stdout failed, part of the report may be out
+already, so the diagnostic goes to stderr and nothing more to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
+import shutil
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -127,9 +136,14 @@ def _key_text(k) -> str:
     return f'"{_SCALARS[kind](k)}"'
 
 
-def _text(o, nl: str) -> str:
-    """The JSON text of o; nl is the newline and indent of the line o
-    starts on."""
+def _write(o, nl: str, write) -> None:
+    """Write the JSON text of o through write(); nl is the newline and
+    indent of the line o starts on.
+
+    A dict goes out key by key and a list whose items are containers
+    item by item, each item's text joined; a scalar or a list of
+    scalars is one piece.  So no piece holds a large sub-list's text.
+    """
     kind = type(o)
     if kind not in _KINDS:
         kind = _json_type(o)
@@ -139,34 +153,50 @@ def _text(o, nl: str) -> str:
             )
     scalar = _SCALARS.get(kind)
     if scalar is not None:
-        return scalar(o)
-    if not o:
-        return "{}" if kind is dict else "[]"
-    inner = nl + "  "
-    if kind is dict:
-        # one join per dict, so that no large value text is copied twice;
+        write(scalar(o))
+    elif not o:
+        write("{}" if kind is dict else "[]")
+    elif kind is dict:
+        inner = nl + "  "
         # the items are sorted before any key is converted, as json does
-        parts = ["{" + inner]
+        sep = "{" + inner
         for k, v in sorted(o.items()):
-            parts += (_key_text(k), ": ", _text(v, inner), "," + inner)
-        parts[-1] = nl + "}"
-        return "".join(parts)
-    try:
-        items = [_SCALARS[type(x)](x) for x in o]
-    except KeyError:  # a container or a subclass among the items
-        items = [_text(x, inner) for x in o]
-    return "[" + inner + ("," + inner).join(items) + nl + "]"
+            write(sep + _key_text(k) + ": ")
+            _write(v, inner, write)
+            sep = "," + inner
+        write(nl + "}")
+    else:
+        inner = nl + "  "
+        try:
+            items = [_SCALARS[type(x)](x) for x in o]
+        except KeyError:  # a container or a subclass among the items
+            sep = "[" + inner
+            for x in o:
+                write(sep + _text(x, inner))
+                sep = "," + inner
+            write(nl + "]")
+        else:
+            write("[" + inner + ("," + inner).join(items) + nl + "]")
 
 
-def _render(report: dict) -> str:
-    """`json.dumps(report, indent=2, sort_keys=True)` and a newline.
+def _text(o, nl: str) -> str:
+    """The JSON text of o, joined from _write's pieces."""
+    pieces: list[str] = []
+    _write(o, nl, pieces.append)
+    return "".join(pieces)
+
+
+def _emit(report: dict, write) -> None:
+    """Write `json.dumps(report, indent=2, sort_keys=True)` and a newline
+    through write(), in _write's pieces.
 
     json's indenting encoder runs in pure Python and keeps a chunk per
-    token until its final join.  Here each container's text is joined
-    once from its items' texts, a list of scalars in one join, and
-    strings go through json's C escaper.
+    token until its final join.  Here each list item's text is joined
+    once, a list of scalars in one join, and strings go through json's
+    C escaper; the report as a whole is never one string.
     """
-    return _text(report, "\n") + "\n"
+    _write(report, "\n", write)
+    write("\n")
 
 
 # ----------------------------------------------------------------------
@@ -241,13 +271,15 @@ def _lsv_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 def _lsv_ball(args: argparse.Namespace) -> tuple[dict, str | None]:
     ball = cayley_ball(symmetrize(lsv_generators()), args.radius, args.budget)
-    # triangles counted first: their list is freed before the report,
-    # the peak of this command's memory, is built
-    data = {
-        "triangle_count": len(ball.triangles()),
-        "ball": ball.to_json_dict(),
-    }
     dot = ball.to_dot() if args.format == "dot" else None
+    data = {}
+    if dot is None or args.out:  # the JSON report is written somewhere
+        # triangles counted first: their list is freed before the
+        # report's data, the peak of this command's memory, is built
+        data = {
+            "triangle_count": len(ball.triangles()),
+            "ball": ball.to_json_dict(),
+        }
     return _report("lsv-ball", args, [], data), dot
 
 
@@ -525,15 +557,28 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         parser.error(f"{args.name} has no DOT export")
 
 
-def _fail(args: argparse.Namespace, exc: Exception, code: int) -> int:
+def _fail(args: argparse.Namespace, exc: Exception, code: int, write) -> int:
     diagnostic = {
         "schema": SCHEMA,
         "command": args.name,
         "config": _config(args),
         "error": {"type": type(exc).__name__, "message": str(exc)},
     }
-    sys.stdout.write(_render(diagnostic))
+    _emit(diagnostic, write)
     return code
+
+
+def _discard_stdout() -> None:
+    """Point the stdout descriptor, if there is one, at the null device,
+    so that the flush at exit drops what a failed write left buffered
+    instead of failing again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -542,22 +587,40 @@ def main(argv: Sequence[str] | None = None) -> int:
     _validate(args, parser)
     try:
         report, dot = args.handler(args)
-        # the JSON text is unused when stdout gets DOT and there is no --out
-        text = _render(report) if dot is None or args.out else None
         if args.out:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            (out / f"{args.name}.json").write_text(text)
+            written = out / f"{args.name}.json"
+            with open(written, "w") as f:
+                _emit(report, f.write)
             if dot is not None:
                 (out / f"{args.name}.dot").write_text(dot)
     except (BudgetExceededError, CapExceededError) as exc:
-        return _fail(args, exc, 2)
+        return _fail(args, exc, 2, sys.stdout.write)
     except Exception as exc:
         # the standard traceback on stderr, without importing the
         # traceback module on every start
         sys.excepthook(type(exc), exc, exc.__traceback__)
-        return _fail(args, exc, 3)
-    sys.stdout.write(dot if dot is not None else text)
+        return _fail(args, exc, 3, sys.stdout.write)
+    # sys.stdout is looked up at each use, so that a caller's redirect
+    # of it takes effect
+    try:
+        if dot is not None:
+            sys.stdout.write(dot)
+        elif args.out:
+            with open(written) as f:
+                shutil.copyfileobj(f, sys.stdout)
+        else:
+            _emit(report, sys.stdout.write)
+        sys.stdout.flush()
+    except Exception as exc:
+        # part of the report may be out already: the diagnostic goes to
+        # stderr, and nothing more to stdout
+        if isinstance(exc, OSError):
+            _discard_stdout()
+        else:  # an internal fault, such as a report json cannot encode
+            sys.excepthook(type(exc), exc, exc.__traceback__)
+        return _fail(args, exc, 3, sys.stderr.write)
     return 0 if all(c["status"] == "pass" for c in report["checks"]) else 1
 
 

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import OrderedDict, namedtuple
 from decimal import Decimal
 from pathlib import Path
@@ -406,16 +407,146 @@ def test_out_dir_writes_report_and_dot(tmp_path, capsys):
 
 
 def test_json_rendered_only_when_written(monkeypatch, tmp_path, capsys):
-    rendered = []
-    render = arithcx.cli._render
-    monkeypatch.setattr(arithcx.cli, "_render", lambda r: rendered.append(r) or render(r))
+    emitted = []
+    emit = arithcx.cli._emit
+    monkeypatch.setattr(
+        arithcx.cli, "_emit", lambda r, write: emitted.append(r) or emit(r, write)
+    )
     code, out = run(["tree", "quotient", "--format", "dot"], capsys)
     assert code == 0 and out.startswith("graph complex")
-    assert rendered == []
+    assert emitted == []
     code, _ = run(["tree", "quotient", "--format", "dot", "--out", str(tmp_path)], capsys)
-    assert code == 0 and len(rendered) == 1
+    assert code == 0 and len(emitted) == 1
+    # with --out, stdout gets a copy of the file, not a second rendering
+    code, out = run(["tree", "quotient", "--out", str(tmp_path)], capsys)
+    assert code == 0 and len(emitted) == 2
+    assert (tmp_path / "tree-quotient.json").read_text() == out
     code, _ = run(["tree", "quotient"], capsys)
-    assert code == 0 and len(rendered) == 2
+    assert code == 0 and len(emitted) == 3
+
+
+def test_lsv_ball_dot_builds_json_data_only_for_out(monkeypatch, tmp_path, capsys):
+    code, plain = run(["lsv", "ball", "-r", "2", "--out", str(tmp_path)], capsys)
+    assert code == 0
+
+    def refuse(self):
+        raise AssertionError("JSON data built for a DOT-only run")
+
+    to_json_dict = arithcx.projmat.CayleyBall.to_json_dict
+    monkeypatch.setattr(arithcx.projmat.CayleyBall, "to_json_dict", refuse)
+    code, out = run(["lsv", "ball", "-r", "2", "--format", "dot"], capsys)
+    assert code == 0 and out.startswith("graph cayley_ball")
+    monkeypatch.setattr(arithcx.projmat.CayleyBall, "to_json_dict", to_json_dict)
+    argv = ["lsv", "ball", "-r", "2", "--format", "dot", "--out", str(tmp_path)]
+    code, _ = run(argv, capsys)
+    assert code == 0
+    # the file is the plain run's report but for the format it echoes
+    expected = json.loads(plain)
+    expected["config"]["format"] = "dot"
+    assert json.loads((tmp_path / "lsv-ball.json").read_text()) == expected
+
+
+class _Sink:
+    """A stdout that keeps what it is given and raises OSError on the
+    write numbered `fail_at` (from 0), or never when it is None."""
+
+    def __init__(self, fail_at=None):
+        self.pieces = []
+        self.fail_at = fail_at
+
+    def write(self, s):
+        if len(self.pieces) == self.fail_at:
+            raise OSError(28, "No space left on device")
+        self.pieces.append(s)
+        return len(s)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fail_at", [0, 5])
+def test_failed_stdout_write_exit3(monkeypatch, capsys, fail_at):
+    sink = _Sink(fail_at)
+    monkeypatch.setattr(sys, "stdout", sink)
+    code = main(["lsv", "ball", "--radius", "1"])
+    assert code == 3
+    # what was written before the failure stays; nothing follows it
+    assert len(sink.pieces) == fail_at
+    rep = json.loads(capsys.readouterr().err)
+    assert rep["command"] == "lsv-ball"
+    assert rep["error"] == {
+        "type": "OSError",
+        "message": "[Errno 28] No space left on device",
+    }
+
+
+def test_report_json_cannot_encode_exit3(monkeypatch, capsys):
+    def unencodable(args):
+        return {"checks": [], "data": {"a": [1, {2}]}}, None
+
+    monkeypatch.setattr(arithcx.cli, "_lsv_verify", unencodable)
+    assert main(["lsv", "verify", "--radius", "1"]) == 3
+    out, err = capsys.readouterr()
+    # stdout holds the pieces before the set; the diagnostic follows the
+    # traceback on stderr
+    assert out.endswith('"a": [\n      1')
+    assert err.rstrip().endswith(
+        '"message": "Object of type set is not JSON serializable",\n'
+        '    "type": "TypeError"\n  },\n  "schema": "arithcx-report/1"\n}'
+    )
+    assert "Traceback" in err
+
+
+def test_failed_stdout_pipe_exit3():
+    # a reader that closes the pipe at once: the write fails with EPIPE
+    env = dict(os.environ, PYTHONPATH=str(Path(arithcx.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "arithcx.cli", "lsv", "ball", "-r", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 3
+    assert json.loads(err)["error"]["type"] == "BrokenPipeError"
+
+
+def test_report_is_written_in_small_pieces(monkeypatch):
+    sink = _Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["lsv", "ball", "--radius", "3"]) == 0
+    assert len(sink.pieces) > 1
+    assert max(len(p) for p in sink.pieces) < 1024
+    assert json.loads("".join(sink.pieces))["data"]["ball"]["vertex_count"] == 673
+
+
+def test_lsv_ball_memory_within_report_multiple(monkeypatch):
+    # streamed, the report's text is never held whole: the traced peak
+    # is the ball and its JSON data, not copies of the text
+    class Counter:
+        size = 0
+
+        def write(self, s):
+            self.size += len(s)
+
+        def flush(self):
+            pass
+
+    sink = Counter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(["lsv", "ball", "--radius", "4"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * sink.size, f"peak {peak} B for a {sink.size} B report"
+
+
+def render(obj):
+    """The report text _emit writes for obj, joined."""
+    pieces = []
+    arithcx.cli._emit(obj, pieces.append)
+    return "".join(pieces)
 
 
 @pytest.mark.parametrize(
@@ -432,7 +563,7 @@ def test_render_raises_type_error_where_json_does(obj):
     with pytest.raises(TypeError) as expected:
         json.dumps(obj, indent=2, sort_keys=True)
     with pytest.raises(TypeError) as got:
-        arithcx.cli._render(obj)
+        render(obj)
     assert str(got.value) == str(expected.value)
 
 
@@ -448,7 +579,7 @@ def test_render_encodes_subclasses_as_json_does():
         b=[pair(1, Label("x")), Small(3)],
         a={Label("k"): pair(0, 1), "j": {Small(2): [], 1: True}},
     )
-    assert arithcx.cli._render(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert render(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(

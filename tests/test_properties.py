@@ -3,7 +3,8 @@ find-one search's first-path guess is its first leaf, the leaf check
 local to the moved vertices agrees with a check of every simplex, a
 sparse witness behaves as its full dict, a graph's triangle count is
 its clique complex's, its clique complex is the complex of all its
-cliques, and the CLI's report renderer writes what json.dumps writes.
+cliques, and the pieces the CLI's report writer writes join to what
+json.dumps writes.
 
 hypothesis is not a declared dependency, so the module is skipped when
 it is missing.
@@ -31,7 +32,7 @@ from arithcx.autoeng import (
     is_isomorphic,
     verify_permutation,
 )
-from arithcx.cli import _render
+from arithcx.cli import _emit
 from arithcx.scx import Complex, clique_complex
 
 
@@ -217,4 +218,6 @@ def _containers(children):
 @settings(max_examples=400, deadline=None)
 @given(st.recursive(_SCALARS, _containers, max_leaves=40))
 def test_render_matches_json_dumps(obj):
-    assert _render(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    pieces = []
+    _emit(obj, pieces.append)
+    assert "".join(pieces) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
