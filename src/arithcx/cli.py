@@ -557,15 +557,14 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         parser.error(f"{args.name} has no DOT export")
 
 
-def _fail(args: argparse.Namespace, exc: Exception, code: int, write) -> int:
-    diagnostic = {
+def _diagnostic(args: argparse.Namespace, exc: Exception) -> dict:
+    """What is printed in place of a report: the error's type and message."""
+    return {
         "schema": SCHEMA,
         "command": args.name,
         "config": _config(args),
         "error": {"type": type(exc).__name__, "message": str(exc)},
     }
-    _emit(diagnostic, write)
-    return code
 
 
 def _discard_stdout() -> None:
@@ -585,29 +584,31 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(args, parser)
+    written = None  # the --out JSON file, once it is complete
     try:
         report, dot = args.handler(args)
+        code = 0 if all(c["status"] == "pass" for c in report["checks"]) else 1
         if args.out:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            written = out / f"{args.name}.json"
-            with open(written, "w") as f:
+            with open(out / f"{args.name}.json", "w") as f:
                 _emit(report, f.write)
             if dot is not None:
                 (out / f"{args.name}.dot").write_text(dot)
+            written = f.name
     except (BudgetExceededError, CapExceededError) as exc:
-        return _fail(args, exc, 2, sys.stdout.write)
+        report, dot, code = _diagnostic(args, exc), None, 2
     except Exception as exc:
         # the standard traceback on stderr, without importing the
         # traceback module on every start
         sys.excepthook(type(exc), exc, exc.__traceback__)
-        return _fail(args, exc, 3, sys.stdout.write)
+        report, dot, code = _diagnostic(args, exc), None, 3
     # sys.stdout is looked up at each use, so that a caller's redirect
     # of it takes effect
     try:
         if dot is not None:
             sys.stdout.write(dot)
-        elif args.out:
+        elif written is not None:
             with open(written) as f:
                 shutil.copyfileobj(f, sys.stdout)
         else:
@@ -620,8 +621,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             _discard_stdout()
         else:  # an internal fault, such as a report json cannot encode
             sys.excepthook(type(exc), exc, exc.__traceback__)
-        return _fail(args, exc, 3, sys.stderr.write)
-    return 0 if all(c["status"] == "pass" for c in report["checks"]) else 1
+        _emit(_diagnostic(args, exc), sys.stderr.write)
+        return 3
+    return code
 
 
 if __name__ == "__main__":

@@ -464,16 +464,24 @@ class _Sink:
         pass
 
 
-@pytest.mark.parametrize("fail_at", [0, 5])
-def test_failed_stdout_write_exit3(monkeypatch, capsys, fail_at):
+@pytest.mark.parametrize(
+    "argv, fail_at",
+    [
+        (["lsv", "ball", "--radius", "1"], 0),
+        (["lsv", "ball", "--radius", "1"], 5),
+        # the budget diagnostic meets the same failure
+        (["lsv", "verify", "--radius", "9", "--budget", "1000"], 0),
+    ],
+)
+def test_failed_stdout_write_exit3(monkeypatch, capsys, argv, fail_at):
     sink = _Sink(fail_at)
     monkeypatch.setattr(sys, "stdout", sink)
-    code = main(["lsv", "ball", "--radius", "1"])
+    code = main(argv)
     assert code == 3
     # what was written before the failure stays; nothing follows it
     assert len(sink.pieces) == fail_at
     rep = json.loads(capsys.readouterr().err)
-    assert rep["command"] == "lsv-ball"
+    assert rep["command"] == f"{argv[0]}-{argv[1]}"
     assert rep["error"] == {
         "type": "OSError",
         "message": "[Errno 28] No space left on device",
