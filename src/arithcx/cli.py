@@ -591,11 +591,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.out:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            with open(out / f"{args.name}.json", "w") as f:
+            path = out / f"{args.name}.json"
+            with open(path, "w") as f:
                 _emit(report, f.write)
             if dot is not None:
                 (out / f"{args.name}.dot").write_text(dot)
-            written = f.name
+            written = path
     except (BudgetExceededError, CapExceededError) as exc:
         report, dot, code = _diagnostic(args, exc), None, 2
     except Exception as exc:

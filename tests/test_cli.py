@@ -530,7 +530,7 @@ def test_report_is_written_in_small_pieces(monkeypatch):
 def test_lsv_ball_memory_within_report_multiple(monkeypatch):
     # streamed, the report's text is never held whole: the traced peak
     # is the ball and its JSON data, not copies of the text
-    class Counter:
+    class Discard:
         size = 0
 
         def write(self, s):
@@ -539,7 +539,7 @@ def test_lsv_ball_memory_within_report_multiple(monkeypatch):
         def flush(self):
             pass
 
-    sink = Counter()
+    sink = Discard()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
     try:
