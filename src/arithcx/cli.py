@@ -6,10 +6,11 @@ Reports are byte-identical across runs with the same config and seed:
 all internal orderings are canonical and the only randomness is the
 seeded chamber coloring of the rigidity command.
 
-A report is built whole by its command's handler and then streamed:
-written to its sink a dict key and a list item at a time, so that the
-report's text never exists as one string.  With --out the JSON goes
-to the file first and stdout gets a copy of the file.
+A report is built by its command's handler and then streamed: written
+to its sink a dict key and a list item at a time, so that its text is
+never one string; `lsv ball`'s vertex and edge items are filled from
+the ball as they are written.  With --out the JSON goes to the file
+first and stdout gets a copy of the file.
 
 Exit codes: 0 when every check passed, 1 when some check failed,
 2 on usage errors and exceeded budgets, 3 on any other error (an
@@ -29,7 +30,7 @@ import random
 import shutil
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .autoeng import (
     automorphism_order,
@@ -39,6 +40,7 @@ from .autoeng import (
     verify_permutation,
 )
 from .errors import BudgetExceededError, CapExceededError
+from .gf2k import format_poly
 from .projmat import (
     cayley_ball,
     determinant,
@@ -115,6 +117,15 @@ _SCALARS = {
 _KINDS = {*_SCALARS, dict, list, tuple}
 
 
+class _Rows(NamedTuple):
+    """A list written from one item shape, `shape` with the string "%s"
+    for each value and no other `%`, filled in slot order from each
+    tuple that a fresh `values()` yields, each value's str its JSON."""
+
+    shape: object
+    values: Callable[[], Iterator[tuple]]
+
+
 def _json_type(o) -> type | None:
     """The type json encodes an instance of a subclass as: the first of
     its checks that o passes, or None when it has none."""
@@ -143,8 +154,19 @@ def _write(o, nl: str, write) -> None:
     A dict goes out key by key and a list whose items are containers
     item by item, each item's text joined; a scalar or a list of
     scalars is one piece.  So no piece holds a large sub-list's text.
+    A _Rows item is its shape's text at this indent, filled by `%`.
     """
     kind = type(o)
+    if kind is _Rows:
+        inner = nl + "  "
+        item = _text(o.shape, inner).replace('"%s"', "%s")
+        fmt = first = "[" + inner + item
+        rest = "," + inner + item
+        for v in o.values():
+            write(fmt % v)
+            fmt = rest
+        write("[]" if fmt is first else nl + "]")
+        return
     if kind not in _KINDS:
         kind = _json_type(o)
         if kind is None:
@@ -192,8 +214,9 @@ def _emit(report: dict, write) -> None:
 
     json's indenting encoder runs in pure Python and keeps a chunk per
     token until its final join.  Here each list item's text is joined
-    once, a list of scalars in one join, and strings go through json's
-    C escaper; the report as a whole is never one string.
+    once, a list of scalars in one join, a _Rows item is one `%`, and
+    strings go through json's C escaper; the report as a whole is never
+    one string.
     """
     _write(report, "\n", write)
     write("\n")
@@ -269,17 +292,36 @@ def _lsv_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
     return _report("lsv-verify", args, checks, data), None
 
 
+def _ball_data(ball) -> dict:
+    """The ball's JSON record; its vertices and edges are _Rows, filled
+    from the ball as they are written."""
+    gens = ball.generators
+    quoted = [_ESCAPE(n) for n in gens.fieldspec.names]
+    return {
+        "field": {"modulus": format_poly(gens.fieldspec.modulus)},
+        "radius": ball.radius,
+        "generator_labels": list(gens.labels),
+        "generators": [m.rows() for m in gens.matrices],
+        "vertex_count": len(ball),
+        "sphere_sizes": list(ball.sphere_sizes()),
+        "vertices": _Rows(
+            {"distance": "%s", "index": "%s", "rows": [["%s"] * 3] * 3},
+            lambda: (
+                (d, i, *[quoted[e] for e in m.entries])
+                for i, (d, m) in enumerate(zip(ball.dist, ball.vertices))
+            ),
+        ),
+        "edges": _Rows(["%s"] * 3, ball.edges),
+        "collision": ball.collision and ball.collision.to_json_dict(),
+    }
+
+
 def _lsv_ball(args: argparse.Namespace) -> tuple[dict, str | None]:
     ball = cayley_ball(symmetrize(lsv_generators()), args.radius, args.budget)
     dot = ball.to_dot() if args.format == "dot" else None
     data = {}
     if dot is None or args.out:  # the JSON report is written somewhere
-        # triangles counted first: their list is freed before the
-        # report's data, the peak of this command's memory, is built
-        data = {
-            "triangle_count": len(ball.triangles()),
-            "ball": ball.to_json_dict(),
-        }
+        data = {"triangle_count": len(ball.triangles()), "ball": _ball_data(ball)}
     return _report("lsv-ball", args, [], data), dot
 
 

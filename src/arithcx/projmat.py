@@ -32,10 +32,10 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError
-from .gf2k import GF16, FieldSpec, format_poly, parse_poly
+from .gf2k import GF16, FieldSpec, parse_poly
 from .scx import Complex, dot_graph
 
 __all__ = [
@@ -349,7 +349,8 @@ class CayleyBall:
     vertex order is sorted by encoded bytes within each distance shell.
     `steps[u][i]` is the index of u*g_i, for g_i the i-th generator, or
     -1 off the ball: the full induced graph, edges between two outermost
-    vertices included, with one label per neighbour.
+    vertices included, with one label per neighbour.  `edges()` reads
+    the edges off the steps as they are used: no edge list is held.
     """
 
     generators: SymmetricGenerators
@@ -366,14 +367,12 @@ class CayleyBall:
         counts = Counter(self.dist)
         return tuple(counts.get(d, 0) for d in range(self.radius + 1))
 
-    def edges(self) -> list[tuple[int, int, int]]:
+    def edges(self) -> Iterator[tuple[int, int, int]]:
         """Each edge as (u, v, label) with u < v and v = u*g_label,
         sorted; one label per neighbour makes (u, v) the sort key."""
         labels = self.generators.labels
-        out: list[tuple[int, int, int]] = []
         for u, row in enumerate(self.steps):
-            out += sorted((u, v, lab) for v, lab in zip(row, labels) if v > u)
-        return out
+            yield from sorted((u, v, lab) for v, lab in zip(row, labels) if v > u)
 
     def _identity_pairs(self) -> list[tuple[int, int]]:
         """The positions i < j of the triangles {1, g_i, g_j}."""
@@ -409,24 +408,6 @@ class CayleyBall:
         c = Complex.__new__(Complex)
         c._set(verts, {0: [(v,) for v in verts], 1: edges, 2: self.triangles()}, None)
         return c
-
-    def to_json_dict(self) -> dict:
-        return {
-            "field": {"modulus": format_poly(self.generators.fieldspec.modulus)},
-            "radius": self.radius,
-            "generator_labels": list(self.generators.labels),
-            "generators": [m.rows() for m in self.generators.matrices],
-            "vertex_count": len(self.vertices),
-            "sphere_sizes": list(self.sphere_sizes()),
-            "vertices": [
-                {"index": i, "distance": self.dist[i], "rows": m.rows()}
-                for i, m in enumerate(self.vertices)
-            ],
-            "edges": self.edges(),
-            "collision": None
-            if self.collision is None
-            else self.collision.to_json_dict(),
-        }
 
     def to_dot(self) -> str:
         """1-skeleton in DOT; edge labels are signed generator indices."""

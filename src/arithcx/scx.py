@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Hashable, Iterable, Mapping, Sequence
 
 __all__ = [
@@ -397,7 +397,7 @@ def dot_graph(name: str, nodes: Iterable[tuple], edges: Iterable[tuple]) -> str:
     """An undirected DOT graph with one statement per (node, attrs) and
     (u, v, attrs) row; ids come rendered, and attrs is a rendered
     attribute list or "" for none."""
-    rows = [*nodes, *((f"{u} -- {v}", attrs) for u, v, attrs in edges)]
+    rows = chain(nodes, ((f"{u} -- {v}", attrs) for u, v, attrs in edges))
     body = "".join(f"  {s} [{a}];\n" if a else f"  {s};\n" for s, a in rows)
     return f"graph {name} {{\n{body}}}\n"
 

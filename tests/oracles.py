@@ -4,6 +4,7 @@ import itertools
 from collections import Counter
 
 from arithcx.autoeng import _search
+from arithcx.gf2k import format_poly
 from arithcx.projmat import _act, pgl_inv, proj_plane_points
 from arithcx.scx import Complex
 
@@ -252,3 +253,25 @@ class FullMap:
 
     def to_json_dict(self) -> dict:
         return {"mapping": [[k, v] for k, v in sorted(self.map.items())]}
+
+
+def ball_json_dict(ball) -> dict:
+    """A Cayley ball's JSON record materialised whole, every vertex a
+    dict and every edge a tuple: the reference for `lsv ball`'s data,
+    which is written straight from the ball."""
+    return {
+        "field": {"modulus": format_poly(ball.generators.fieldspec.modulus)},
+        "radius": ball.radius,
+        "generator_labels": list(ball.generators.labels),
+        "generators": [m.rows() for m in ball.generators.matrices],
+        "vertex_count": len(ball.vertices),
+        "sphere_sizes": list(ball.sphere_sizes()),
+        "vertices": [
+            {"index": i, "distance": ball.dist[i], "rows": m.rows()}
+            for i, m in enumerate(ball.vertices)
+        ],
+        "edges": list(ball.edges()),
+        "collision": None
+        if ball.collision is None
+        else ball.collision.to_json_dict(),
+    }

@@ -1178,7 +1178,7 @@ def test_step_map_inverts_each_edge(ball2):
             if w >= 0:
                 assert steps[w][back[i]] == u
     # each edge once, from its lower end, labelled by its generator there
-    assert ball2.edges() == sorted(
+    assert list(ball2.edges()) == sorted(
         (u, w, lab)
         for u, row in enumerate(steps)
         for w, lab in zip(row, labels)

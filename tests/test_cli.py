@@ -21,7 +21,9 @@ import arithcx.qlat
 import arithcx.scx
 from arithcx.autoeng import automorphisms_fixing
 from arithcx.cli import main
+from arithcx.projmat import cayley_ball, lsv_generators, symmetrize
 from arithcx.scx import Complex, color_chambers
+from oracles import ball_json_dict
 
 
 def run(argv, capsys):
@@ -429,14 +431,14 @@ def test_lsv_ball_dot_builds_json_data_only_for_out(monkeypatch, tmp_path, capsy
     code, plain = run(["lsv", "ball", "-r", "2", "--out", str(tmp_path)], capsys)
     assert code == 0
 
-    def refuse(self):
+    def refuse(ball):
         raise AssertionError("JSON data built for a DOT-only run")
 
-    to_json_dict = arithcx.projmat.CayleyBall.to_json_dict
-    monkeypatch.setattr(arithcx.projmat.CayleyBall, "to_json_dict", refuse)
+    ball_data = arithcx.cli._ball_data
+    monkeypatch.setattr(arithcx.cli, "_ball_data", refuse)
     code, out = run(["lsv", "ball", "-r", "2", "--format", "dot"], capsys)
     assert code == 0 and out.startswith("graph cayley_ball")
-    monkeypatch.setattr(arithcx.projmat.CayleyBall, "to_json_dict", to_json_dict)
+    monkeypatch.setattr(arithcx.cli, "_ball_data", ball_data)
     argv = ["lsv", "ball", "-r", "2", "--format", "dot", "--out", str(tmp_path)]
     code, _ = run(argv, capsys)
     assert code == 0
@@ -528,8 +530,9 @@ def test_report_is_written_in_small_pieces(monkeypatch):
 
 
 def test_lsv_ball_memory_within_report_multiple(monkeypatch):
-    # streamed, the report's text is never held whole: the traced peak
-    # is the ball and its JSON data, not copies of the text
+    # streamed, the report's text is never held whole, and the vertex
+    # and edge lists are filled from the ball as they are written: the
+    # traced peak is the ball, not its JSON data or copies of the text
     class Discard:
         size = 0
 
@@ -547,7 +550,7 @@ def test_lsv_ball_memory_within_report_multiple(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * sink.size, f"peak {peak} B for a {sink.size} B report"
+    assert peak < 1.5 * sink.size, f"peak {peak} B for a {sink.size} B report"
 
 
 def render(obj):
@@ -555,6 +558,35 @@ def render(obj):
     pieces = []
     arithcx.cli._emit(obj, pieces.append)
     return "".join(pieces)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_ball_data_matches_materialised_record(radius):
+    # the vertex and edge lists are written from one template each,
+    # straight from the ball; r = 0 has no edges
+    ball = cayley_ball(symmetrize(lsv_generators()), radius)
+    expected = json.dumps(ball_json_dict(ball), indent=2, sort_keys=True) + "\n"
+    data = arithcx.cli._ball_data(ball)
+    # compared line by line, so that a failure names the first line
+    # that differs without a diff of the whole text
+    assert render(data).split("\n") == expected.split("\n")
+    assert render(data) == expected  # its lists are read afresh
+
+
+def test_rows_template_follows_its_indent():
+    rows, text = arithcx.cli._Rows, arithcx.cli._text
+    shape = {"b": ["%s", {"c": "%s"}], "a": "%s"}
+    items = [{"a": -1, "b": [2, {"c": "x"}]}, {"a": 3, "b": [4, {"c": None}]}]
+    values = [(-1, 2, '"x"'), (3, 4, "null")]
+
+    def nest(rows_of):
+        return [{"k": rows_of(values)}, {"k": rows_of([]), "j": [rows_of(values)]}]
+
+    doc = nest(lambda vs: rows(shape, lambda: iter(vs)))
+    materialised = nest(lambda vs: items if vs else [])
+    for nl in ("\n", "\n    "):
+        assert text(doc, nl) == text(materialised, nl)
+    assert render(doc) == json.dumps(materialised, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -626,9 +658,19 @@ def changed_reports(pinned, capsys):
     return changed
 
 
-# stdout sha256 of runs larger than the benchmark's, pinned at commit
-# 36f4cd2; together they take about 5 s in-process
+# stdout sha256 of runs outside the benchmark's, pinned at commit
+# 36f4cd2 (`lsv ball -r 0/1/6` at 51004e1); together they take about
+# 6 s in-process
 SCALE_DIGESTS = {
+    "lsv ball -r 0": (
+        "3ff699433adcb0f85cc6510ca920c1715a268b70a7932535a7b393f5fe96abd5"
+    ),
+    "lsv ball -r 1": (
+        "d203160a98090d3883d08810a3e9f6a84f73036df22ae3767b5e3b2825802ac4"
+    ),
+    "lsv ball -r 6": (
+        "b2f8d4fc23cba1ebbfef5e5c4055aab048ecb10e798ed95f487c3bc22e6de6a2"
+    ),
     "lsv verify -r 4": (
         "454a763dad830e14bc01b40ca7b776c51de3bee3bb414578edd0fd8704d8529a"
     ),
