@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceededError
-from .scx import Complex, induced_subcomplex, star_vertices
+from .scx import Complex, induced_subcomplex
 
 __all__ = [
     "VertexMap",
@@ -769,9 +769,9 @@ def _star_flips(c: Complex, edge: tuple, apexes: list, star: frozenset) -> list[
 def _graph(c: Complex) -> tuple[dict, dict | None]:
     """Each vertex's sorted neighbour tuple (a quarter of a frozenset's
     memory), and each triangle's label: repr of its chamber color, or ""
-    when c is uncolored.  The labels are None when c is uncolored and its
-    graph has as many 3-cliques as c has triangles: then a star graph's
-    isomorphism carries the triangles without a look at any label."""
+    when c is uncolored.  The labels are None when c is uncolored and
+    each 3-clique of its graph is a triangle (they are as many): then a
+    star graph's isomorphism carries the triangles unlabelled."""
     colors = c.chamber_colors
     # sorted: the sorted edges list a vertex's lower neighbours first
     lists: dict = {v: [] for v in c.vertices}
@@ -799,25 +799,27 @@ def _step_label(steps, x, y):
 
 
 def _reference(edge: tuple, star: frozenset, steps, nb, labels, held) -> tuple:
-    """A searched edge's entry for `_carried`: the edge (u, v), its star,
-    the steps (x, label, x1) of a breadth-first walk from u inside the
-    star, each vertex a of the star with its neighbours b > a there,
-    every 3-clique of the star's graph with its label (None when it is
-    not a triangle; no 3-cliques when `labels` is None), and the
-    verdicts {apex: kept}."""
-    u = edge[0]
-    walk, seen = [(u, None, u)], {u}
-    for _, _, x in walk:
+    """A searched edge's entry for `_carried`: the star's vertices in the
+    order a breadth-first walk inside it from the edge's lower end reaches
+    them, each step after the first as (parent position, label), the upper
+    end's position, the star's size (a walk that misses part of it replays
+    onto no star), each edge of its graph once as a position pair, each
+    3-clique as a position triple with its label (None when it is not a
+    triangle; no 3-cliques when `labels` is None), and the verdicts."""
+    order, walk, at = [edge[0]], [], {edge[0]: 0}
+    for i, x in enumerate(order):
         for lab, x1 in enumerate(steps[x]):
-            if x1 in star and x1 not in seen:
-                seen.add(x1)
-                walk.append((x, lab, x1))
-    edges = [(a, sorted(b for b in star.intersection(nb[a]) if b > a)) for a in star]
+            if x1 in star and x1 not in at:
+                at[x1] = len(order)
+                order.append(x1)
+                walk.append((i, lab))
+    up = [[at[b] for b in nb[a] if at.get(b, -1) > i] for i, a in enumerate(order)]
+    edges = [(i, j) for i, js in enumerate(up) for j in js]
     cliques = [] if labels is None else [
-        ((a, b, x), labels.get((a, b, x)))
-        for a, up in edges for i, b in enumerate(up) for x in up[i + 1:] if x in nb[b]
+        ((i, j, k), labels.get(tuple(sorted((order[i], order[j], order[k])))))
+        for i, j in edges for k in up[j] if k in up[i]
     ]
-    return edge, star, walk[1:], edges, cliques, held
+    return order, walk, at.get(edge[1]), len(star), edges, cliques, held
 
 
 def _carried(ref: tuple, steps, start, edge: tuple, star: frozenset, nb, labels):
@@ -827,28 +829,24 @@ def _carried(ref: tuple, steps, start, edge: tuple, star: frozenset, nb, labels)
     else None.  Stars are full subcomplexes of a 2-dimensional complex,
     so a bijection that maps the reference graph's edges onto edges of
     star's, which has as many, is a graph isomorphism, and equal labels
-    on the 3-cliques (or none, see `_graph`) carry the triangles.
-    """
-    (u0, v0), star0, walk, edges0, cliques0, _ = ref
-    tau = {u0: start}
-    for x, lab, x1 in walk:
-        y = steps[tau[x]][lab]
+    on the 3-cliques (or none, see `_graph`) carry the triangles."""
+    order, walk, p, n, edges0, cliques0, _ = ref
+    tau = [start]
+    for i, lab in walk:
+        y = steps[tau[i]][lab]
         if y < 0:
             return None
-        tau[x1] = y
-    if len(tau) != len(star0) or len(star) != len(star0) or set(tau.values()) != star:
-        return None
-    if {tau[u0], tau[v0]} != set(edge):
-        return None
+        tau.append(y)
     image = tau.__getitem__
-    adj = {y: star.intersection(nb[y]) for y in star}
     if (
-        not all(adj[tau[a]].issuperset(map(image, up)) for a, up in edges0)
-        or sum(map(len, adj.values())) != 2 * sum(len(up) for _, up in edges0)
+        len(tau) != n or len(star) != n or set(tau) != star
+        or {tau[0], tau[p]} != set(edge)
+        or not all(tau[j] in nb[tau[i]] for i, j in edges0)
+        or sum(len(star.intersection(nb[y])) for y in tau) != 2 * len(edges0)
         or any(labels.get(tuple(sorted(map(image, t)))) != lab for t, lab in cliques0)
     ):
         return None
-    return {y: x for x, y in tau.items()}
+    return dict(zip(tau, order))
 
 
 def panel_flip_check(
@@ -857,7 +855,8 @@ def panel_flip_check(
     """For every edge with both ends in `interior` and exactly 3
     chambers, try all three fix-one-swap-two flips on the edge's star,
     its ends and their neighbours; a flip must preserve the star's
-    chamber colors when it has them.
+    chamber colors when it has them.  Stars, apexes and carried checks
+    all read `_graph`'s neighbour tuples.
 
     Without `steps`, a find-one search on the star settles each choice.
     `steps[x]` is vertex x's row, entry i its neighbour x*g_i or
@@ -887,21 +886,21 @@ def panel_flip_check(
     thickness: set[int] = set()
     # label -> `_reference` entry of its first eligible edge
     refs: dict = {}
-    graph = None if steps is None else _graph(c)
+    nb, labels = _graph(c)
     for edge in c.simplices(1):
         if not interior.issuperset(edge):
             continue
         u, v = edge
-        apexes = sorted(
-            w for t in c.incident_maximal(u) if len(t) == 3 and v in t
-            for w in t if w != u and w != v
-        )
+        # dimension 2: an apex is a common neighbour closing a triangle
+        nv = nb[v]
+        apexes = [w for w in nb[u] if w in nv
+                  and (labels is None or tuple(sorted((u, v, w))) in labels)]
         thickness.add(len(apexes))
         if len(apexes) != 3:
             skipped += 1
             continue
         eligible += 1
-        star = star_vertices(c, edge)
+        star = frozenset(nb[u] + nv)  # the closed neighbourhoods of u and v
         label = ref = back = None
         if steps is not None:
             label = _step_label(steps, u, v)
@@ -911,15 +910,15 @@ def panel_flip_check(
                 # the reference of v's label with the ends swapped
                 start, ref = v, refs.get(_step_label(steps, v, u))
             if ref is not None:
-                back = _carried(ref, steps, start, edge, star, *graph)
+                back = _carried(ref, steps, start, edge, star, nb, labels)
         if back is not None:
-            held = [ref[5][back[f]] for f in apexes]
+            held = [ref[-1][back[f]] for f in apexes]
         else:
             held = _star_flips(c, edge, apexes, star)
             searches += 3
             if label is not None and ref is None:
                 verdicts = dict(zip(apexes, held))
-                refs[label] = _reference(edge, star, steps, *graph, verdicts)
+                refs[label] = _reference(edge, star, steps, nb, labels, verdicts)
         failures += [(edge, f) for f, ok in zip(apexes, held) if not ok]
     return PanelFlipReport(
         edges_eligible=eligible,

@@ -9,8 +9,10 @@ seeded chamber coloring of the rigidity command.
 A report is built by its command's handler and then streamed: written
 to its sink a dict key and a list item at a time, so that its text is
 never one string; `lsv ball`'s vertex and edge items are filled from
-the ball as they are written.  With --out the JSON goes to the file
-first and stdout gets a copy of the file.
+the ball as they are written.  A DOT export is written 512 lines at a
+time, each line made as it is needed.  With --out the JSON and the
+DOT go to their files first and stdout gets a copy of the file it
+shows.
 
 Exit codes: 0 when every check passed, 1 when some check failed,
 2 on usage errors and exceeded budgets, 3 on any other error (an
@@ -29,8 +31,9 @@ import os
 import random
 import shutil
 import sys
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .autoeng import (
     automorphism_order,
@@ -222,11 +225,19 @@ def _emit(report: dict, write) -> None:
     write("\n")
 
 
+def _joined(lines: Iterable[str]) -> Iterator[str]:
+    """The lines joined 512 at a time, so that a large export takes few
+    write calls and no piece holds its whole text."""
+    lines = iter(lines)
+    while piece := "".join(islice(lines, 512)):
+        yield piece
+
+
 # ----------------------------------------------------------------------
 # lsv
 
 
-def _lsv_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
+def _lsv_verify(args: argparse.Namespace) -> tuple[dict, Iterator[str] | None]:
     r = args.radius
     gens = lsv_generators()
     sym = symmetrize(gens)
@@ -316,7 +327,7 @@ def _ball_data(ball) -> dict:
     }
 
 
-def _lsv_ball(args: argparse.Namespace) -> tuple[dict, str | None]:
+def _lsv_ball(args: argparse.Namespace) -> tuple[dict, Iterator[str] | None]:
     ball = cayley_ball(symmetrize(lsv_generators()), args.radius, args.budget)
     dot = ball.to_dot() if args.format == "dot" else None
     data = {}
@@ -376,7 +387,7 @@ def _flip_checks(ball, cx, s: int) -> tuple[list, dict]:
     return checks, data
 
 
-def _tree_experiment(args: argparse.Namespace) -> tuple[dict, str | None]:
+def _tree_experiment(args: argparse.Namespace) -> tuple[dict, Iterator[str] | None]:
     r, s = args.radius, args.fix_radius
     ball = lift_coloring(r, vertex_budget=args.budget)
     cx = ball.to_complex()
@@ -429,7 +440,7 @@ def _tree_experiment(args: argparse.Namespace) -> tuple[dict, str | None]:
     return _report("tree-experiment", args, checks, data), dot
 
 
-def _tree_quotient(args: argparse.Namespace) -> tuple[dict, str | None]:
+def _tree_quotient(args: argparse.Namespace) -> tuple[dict, Iterator[str] | None]:
     qg = quotient_graph()
     data = {
         "edges": [
@@ -447,7 +458,7 @@ def _tree_quotient(args: argparse.Namespace) -> tuple[dict, str | None]:
     return _report("tree-quotient", args, _quotient_checks(qg), data), dot
 
 
-def _tree_flip(args: argparse.Namespace) -> tuple[dict, str | None]:
+def _tree_flip(args: argparse.Namespace) -> tuple[dict, Iterator[str] | None]:
     r, s = args.radius, args.fix_radius
     ball = lift_coloring(r, vertex_budget=args.budget)
     cx = ball.to_complex()
@@ -461,7 +472,7 @@ def _tree_flip(args: argparse.Namespace) -> tuple[dict, str | None]:
 # rigidity contrast
 
 
-def cmd_rigidity_contrast(args: argparse.Namespace) -> tuple[dict, str | None]:
+def cmd_rigidity_contrast(args: argparse.Namespace) -> tuple[dict, Iterator[str] | None]:
     ball = cayley_ball(symmetrize(lsv_generators()), args.radius, args.budget)
     cx = ball.to_complex()
     center = 0
@@ -626,7 +637,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(args, parser)
-    written = None  # the --out JSON file, once it is complete
+    written = None  # the --out file stdout copies, once it is complete
     try:
         report, dot = args.handler(args)
         code = 0 if all(c["status"] == "pass" for c in report["checks"]) else 1
@@ -636,8 +647,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             path = out / f"{args.name}.json"
             with open(path, "w") as f:
                 _emit(report, f.write)
-            if dot is not None:
-                (out / f"{args.name}.dot").write_text(dot)
+            if dot is not None:  # stdout copies the DOT file, not the JSON
+                path = out / f"{args.name}.dot"
+                with open(path, "w") as f:
+                    f.writelines(_joined(dot))
             written = path
     except (BudgetExceededError, CapExceededError) as exc:
         report, dot, code = _diagnostic(args, exc), None, 2
@@ -649,11 +662,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     # sys.stdout is looked up at each use, so that a caller's redirect
     # of it takes effect
     try:
-        if dot is not None:
-            sys.stdout.write(dot)
-        elif written is not None:
+        if written is not None:
             with open(written) as f:
                 shutil.copyfileobj(f, sys.stdout)
+        elif dot is not None:
+            for piece in _joined(dot):
+                sys.stdout.write(piece)
         else:
             _emit(report, sys.stdout.write)
         sys.stdout.flush()

@@ -409,8 +409,9 @@ class CayleyBall:
         c._set(verts, {0: [(v,) for v in verts], 1: edges, 2: self.triangles()}, None)
         return c
 
-    def to_dot(self) -> str:
-        """1-skeleton in DOT; edge labels are signed generator indices."""
+    def to_dot(self) -> Iterator[str]:
+        """The DOT lines of the 1-skeleton; edge labels are signed
+        generator indices."""
         return dot_graph(
             "cayley_ball",
             ((f"v{i}", f'label="{i} (d={d})"') for i, d in enumerate(self.dist)),

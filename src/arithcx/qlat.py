@@ -21,6 +21,7 @@ by color_automorphism_count and witnessed explicitly by ray_flip.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .autoeng import VertexPermutation, automorphism_order, automorphisms_fixing
 from .errors import BudgetExceededError
@@ -239,13 +240,14 @@ class ColoredTreeBall:
             chamber_colors={(u, v): color for u, v, _, color in self.edges},
         )
 
-    def to_dot(self) -> str:
+    def to_dot(self) -> Iterator[str]:
+        """The DOT lines of the ball, edges colored and labelled."""
         render = {"A": "red", "B": "green", "C": "blue"}
-        nodes = [(f"n{i}", f'label="{cls}"') for i, cls in enumerate(self.classes)]
-        edges = [
+        nodes = ((f"n{i}", f'label="{cls}"') for i, cls in enumerate(self.classes))
+        edges = (
             (f"n{u}", f"n{v}", f'label="{c}:{GENERATOR_NAMES[g]}", color={render[c]}')
             for u, v, g, c in self.edges
-        ]
+        )
         return dot_graph("treeball", nodes, edges)
 
 

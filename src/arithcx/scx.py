@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Complex",
@@ -202,9 +202,9 @@ class Complex:
         )
         return f"Complex(dim={self._dimension}, counts=[{counts}])"
 
-    def to_dot(self) -> str:
-        """1-skeleton in DOT, with chamber colors as edge labels when
-        the complex is 1-dimensional and colored."""
+    def to_dot(self) -> Iterator[str]:
+        """The DOT lines of the 1-skeleton, with chamber colors as edge
+        labels when the complex is 1-dimensional and colored."""
         colored = self._dimension == 1 and self.chamber_colors
         edges = []
         for u, v in self.simplices(1):
@@ -393,13 +393,16 @@ def color_chambers(c: Complex, assignment: Mapping) -> Complex:
 # export
 
 
-def dot_graph(name: str, nodes: Iterable[tuple], edges: Iterable[tuple]) -> str:
-    """An undirected DOT graph with one statement per (node, attrs) and
-    (u, v, attrs) row; ids come rendered, and attrs is a rendered
-    attribute list or "" for none."""
-    rows = chain(nodes, ((f"{u} -- {v}", attrs) for u, v, attrs in edges))
-    body = "".join(f"  {s} [{a}];\n" if a else f"  {s};\n" for s, a in rows)
-    return f"graph {name} {{\n{body}}}\n"
+def dot_graph(
+    name: str, nodes: Iterable[tuple], edges: Iterable[tuple]
+) -> Iterator[str]:
+    """The lines of an undirected DOT graph with one statement per
+    (node, attrs) and (u, v, attrs) row, made as they are read; ids come
+    rendered, and attrs is a rendered attribute list or "" for none."""
+    yield f"graph {name} {{\n"
+    for s, a in chain(nodes, ((f"{u} -- {v}", attrs) for u, v, attrs in edges)):
+        yield f"  {s} [{a}];\n" if a else f"  {s};\n"
+    yield "}\n"
 
 
 # ----------------------------------------------------------------------

@@ -1000,6 +1000,12 @@ def test_carried_needs_a_bijection_onto_the_star():
         steps[v][v % 10 + 3] = u
     graph = _graph(c)
     ref = _reference((0, 1), frozenset({0, 1, 2, 3}), steps, *graph, None)
+    # the star in walk order, the steps as (parent position, label), the
+    # upper end's position, the star's size, the edges as position pairs
+    # and no 3-cliques
+    assert ref[:6] == (
+        [0, 1, 2, 3], [(0, 0), (0, 1), (0, 2)], 1, 4, [(0, 1), (0, 2), (0, 3)], []
+    )
     star = frozenset({10, 11, 12, 13})
     assert _carried(ref, steps, 10, (10, 11), star, *graph) == {
         10: 0, 11: 1, 12: 2, 13: 3,
@@ -1010,10 +1016,18 @@ def test_carried_needs_a_bijection_onto_the_star():
     # a star of the same size that tau does not map onto
     other = frozenset({10, 11, 12, 14})
     assert _carried(ref, steps, 10, (10, 11), other, *graph) is None
+    # a step map without the label to 3: the walk reaches only 0, 1
+    # and 2, and tau maps them onto {10, 11, 12} and the claw's edges
+    # onto its edges, but the reference star has four vertices
+    blind = [row[:] for row in steps]
+    blind[0][2] = -1
+    partial = _reference((0, 1), frozenset({0, 1, 2, 3}), blind, *graph, None)
+    assert partial[0] == [0, 1, 2] and partial[3] == 4
+    small = frozenset({10, 11, 12})
+    assert _carried(partial, blind, 10, (10, 11), small, *graph) is None
     # a step map that sends two labels to one vertex: tau is onto the
     # smaller star {10, 11, 12} but not injective
     steps[10][2] = 12
-    small = frozenset({10, 11, 12})
     assert _carried(ref, steps, 10, (10, 11), small, *graph) is None
 
 
@@ -1027,6 +1041,8 @@ def test_carried_needs_the_edges_not_only_their_number():
     steps[0], steps[20] = [1, 2, 3], [21, 22, 23]
     graph = _graph(c)
     ref = _reference((0, 1), frozenset({0, 1, 2, 3}), steps, *graph, None)
+    # tau = [20, 21, 22, 23] is onto the path, whose edges are as many
+    assert ref[1] == [(0, 0), (0, 1), (0, 2)] and ref[4] == [(0, 1), (0, 2), (0, 3)]
     path = frozenset({20, 21, 22, 23})
     assert _carried(ref, steps, 20, (20, 21), path, *graph) is None
 
@@ -1152,17 +1168,80 @@ def test_carried_from_the_upper_end_matches_fresh_searches(ball2, ballcx):
             continue
         ref = refs[upper]
         back = _carried(ref, steps, v, edge, star, *graph)
-        assert back is not None and {back[u], back[v]} == set(ref[0])
+        # the reference edge: the walk's first vertex and the upper end
+        order, end = ref[0], ref[2]
+        assert back is not None and {back[u], back[v]} == {order[0], order[end]}
         # started at the wrong end, tau maps the reference edge elsewhere
         assert _carried(ref, steps, u, edge, star, *graph) is None
         starcx = induced_subcomplex(c, star)
         for f in apexes:
             j, k = (w for w in apexes if w != f)
             fresh = is_isomorphic(starcx, starcx, require={u: u, v: v, f: f, j: k, k: j})
-            verdicts.append((ref[5][back[f]], fresh is not None))
+            verdicts.append((ref[-1][back[f]], fresh is not None))
     assert all(held == fresh for held, fresh in verdicts)
     assert len(verdicts) == 3 * 15
     assert {fresh for _, fresh in verdicts} == {True, False}
+
+
+def flip_pass_stars(monkeypatch, c, interior):
+    """The apexes and star the plain flip pass derives for each edge it
+    would search, and its thickness; the searches are not made."""
+    seen = {}
+
+    def record(c, edge, apexes, star):
+        seen[edge] = (apexes, star)
+        return [True] * len(apexes)
+
+    monkeypatch.setattr(autoeng, "_star_flips", record)
+    return seen, panel_flip_check(c, interior).thickness
+
+
+def test_flip_stars_and_apexes_match_the_incidence_index(monkeypatch, ball2, ball3):
+    # the flip pass reads stars and apexes from `_graph`'s neighbour
+    # tuples; star_vertices and incident_maximal read the complex's
+    # incidence index, the oracle here
+    cases = []
+    for ball in (ball2, ball3):
+        cx, marks = ball.to_complex(), ball_marks(ball)
+        types = chamber_types(ball, cx)
+        first = min(types.values(), key=sorted)
+        typed = color_chambers(cx, {t: int(ty == first) for t, ty in types.items()})
+        cases += [(cx, marks), (typed, marks)]
+    book = three_page_book()
+    tet = Complex(range(4), list(itertools.combinations(range(4), 3)))
+    # the edge (2, 3) closes the 3-cliques (0, 2, 3) and (1, 2, 3), which
+    # are not triangles, so the apexes must read the labels
+    chorded = Complex(range(5), [*book.simplices(1), *book.simplices(2), (2, 3)])
+    colored = three_page_book({(0, 1, 2): "r", (0, 1, 3): "g", (0, 1, 4): "b"})
+    cases += [(g, all_interior(g)) for g in (book, tet, chorded, colored)]
+    rng = random.Random(443)
+    for i in range(12):
+        g = random_two_complex(rng, rng.randint(5, 8), 0.8, 0.8)
+        if g.dimension == 2:
+            g = random_coloring(rng, g, 2) if i % 2 else g
+            cases.append((g, all_interior(g)))
+    assert _graph(cases[0][0])[1] is None and _graph(chorded)[1] is not None
+    checked = 0
+    for c, interior in cases:
+        seen, thickness = flip_pass_stars(monkeypatch, c, interior)
+        counts = set()
+        for edge in c.simplices(1):
+            if not interior.issuperset(edge):
+                continue
+            u, v = edge
+            apexes = sorted(
+                w for t in c.incident_maximal(u) if len(t) == 3 and v in t
+                for w in t if w not in edge
+            )
+            counts.add(len(apexes))
+            if len(apexes) == 3:
+                assert seen.pop(edge) == (apexes, star_vertices(c, edge))
+                checked += 1
+        assert seen == {}
+        assert thickness == tuple(sorted(counts))
+    # 35 and 343 interior edges at r = 2 and 3, plain and typed, three
+    # book spines, and 57 edges of the random complexes
+    assert checked == 2 * (35 + 343) + 3 + 57
 
 
 def test_step_map_inverts_each_edge(ball2):

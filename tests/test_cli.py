@@ -529,6 +529,25 @@ def test_report_is_written_in_small_pieces(monkeypatch):
     assert json.loads("".join(sink.pieces))["data"]["ball"]["vertex_count"] == 673
 
 
+def test_dot_is_written_in_small_pieces(monkeypatch, tmp_path):
+    # 512 lines at a time, each made as it is needed; with --out, stdout
+    # copies the DOT file
+    sink = _Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    argv = ["lsv", "ball", "--radius", "3", "--format", "dot"]
+    assert main(argv) == 0
+    ball = cayley_ball(symmetrize(lsv_generators()), 3)
+    lines = 2 + len(ball) + sum(1 for _ in ball.edges())
+    assert len(sink.pieces) == -(-lines // 512) > 1
+    assert max(len(p) for p in sink.pieces) < 32 * 1024
+    text = "".join(sink.pieces)
+    assert text == "".join(ball.to_dot())
+    assert text.startswith("graph cayley_ball {\n") and text.endswith(";\n}\n")
+    sink.pieces = []
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert "".join(sink.pieces) == (tmp_path / "lsv-ball.dot").read_text() == text
+
+
 def test_lsv_ball_memory_within_report_multiple(monkeypatch):
     # streamed, the report's text is never held whole, and the vertex
     # and edge lists are filled from the ball as they are written: the

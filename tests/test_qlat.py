@@ -232,8 +232,8 @@ def test_tree_ball_complex_and_dot():
     assert cx.dimension == 1
     assert len(cx.simplices(1)) == 36
     assert set(cx.chamber_colors.values()) == {"A", "B", "C"}
-    dot = ball.to_dot()
-    assert dot == ball.to_dot()
+    dot = "".join(ball.to_dot())
+    assert dot == "".join(ball.to_dot())
     assert 'label="1+2i"' in dot and "color=red" in dot
 
 

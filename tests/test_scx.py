@@ -527,5 +527,5 @@ def test_dot_export():
         [(0, 1)],
         chamber_colors={(0, 1): "A"},
     )
-    dot = c.to_dot()
-    assert '"0" -- "1" [label="A"];' in dot
+    dot = list(c.to_dot())
+    assert '  "0" -- "1" [label="A"];\n' in dot
