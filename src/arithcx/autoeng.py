@@ -45,16 +45,20 @@ import heapq
 from bisect import bisect
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import CapExceededError
 from .scx import Complex, induced_subcomplex
+
+if TYPE_CHECKING:
+    from .projmat import CayleyBall
 
 __all__ = [
     "VertexMap",
     "VertexPermutation",
     "AutomorphismSet",
     "PanelFlipReport",
+    "ball_side",
     "automorphisms_fixing",
     "automorphism_order",
     "is_isomorphic",
@@ -159,7 +163,8 @@ class AutomorphismSet:
 
 class _Side:
     """A complex indexed by the positions of its sorted vertex ids, built
-    once for every search on it.
+    once for every search on it: from a Complex by `_Side(c)`, or from a
+    Cayley ball's rows by `ball_side`, both through `_fill`.
 
     simplices[d] maps each sorted index simplex of dimension d to its
     label: repr(color) on the colored chambers, "" elsewhere; vertices
@@ -167,11 +172,11 @@ class _Side:
     its incident simplices of each dimension from 1 up and sorts the
     labels of its colored chambers.  inc[i] lists the index simplices,
     edges aside, that hold vertex i.  adj[i] holds one (label weight,
-    neighbor) pair per edge: each label weighs a distinct power of a base
-    above every degree, so the weights a vertex receives from a splitter
-    sum to a code of their labels, shared by sides with equal base-key
-    multisets.  elems, pos, col and end arrange the vertices by base key:
-    every search's root.
+    neighbor) pair per edge, neighbours in sorted order: each label
+    weighs a distinct power of a base above every degree, so the weights
+    a vertex receives from a splitter sum to a code of their labels,
+    shared by sides with equal base-key multisets.  elems, pos, col and
+    end arrange the vertices by base key: every search's root.
     """
 
     __slots__ = (
@@ -179,41 +184,64 @@ class _Side:
     )
 
     def __init__(self, c: Complex) -> None:
-        self.ids = tuple(sorted(c.vertices))
-        self.idx = idx = {v: i for i, v in enumerate(self.ids)}
-        n = len(self.ids)
+        ids = tuple(sorted(c.vertices))
+        idx = {v: i for i, v in enumerate(ids)}
         colors = c.chamber_colors or {}
-        labelled: list[list[tuple[str, int]]] = [[] for _ in range(n)]
+        top = c.dimension if colors else None
+        families = {
+            d: {
+                tuple(map(idx.__getitem__, t)): repr(colors[t]) if d == top else ""
+                for t in c.simplices(d)
+            }
+            for d in c.dims()
+            if d or d == top
+        }
+        self._fill(ids, idx, families, top is not None)
+
+    def _fill(
+        self, ids: tuple, idx: dict, simplices: dict[int, dict], colored: bool
+    ) -> None:
+        """Every field from the sorted vertex ids, their positions and the
+        labelled index families, each sorted and in ascending dimension:
+        vertices only as colored chambers, the top family's labels the
+        chamber colors' reprs when `colored`, every other label ""."""
+        self.ids, self.idx, self.simplices = ids, idx, simplices
+        n = len(ids)
+        top = max(simplices, default=0)
+        labelled: list[list[tuple]] = [[] for _ in range(n)]
         self.inc = inc = [[] for _ in range(n)]
-        self.simplices: dict[int, dict[tuple, str]] = {}
-        counts = [[0] * (c.dimension + 1) for _ in range(n)]
-        incident_chamber: list[list[str]] = [[] for _ in range(n)]
-        # one sweep: index each simplex, count incidences, label edges
-        for d in c.dims():
-            colored = bool(colors) and d == c.dimension
-            if d == 0 and not colored:
+        chamber_labels: list[list[str]] = [[] for _ in range(n)]
+        # each vertex's simplex counts, one list per dimension from 1 up
+        counts = [[0] * n for _ in range(top)]
+        for d, fam in simplices.items():
+            chamber = colored and d == top
+            if d == 1:
+                for (u, v), label in fam.items():
+                    labelled[u].append((label, v))
+                    labelled[v].append((label, u))
+                counts[0] = list(map(len, labelled))
+                if chamber:
+                    chamber_labels = [[L for L, _ in nbrs] for nbrs in labelled]
                 continue
-            self.simplices[d] = fam = {}
-            for t in c.simplices(d):
-                it = tuple(map(idx.__getitem__, t))
-                fam[it] = label = repr(colors[t]) if colored else ""
+            before = list(map(len, inc))
+            for it, label in fam.items():
                 for i in it:
-                    counts[i][d] += 1
-                    if colored:
-                        incident_chamber[i].append(label)
-                    if d != 1:
-                        inc[i].append(it)
-                if d == 1:
-                    labelled[it[0]].append((label, it[1]))
-                    labelled[it[1]].append((label, it[0]))
-        self.keys: list[tuple] = [
-            (tuple(counts[i][1:]), tuple(sorted(incident_chamber[i])))
-            for i in range(n)
-        ]
-        labels = sorted({L for nbrs in labelled for L, _ in nbrs})
+                    inc[i].append(it)
+                    if chamber:
+                        chamber_labels[i].append(label)
+            if d:
+                counts[d - 1] = list(map(int.__sub__, map(len, inc), before))
+        self.keys: list[tuple] = list(zip(
+            zip(*counts) if counts else [()] * n,
+            map(tuple, map(sorted, chamber_labels)),
+        ))
+        labels = sorted(set(simplices.get(1, {}).values()))
         base = 1 + max(map(len, labelled), default=0)
         weight = {L: base**i for i, L in enumerate(labels)}
-        self.adj = [[(weight[L], x) for L, x in nbrs] for nbrs in labelled]
+        # in place, so that one vertex's pairs at a time exist twice
+        for nbrs in labelled:
+            nbrs[:] = [(weight[L], x) for L, x in nbrs]
+        self.adj = labelled
         self.elems, self.pos, self.col, self.end = _arrange(self.keys)
 
 
@@ -377,19 +405,23 @@ class _Partition:
         equitable with respect to every cell but the splitters; False as
         soon as a cell would hold unequal numbers of a- and b-vertices.
         A cell split outside the worklist does not queue its largest part
-        (Hopcroft), and shared lists are scanned once."""
+        (Hopcroft).  Shared lists are scanned once, and their hits on
+        singleton cells, which cannot split and match themselves, are not
+        grouped; apart, a singleton cell's hit must carry the same weight
+        on both sides."""
         end = self.end
         queue = deque(splitters)
         queued = set(queue)
         while queue:
             s = queue.popleft()
             queued.discard(s)
-            hits_a = _hits(self.adj_a, self.elems_a[s : end[s]], self.col_a)
+            cell = self.elems_a[s : end[s]]
             if self.elems_b is self.elems_a:
                 self.scans += 1
-                hits_b = hits_a
+                hits_a = hits_b = _hits(self.adj_a, cell, self.col_a, end)
             else:
                 self.scans += 2
+                hits_a = _hits(self.adj_a, cell, self.col_a)
                 hits_b = _hits(self.adj_b, self.elems_b[s : end[s]], self.col_b)
                 if hits_a.keys() != hits_b.keys():
                     return False
@@ -439,10 +471,14 @@ def _arrange(keys: list) -> tuple[list[int], list[int], list[int], list[int]]:
 
 
 def _hits(
-    adj: list[list[tuple[int, int]]], splitter: list[int], col: list[int]
+    adj: list[list[tuple[int, int]]],
+    splitter: list[int],
+    col: list[int],
+    end: list[int] | None = None,
 ) -> dict[int, list[tuple[int, int]]]:
     """The vertices with a neighbor in the splitter, as (weight received,
-    vertex) pairs grouped by color."""
+    vertex) pairs grouped by color; given the cell ends, those alone in
+    their cell are left out."""
     got: dict[int, int] = {}
     for u in splitter:
         for w, x in adj[u]:
@@ -452,7 +488,7 @@ def _hits(
         c = col[x]
         if c in out:
             out[c].append((k, x))
-        else:
+        elif end is None or end[c] - c > 1:
             out[c] = [(k, x)]
     return out
 
@@ -603,6 +639,37 @@ def _find(links: dict[int, int], x: int) -> int:
 # public API
 
 
+def ball_side(
+    ball: CayleyBall, chambers: Sequence[tuple], colors: Sequence | None = None
+) -> _Side:
+    """The engine's index of `ball.to_complex()`, colored by `colors` when
+    given, read off the ball's rows with no complex built: the ids are
+    the row indices, each row's neighbours above it are its edges, and
+    `chambers`, which must be `ball.chambers()` (listed once by a caller
+    that draws their colors), are the top family; colors[i] colors
+    chambers[i].  `automorphisms_fixing` and `automorphism_order` take
+    the result in place of a complex.  ValueError as for `to_complex`."""
+    ball._refuse_4_cliques()
+    if colors is not None and len(colors) != len(chambers):
+        raise ValueError(f"{len(colors)} colors for {len(chambers)} chambers")
+    n = len(ball.steps)
+    ids = tuple(range(n))
+    edges = {(u, v): "" for u, row in enumerate(ball.steps) for v in sorted(row) if v > u}
+    families = {1: edges} if edges else {}
+    top = len(chambers[0]) - 1
+    if colors is not None:
+        families[top] = dict(zip(chambers, map(repr, colors)))
+    elif top:
+        families[top] = dict.fromkeys(chambers, "")
+    side = _Side.__new__(_Side)
+    side._fill(ids, dict(zip(ids, ids)), families, colors is not None)
+    return side
+
+
+def _side_of(c: Complex | _Side) -> _Side:
+    return c if isinstance(c, _Side) else _Side(c)
+
+
 def is_isomorphic(
     a: Complex, b: Complex, *, require: Mapping | None = None
 ) -> VertexMap | None:
@@ -621,15 +688,16 @@ def is_isomorphic(
 
 
 def automorphisms_fixing(
-    c: Complex, fixed: Iterable, *, cap: int = DEFAULT_CAP
+    c: Complex | _Side, fixed: Iterable, *, cap: int = DEFAULT_CAP
 ) -> AutomorphismSet:
     """All automorphisms fixing `fixed` pointwise, preserving the chamber
     colors when c has them; `fixed=()` enumerates the whole group.  They
-    are listed as the search finds them, with no sort.
+    are listed as the search finds them, with no sort.  c is a complex
+    or a Cayley ball's `ball_side`.
 
     Raises CapExceededError when there are more than `cap` of them.
     """
-    side = _Side(c)
+    side = _side_of(c)
     p = _root(side, side, _require_indices(side, side, {v: v for v in fixed}))
     assert p is not None  # identity is always present
     stats: dict = {"mode": "enumerate"}
@@ -645,10 +713,13 @@ def automorphisms_fixing(
     return AutomorphismSet(len(perms), tuple(perms), generators=(), stats=stats)
 
 
-def automorphism_order(c: Complex, *, fixed: Iterable = ()) -> AutomorphismSet:
+def automorphism_order(
+    c: Complex | _Side, *, fixed: Iterable = ()
+) -> AutomorphismSet:
     """Exact order of the group of automorphisms fixing `fixed`
     pointwise (preserving the chamber colors when c has them) via an
-    orbit-stabilizer chain, no enumeration.
+    orbit-stabilizer chain, no enumeration; c is a complex or a Cayley
+    ball's `ball_side`.
 
     Level by level, the chain fixes one more vertex v and multiplies the
     order by the size of v's orbit under the stabilizer of the vertices
@@ -657,7 +728,7 @@ def automorphism_order(c: Complex, *, fixed: Iterable = ()) -> AutomorphismSet:
     for a w known to share an orbit with v or with a w whose search
     failed.  The chain stops once the partition is discrete.
     """
-    side = _Side(c)
+    side = _side_of(c)
     p = _root(side, side, _require_indices(side, side, {v: v for v in fixed}))
     assert p is not None  # identity is always present
     n = len(side.ids)

@@ -38,6 +38,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .autoeng import (
     automorphism_order,
     automorphisms_fixing,
+    ball_side,
     is_isomorphic,
     panel_flip_check,
     verify_permutation,
@@ -60,7 +61,7 @@ from .qlat import (
     quotient_graph,
     ray_flip,
 )
-from .scx import color_chambers, fano_incidence_graph, link, purity_report
+from .scx import fano_incidence_graph, link, purity_report
 
 SCHEMA = "arithcx-report/1"
 
@@ -474,15 +475,15 @@ def _tree_flip(args: argparse.Namespace) -> tuple[dict, Iterator[str] | None]:
 
 def cmd_rigidity_contrast(args: argparse.Namespace) -> tuple[dict, Iterator[str] | None]:
     ball = cayley_ball(symmetrize(lsv_generators()), args.radius, args.budget)
-    cx = ball.to_complex()
+    chambers = ball.chambers()
     center = 0
     data: dict = {
         "vertex_count": len(ball),
-        "chamber_count": len(cx.chambers()),
+        "chamber_count": len(chambers),
         "center": center,
     }
     if args.colors == 1:
-        grp = automorphism_order(cx, fixed=[center])
+        grp = automorphism_order(ball_side(ball, chambers), fixed=[center])
         order = grp.order
         checks = [
             _check(
@@ -495,12 +496,12 @@ def cmd_rigidity_contrast(args: argparse.Namespace) -> tuple[dict, Iterator[str]
         data["coloring"] = "constant"
     else:
         rng = random.Random(args.seed)
-        assignment = {t: rng.randrange(args.colors) for t in cx.chambers()}
-        colored = color_chambers(cx, assignment)
+        colors = [rng.randrange(args.colors) for _ in chambers]
         sizes: dict[int, int] = {}
-        for c in assignment.values():
+        for c in colors:
             sizes[c] = sizes.get(c, 0) + 1
-        grp = automorphisms_fixing(colored, [center], cap=args.budget)
+        side = ball_side(ball, chambers, colors)
+        grp = automorphisms_fixing(side, [center], cap=args.budget)
         order = grp.order
         checks = [_check("color-group-order", order, 1)]
         data["coloring"] = {"classes": {str(k): v for k, v in sorted(sizes.items())}}

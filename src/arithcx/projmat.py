@@ -394,15 +394,28 @@ class CayleyBall:
                     out.append((u, v, w) if v < w else (u, w, v))
         return out
 
-    def to_complex(self) -> Complex:
-        """The ball's clique complex; ValueError when the identity lies
-        in a 4-clique, whose tetrahedra the complex would lack."""
+    def _refuse_4_cliques(self) -> None:
+        """ValueError when the identity lies in a 4-clique, whose
+        tetrahedra the triangles would lack."""
         pairs = set(self._identity_pairs())
         labels = self.generators.labels
         for i, j, k in combinations(range(len(labels)), 3):
             if {(i, j), (i, k), (j, k)} <= pairs:
                 lab = f"{labels[i]}, {labels[j]}, {labels[k]}"
                 raise ValueError(f"the identity and labels {lab} span a 4-clique")
+
+    def chambers(self) -> list[tuple]:
+        """The chambers of the clique complex, sorted, with no complex
+        built: the triangles, else the edges, else the identity alone
+        at radius 0.  ValueError as for `to_complex`."""
+        self._refuse_4_cliques()
+        edges = ((u, v) for u, v, _ in self.edges())
+        return sorted(self.triangles()) or list(edges) or [(0,)]
+
+    def to_complex(self) -> Complex:
+        """The ball's clique complex; ValueError when the identity lies
+        in a 4-clique, whose tetrahedra the complex would lack."""
+        self._refuse_4_cliques()
         verts = tuple(range(len(self.vertices)))
         edges = [(u, v) for u, row in enumerate(self.steps) for v in row if v > u]
         c = Complex.__new__(Complex)

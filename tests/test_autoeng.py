@@ -21,6 +21,7 @@ from arithcx.autoeng import (
     _step_label,
     automorphism_order,
     automorphisms_fixing,
+    ball_side,
     is_isomorphic,
     panel_flip_check,
     verify_permutation,
@@ -594,28 +595,84 @@ def test_radius_six_tree_chain_within_ceiling():
     assert elapsed < 60.0, f"the r = 6 tree chain took {elapsed:.1f}s >= 60s"
 
 
-def test_radius_two_building_chain_work_is_pinned(ballcx):
+def engine_inputs(ball, colors=None):
+    """The ball as the engine takes it, by both routes: its complex,
+    colored by `colors` in sorted-chamber order, and its rows-fed side."""
+    chambers = ball.chambers()
+    cx = ball.to_complex()
+    if colors is not None:
+        cx = color_chambers(cx, dict(zip(chambers, colors)))
+    return {"complex": cx, "rows": ball_side(ball, chambers, colors)}
+
+
+def test_radius_two_building_chain_work_is_pinned(ball2):
     # the building-side counterpart of the tree pin: uncolored, center
     # fixed, order 336 * 2^8
-    grp = automorphism_order(ballcx, fixed=[0])
-    assert grp.order == 86016
-    # the guess misses on all but one search, which then descends as
-    # it would have without it
-    assert grp.stats == {
-        "mode": "chain", "searches": 14, "nodes": 101, "first_leaf_misses": 13,
-        "refine_scans": 2020,
-    }
+    for route, c in engine_inputs(ball2).items():
+        grp = automorphism_order(c, fixed=[0])
+        assert grp.order == 86016, route
+        # the guess misses on all but one search, which then descends as
+        # it would have without it
+        assert grp.stats == {
+            "mode": "chain", "searches": 14, "nodes": 101, "first_leaf_misses": 13,
+            "refine_scans": 2020,
+        }, route
 
 
 def test_rigid_verdict_refines_one_side(ball3):
     # rigidity --colors 2 -r 3 --seed 5: the root is discrete, and each of
     # its 672 splitters is scanned once, not once per side
-    cx = ball3.to_complex()
     rng = random.Random(5)
-    colored = color_chambers(cx, {t: rng.randrange(2) for t in cx.chambers()})
-    grp = automorphisms_fixing(colored, [0])
-    assert grp.order == 1
-    assert grp.stats == {"mode": "enumerate", "nodes": 1, "refine_scans": 672}
+    colors = [rng.randrange(2) for _ in ball3.chambers()]
+    for route, c in engine_inputs(ball3, colors).items():
+        grp = automorphisms_fixing(c, [0])
+        assert grp.order == 1, route
+        assert grp.stats == {"mode": "enumerate", "nodes": 1, "refine_scans": 672}, route
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_ball_side_matches_the_complex_side(r):
+    # the rows feeder builds, slot by slot, the side that the generic
+    # sweep builds from the ball's clique complex, uncolored and colored
+    ball = cayley_ball(symmetrize(lsv_generators()), r)
+    chambers = ball.chambers()
+    assert chambers == list(ball.to_complex().chambers())
+    cases = [None]
+    for seed in (0, 5):
+        rng = random.Random(seed)
+        cases.append([rng.randrange(2) for _ in chambers])
+    for colors in cases:
+        inputs = engine_inputs(ball, colors)
+        want, got = _Side(inputs["complex"]), inputs["rows"]
+        for slot in _Side.__slots__:
+            assert getattr(got, slot) == getattr(want, slot), (colors is None, slot)
+    with pytest.raises(ValueError, match="2 colors for 1 chambers"):
+        ball_side(cayley_ball(symmetrize(lsv_generators()), 0), [(0,)], [0, 1])
+
+
+def test_shared_refinement_skips_singleton_cells(monkeypatch, ball3):
+    # with shared lists, refine groups the hits on every cell but the
+    # singletons; two sides apart still group them all, and the root
+    # comes out the same
+    hits, dropped = autoeng._hits, []
+
+    def checked(adj, splitter, col, end=None):
+        out = hits(adj, splitter, col, end)
+        if end is not None:
+            every = hits(adj, splitter, col)
+            assert out == {c: ts for c, ts in every.items() if end[c] - c > 1}
+            dropped.append(len(every) - len(out))
+        return out
+
+    monkeypatch.setattr(autoeng, "_hits", checked)
+    rng = random.Random(5)
+    colors = [rng.randrange(2) for _ in ball3.chambers()]
+    side, twin = (ball_side(ball3, ball3.chambers(), colors) for _ in range(2))
+    shared, apart = _root(side, side, {0: 0}), _root(side, twin, {0: 0})
+    assert shared.target_cell() is None and shared.scans == 672
+    assert (shared.elems_a, shared.col_a, shared.end, shared.trail) == (
+        apart.elems_b, apart.col_b, apart.end, apart.trail)
+    assert len(dropped) == 672 and sum(dropped) > 0
 
 
 def test_tree_enumeration_work_is_pinned():

@@ -107,15 +107,26 @@ def test_lsv_ball_builds_no_complex(monkeypatch, capsys):
 
 
 def test_ball_complexes_need_no_clique_search(monkeypatch, capsys):
-    # lsv verify and rigidity translate the triangles at the identity
+    # lsv verify translates the triangles at the identity, and rigidity
+    # feeds the engine from the ball's rows with no complex at all
     def refuse(*args, **kwargs):
-        raise AssertionError("a command searched for cliques")
+        raise AssertionError("a command searched for cliques or built a complex")
 
     monkeypatch.setattr(arithcx.scx, "clique_complex", refuse)
     code, rep = run_json(["lsv", "verify", "-r", "2"], capsys)
     assert code == 0 and rep["data"]["triangle_count"] == 231
-    code, rep = run_json(["rigidity", "-r", "2"], capsys)
-    assert code == 0 and rep["data"]["chamber_count"] == 231
+    monkeypatch.setattr(Complex, "__init__", refuse)
+    monkeypatch.setattr(Complex, "_set", refuse)
+    monkeypatch.setattr(arithcx.projmat.CayleyBall, "to_complex", refuse)
+    monkeypatch.setattr(arithcx.scx, "color_chambers", refuse)
+    for colors in ("1", "2"):
+        code, rep = run_json(["rigidity", "--colors", colors, "-r", "2"], capsys)
+        assert code == 0 and rep["data"]["chamber_count"] == 231
+    # at radius 0 the one vertex is the chamber; bytes pinned at 6cb746a
+    code, out = run(["rigidity", "-r", "0", "--colors", "2"], capsys)
+    assert code == 0 and json.loads(out)["data"]["chamber_count"] == 1
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "ef473c2333bb431fb35a966462d77055a2d5033e0fa147911de86d02d4e09ead"
 
 
 def test_lsv_verify_budget_exceeded_exit2(capsys):
@@ -725,6 +736,30 @@ SCALE_DIGESTS = {
 
 def test_scale_reports_match_their_pinned_digests(capsys):
     assert changed_reports(SCALE_DIGESTS, capsys) == []
+
+
+# stdout sha256 of runs too slow for tier-1, pinned at commit 6cb746a;
+# about 25 s together on a shared 2-CPU host.  Opt in with `-m slow`
+SLOW_SCALE_DIGESTS = {
+    "rigidity --colors 2 -r 6 --seed 0": (
+        "b00fb5a308e4d113d33ea3890660e03769a22fd5c221ca18c8167857320fc5f3"
+    ),
+    "rigidity --colors 1 -r 4": (
+        "d0c6f0df6e9d5857d9fd4c32ed413195a93c693040d6ceade4a5e889b0f4aa34"
+    ),
+    "lsv verify -r 6": (
+        "f75358e9db597482fd287de87dd91ce3cb722a74c3ddcdc5dba258f845341b9c"
+    ),
+    "tree experiment --r 6 --s 1": (
+        "0e5c50b7712d54858c6ac29f5d68cd96faf8fcd2db797fd50d302d4b3787baee"
+    ),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("argv", list(SLOW_SCALE_DIGESTS))
+def test_slow_scale_report_matches_its_pinned_digest(argv, capsys):
+    assert changed_reports({argv: SLOW_SCALE_DIGESTS[argv]}, capsys) == []
 
 
 def test_traced_benchmark_commands(monkeypatch, capsys):

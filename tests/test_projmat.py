@@ -6,6 +6,7 @@ from collections import deque
 import pytest
 
 from arithcx import projmat
+from arithcx.autoeng import ball_side
 from arithcx.errors import BudgetExceededError
 from arithcx.gf2k import GF2, GF16, FieldSpec, format_poly, parse_poly
 from arithcx.projmat import (
@@ -565,6 +566,11 @@ def test_complex_refused_when_the_identity_lies_in_a_4_clique(table):
     assert clique_complex(range(len(ball)), pairs, max_dim=3).simplex_count(3) == 10
     with pytest.raises(ValueError, match="identity and labels 1, 2, 3 span a 4-clique"):
         ball.to_complex()
+    # the ball's chambers and the engine's rows feeder refuse it alike
+    with pytest.raises(ValueError, match="identity and labels 1, 2, 3 span a 4-clique"):
+        ball.chambers()
+    with pytest.raises(ValueError, match="identity and labels 1, 2, 3 span a 4-clique"):
+        ball_side(ball, sorted(ball.triangles()))
 
 
 def test_table_holding_a_generator_and_its_inverse(table):
