@@ -52,7 +52,6 @@ from .scx import (
     color_chambers,
     fano_incidence_graph,
     induced_subcomplex,
-    link,
     purity_report,
 )
 
@@ -76,7 +75,6 @@ __all__ = [
     "Complex",
     "PurityReport",
     "clique_complex",
-    "link",
     "induced_subcomplex",
     "chamber_count",
     "purity_report",

@@ -642,13 +642,14 @@ def _find(links: dict[int, int], x: int) -> int:
 def ball_side(
     ball: CayleyBall, chambers: Sequence[tuple], colors: Sequence | None = None
 ) -> _Side:
-    """The engine's index of `ball.to_complex()`, colored by `colors` when
-    given, read off the ball's rows with no complex built: the ids are
-    the row indices, each row's neighbours above it are its edges, and
-    `chambers`, which must be `ball.chambers()` (listed once by a caller
-    that draws their colors), are the top family; colors[i] colors
-    chambers[i].  `automorphisms_fixing` and `automorphism_order` take
-    the result in place of a complex.  ValueError as for `to_complex`."""
+    """The engine's index of the ball's clique complex, colored by
+    `colors` when given, read off the ball's rows with no complex built:
+    the ids are the row indices, each row's neighbours above it are its
+    edges, and `chambers`, which must be `ball.chambers()` (listed once
+    by a caller that draws their colors), are the top family; colors[i]
+    colors chambers[i].  `automorphisms_fixing` and `automorphism_order`
+    take the result in place of a complex.  ValueError as for
+    `ball.chambers()`."""
     ball._refuse_4_cliques()
     if colors is not None and len(colors) != len(chambers):
         raise ValueError(f"{len(colors)} colors for {len(chambers)} chambers")
@@ -822,11 +823,11 @@ class PanelFlipReport:
         return self.choices_satisfied / self.choices_total
 
 
-def _star_flips(c: Complex, edge: tuple, apexes: list, star: frozenset) -> list[bool]:
-    """For each apex f, whether a search finds a flip of the star that
-    fixes the edge and f and swaps the other two apexes."""
-    # one index and one root partition, the edge's ends fixed, serve all three
-    side = _Side(induced_subcomplex(c, star))
+def _star_flips(side: _Side, edge: tuple, apexes: list) -> list[bool]:
+    """For each apex f, whether a search on the star's index finds a
+    flip of the star that fixes the edge and f and swaps the other two
+    apexes."""
+    # one root partition, the edge's ends fixed, serves all three
     p = _root(side, side, {side.idx[x]: side.idx[x] for x in edge})
     assert p is not None  # identity is always present
     out = []
@@ -835,6 +836,24 @@ def _star_flips(c: Complex, edge: tuple, apexes: list, star: frozenset) -> list[
         f = side.idx[f]
         out.append(_first_leaf(side, side, p, [(f, f), (j, k), (k, j)], {}) is not None)
     return out
+
+
+def _star_side(steps, star: frozenset) -> _Side:
+    """The engine's index of the full subcomplex on `star` of a Cayley
+    ball's clique complex, read from the rows, slot for slot the `_Side`
+    of `induced_subcomplex` on that complex: uncolored, its edges the
+    steps inside the star and its triangles the 3-cliques among them,
+    each family sorted."""
+    ids = tuple(sorted(star))
+    idx = {v: i for i, v in enumerate(ids)}
+    # positions only grow with the ids, so each list comes out sorted
+    up = [sorted(idx[w] for w in steps[v] if w > v and w in star) for v in ids]
+    edges = {(i, j): "" for i, js in enumerate(up) for j in js}
+    above = list(map(set, up))
+    triangles = {(i, j, k): "" for i, j in edges for k in up[j] if k in above[i]}
+    side = _Side.__new__(_Side)
+    side._fill(ids, idx, {1: edges, 2: triangles}, False)
+    return side
 
 
 def _graph(c: Complex) -> tuple[dict, dict | None]:
@@ -921,13 +940,27 @@ def _carried(ref: tuple, steps, start, edge: tuple, star: frozenset, nb, labels)
 
 
 def panel_flip_check(
-    c: Complex, interior: frozenset, *, steps: Sequence[Sequence[int]] | None = None
+    c: Complex | CayleyBall,
+    interior: frozenset,
+    *,
+    steps: Sequence[Sequence[int]] | None = None,
 ) -> PanelFlipReport:
     """For every edge with both ends in `interior` and exactly 3
     chambers, try all three fix-one-swap-two flips on the edge's star,
     its ends and their neighbours; a flip must preserve the star's
-    chamber colors when it has them.  Stars, apexes and carried checks
-    all read `_graph`'s neighbour tuples.
+    chamber colors when it has them.
+
+    One pass, in sorted edge order, with two adjacency sources.  For a
+    `Complex`, stars, apexes and carried checks read `_graph`'s neighbour
+    tuples, and a searched star is indexed from `induced_subcomplex`.
+    For a `CayleyBall` (`projmat`), they read the ball's rows, which are
+    also its `steps`; no complex is built: every 3-clique of the ball is
+    an uncolored triangle, so no triangle labels are needed (a table
+    whose identity lies in a 4-clique is refused, as by
+    `CayleyBall.chambers`), and a searched star is indexed from the rows
+    (`_star_side`).  Every interior vertex of a ball must have all its
+    steps in the ball, as the vertices short of its radius do.  Both
+    sources give the same report for the same ball.
 
     Without `steps`, a find-one search on the star settles each choice.
     `steps[x]` is vertex x's row, entry i its neighbour x*g_i or
@@ -950,22 +983,38 @@ def panel_flip_check(
     fixes tau^-1(f), kept or failed.  The steps save work but never
     change a verdict.
     """
-    if c.dimension != 2:
+    rows = not isinstance(c, Complex)
+    if rows:
+        c._refuse_4_cliques()
+        flat = not c._identity_pairs()
+    else:
+        flat = c.dimension != 2
+    if flat:
         raise ValueError("panel flips are defined for 2-dimensional complexes")
+    if rows:
+        steps = nb = c.steps
+        labels = None
+        if any(-1 in nb[x] for x in interior):
+            raise ValueError("an interior vertex has a step off the ball")
+        edges: Iterable[tuple] = (
+            (u, v) for u in sorted(interior) for v in sorted(nb[u]) if v > u
+        )
+    else:
+        nb, labels = _graph(c)
+        edges = c.simplices(1)
     eligible = skipped = searches = 0
     failures: list[tuple] = []
     thickness: set[int] = set()
     # label -> `_reference` entry of its first eligible edge
     refs: dict = {}
-    nb, labels = _graph(c)
-    for edge in c.simplices(1):
+    for edge in edges:
         if not interior.issuperset(edge):
             continue
         u, v = edge
         # dimension 2: an apex is a common neighbour closing a triangle
         nv = nb[v]
-        apexes = [w for w in nb[u] if w in nv
-                  and (labels is None or tuple(sorted((u, v, w))) in labels)]
+        apexes = sorted(w for w in nb[u] if w in nv
+                        and (labels is None or tuple(sorted((u, v, w))) in labels))
         thickness.add(len(apexes))
         if len(apexes) != 3:
             skipped += 1
@@ -985,7 +1034,11 @@ def panel_flip_check(
         if back is not None:
             held = [ref[-1][back[f]] for f in apexes]
         else:
-            held = _star_flips(c, edge, apexes, star)
+            if rows:
+                side = _star_side(steps, star)
+            else:
+                side = _Side(induced_subcomplex(c, star))
+            held = _star_flips(side, edge, apexes)
             searches += 3
             if label is not None and ref is None:
                 verdicts = dict(zip(apexes, held))

@@ -49,6 +49,7 @@ from .projmat import (
     cayley_ball,
     determinant,
     lsv_generators,
+    lsv_raw_matrices,
     projective_plane_orbit,
     symmetrize,
 )
@@ -61,7 +62,7 @@ from .qlat import (
     quotient_graph,
     ray_flip,
 )
-from .scx import fano_incidence_graph, link, purity_report
+from .scx import fano_incidence_graph, purity_report
 
 SCHEMA = "arithcx-report/1"
 
@@ -240,32 +241,46 @@ def _joined(lines: Iterable[str]) -> Iterator[str]:
 
 def _lsv_verify(args: argparse.Namespace) -> tuple[dict, Iterator[str] | None]:
     r = args.radius
+    # the printed matrices: a singular one has no canonical form, so its
+    # check must run before the table is built
+    raw = lsv_raw_matrices()
+    dets_ok = all(map(determinant, raw))
+    checks = [
+        _check("generator-count", len(raw), 7),
+        _check("determinants-nonzero", dets_ok, True),
+    ]
+    if not dets_ok:
+        data: dict = {
+            "generator_determinants": [m.spec.names[determinant(m)] for m in raw],
+            # no table, so no ball and no later check
+            "skipped_checks": [
+                "symmetrized-distinct", "plane-orbit-sizes", "link-heawood",
+                "interior-purity", "interior-thickness", "panel-flip-fraction",
+            ],
+        }
+        return _report("lsv-verify", args, checks, data), None
     gens = lsv_generators()
     sym = symmetrize(gens)
     ball = cayley_ball(sym, r, args.budget)
-    cx = ball.to_complex()
-    dets_ok = all(determinant(m) for m in gens.matrices)
     distinct = len({m.encode() for m in sym.matrices})
-    checks = [
-        _check("generator-count", len(gens), 7),
-        _check("determinants-nonzero", dets_ok, True),
-        _check("symmetrized-distinct", distinct, 14),
-    ]
+    checks.append(_check("symmetrized-distinct", distinct, 14))
     orbit = projective_plane_orbit(gens.matrices)
     checks.append(_check("plane-orbit-sizes", orbit, [273]))
 
+    # every answer below is read from the ball's rows; the link of the
+    # identity and the searched stars are the only complexes built
     skipped = []
     if r >= 1:
-        witness = is_isomorphic(link(cx, 0), fano_incidence_graph())
+        witness = is_isomorphic(ball.identity_link(), fano_incidence_graph())
         checks.append(_check("link-heawood", witness is not None, True))
     else:
         skipped.append("link-heawood")
 
-    data: dict = {
+    data = {
         "vertex_count": len(ball),
         "sphere_sizes": list(ball.sphere_sizes()),
-        "edge_count": cx.simplex_count(1),
-        "triangle_count": cx.simplex_count(2),
+        "edge_count": ball.edge_count(),
+        "triangle_count": ball.triangle_count(),
         "generator_determinants": [
             m.spec.names[determinant(m)] for m in gens.matrices
         ],
@@ -276,7 +291,8 @@ def _lsv_verify(args: argparse.Namespace) -> tuple[dict, Iterator[str] | None]:
 
     if r >= 2:
         interior = frozenset(i for i, d in enumerate(ball.dist) if d < r)
-        purity = purity_report(cx, interior)
+        # a simplex inside the interior has its lowest vertex there
+        purity = purity_report(ball.maximal_simplices(interior), interior)
         checks.append(
             _check(
                 "interior-purity",
@@ -284,7 +300,7 @@ def _lsv_verify(args: argparse.Namespace) -> tuple[dict, Iterator[str] | None]:
                 {"pure": True, "dimension": 2},
             )
         )
-        flips = panel_flip_check(cx, interior, steps=ball.steps)
+        flips = panel_flip_check(ball, interior)
         checks.append(_check("interior-thickness", list(flips.thickness), [3]))
         checks.append(_check("panel-flip-fraction", flips.fraction, 1.0))
         data["panel_flips"] = {
@@ -333,7 +349,7 @@ def _lsv_ball(args: argparse.Namespace) -> tuple[dict, Iterator[str] | None]:
     dot = ball.to_dot() if args.format == "dot" else None
     data = {}
     if dot is None or args.out:  # the JSON report is written somewhere
-        data = {"triangle_count": len(ball.triangles()), "ball": _ball_data(ball)}
+        data = {"triangle_count": ball.triangle_count(), "ball": _ball_data(ball)}
     return _report("lsv-ball", args, [], data), dot
 
 

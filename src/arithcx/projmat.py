@@ -6,8 +6,9 @@ element iff their canonical forms coincide.  The module carries the
 seven Lubotzky-Samuels-Vishne generator matrices over GF(16) and grows
 breadth-first Cayley balls around the identity, held as rows of steps:
 entry i of row u is the index of u*g_i.  Each triangle of a ball is the
-left translate of one at the identity, so its edges, triangles and
-complex are read from the rows.
+left translate of one at the identity, so its edges, triangles, maximal
+simplices and the identity's link are read from the rows, with no
+complex of the whole ball built.
 
 General products go through one kernel, `_product`, which multiplies
 two row-major 9-tuples of entry bitmasks with the field's
@@ -351,6 +352,13 @@ class CayleyBall:
     -1 off the ball: the full induced graph, edges between two outermost
     vertices included, with one label per neighbour.  `edges()` reads
     the edges off the steps as they are used: no edge list is held.
+
+    Every question about the ball's clique complex is answered from the
+    rows and the identity's label pairs, with no `Complex` of the whole
+    ball: its edge and triangle counts, its chambers and maximal
+    simplices, and the link of the identity, the one `Complex` built.
+    `autoeng.ball_side` and `autoeng.panel_flip_check` read the rows
+    the same way.
     """
 
     generators: SymmetricGenerators
@@ -380,19 +388,32 @@ class CayleyBall:
         n = len(at) if self.radius else 0  # radius 0: no steps
         return [(i, j) for i, j in combinations(range(n), 2) if at[j] in steps[at[i]]]
 
-    def triangles(self) -> list[tuple[int, int, int]]:
-        """Each triangle (u, v, w) with u < v < w, once: the translate
-        {u, u*g_i, u*g_j} of each triangle {1, g_i, g_j}, kept from its
-        lowest vertex u.  Two vertices of the ball that are adjacent in
-        the Cayley graph are adjacent in the ball."""
+    def _translates(self, lowest: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+        """Each triangle (u, v, w) with u < v < w and u in `lowest`, once:
+        the translate {u, u*g_i, u*g_j} of each triangle {1, g_i, g_j},
+        kept from its lowest vertex u.  Two vertices of the ball that are
+        adjacent in the Cayley graph are adjacent in the ball."""
         pairs = self._identity_pairs()
-        out: list[tuple[int, int, int]] = []
-        for u, row in enumerate(self.steps):
+        steps = self.steps
+        for u in lowest:
+            row = steps[u]
             for i, j in pairs:
                 v, w = row[i], row[j]
                 if v > u and w > u:
-                    out.append((u, v, w) if v < w else (u, w, v))
-        return out
+                    yield (u, v, w) if v < w else (u, w, v)
+
+    def triangles(self) -> list[tuple[int, int, int]]:
+        """Every triangle as `_translates` finds it, listed."""
+        return list(self._translates(range(len(self.steps))))
+
+    def edge_count(self) -> int:
+        """The edges, counted from both ends of each row's steps."""
+        return sum(len(row) - row.count(-1) for row in self.steps) // 2
+
+    def triangle_count(self) -> int:
+        """The triangles as `_translates` finds them, counted and not
+        listed."""
+        return sum(1 for _ in self._translates(range(len(self.steps))))
 
     def _refuse_4_cliques(self) -> None:
         """ValueError when the identity lies in a 4-clique, whose
@@ -407,20 +428,43 @@ class CayleyBall:
     def chambers(self) -> list[tuple]:
         """The chambers of the clique complex, sorted, with no complex
         built: the triangles, else the edges, else the identity alone
-        at radius 0.  ValueError as for `to_complex`."""
+        at radius 0.  ValueError when the identity lies in a 4-clique,
+        whose tetrahedra the triangles would lack."""
         self._refuse_4_cliques()
         edges = ((u, v) for u, v, _ in self.edges())
         return sorted(self.triangles()) or list(edges) or [(0,)]
 
-    def to_complex(self) -> Complex:
-        """The ball's clique complex; ValueError when the identity lies
-        in a 4-clique, whose tetrahedra the complex would lack."""
+    def maximal_simplices(self, lowest: Iterable[int]) -> Iterator[tuple]:
+        """The clique complex's maximal simplices whose lowest vertex is
+        in `lowest`, read from the rows with no complex built: the
+        triangles as `_translates` finds them, then vertex by vertex,
+        ascending, each edge (u, u*g_i), u < u*g_i, that no pair of the
+        identity holding position i closes in the ball, and each vertex
+        with no step in the ball.  ValueError as for `chambers`."""
         self._refuse_4_cliques()
-        verts = tuple(range(len(self.vertices)))
-        edges = [(u, v) for u, row in enumerate(self.steps) for v in row if v > u]
-        c = Complex.__new__(Complex)
-        c._set(verts, {0: [(v,) for v in verts], 1: edges, 2: self.triangles()}, None)
-        return c
+        us = sorted(lowest)
+        yield from self._translates(us)
+        partners: list[list[int]] = [[] for _ in self.generators.labels]
+        for i, j in self._identity_pairs():
+            partners[i].append(j)
+            partners[j].append(i)
+        for u in us:
+            row = self.steps[u]
+            for v, others in zip(row, partners):
+                if v > u and all(row[k] < 0 for k in others):
+                    yield (u, v)
+            if row.count(-1) == len(row):
+                yield (u,)
+
+    def identity_link(self) -> Complex:
+        """The link of the identity in the clique complex, from row 0 and
+        the identity's pairs: its vertices are the identity's neighbours,
+        ascending, and its edges the pairs {g_i, g_j} of the triangles
+        {1, g_i, g_j}.  ValueError as for `chambers`."""
+        self._refuse_4_cliques()
+        at = self.steps[0]
+        pairs = [(at[i], at[j]) for i, j in self._identity_pairs()]
+        return Complex(sorted(v for v in at if v >= 0), pairs)
 
     def to_dot(self) -> Iterator[str]:
         """The DOT lines of the 1-skeleton; edge labels are signed

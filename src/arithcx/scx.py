@@ -17,7 +17,6 @@ __all__ = [
     "Complex",
     "PurityReport",
     "clique_complex",
-    "link",
     "star_vertices",
     "induced_subcomplex",
     "chamber_count",
@@ -41,7 +40,7 @@ class Complex:
     """An abstract simplicial complex, generated by the given
     simplices: it holds every face of each of them.
 
-    Local questions (chambers through a simplex, links, stars, full
+    Local questions (chambers through a simplex, stars, full
     subcomplexes) read one incidence index, which maps each vertex to
     its position in `vertices` and to the maximal simplices containing
     it, in `maximal_simplices()` order.  It is built from
@@ -286,17 +285,6 @@ def clique_complex(
     return c
 
 
-def link(c: Complex, v: VertexId) -> Complex:
-    """The link of a vertex: all simplices s with s + {v} in c, the
-    complex generated by m - {v} over the maximal simplices m at v.
-
-    Chamber colors are dropped: the link's chambers are different
-    simplices.
-    """
-    rests = [tuple(x for x in t if x != v) for t in c.incident_maximal(v)]
-    return Complex(c._in_order({x for r in rests for x in r}), [r for r in rests if r])
-
-
 def star_vertices(c: Complex, seed: Iterable[VertexId]) -> frozenset:
     """The seed vertices and their neighbours in the 1-skeleton,
     unordered: `induced_subcomplex` puts them in `vertices` order."""
@@ -361,13 +349,15 @@ def chamber_count(c: Complex, s: Iterable[VertexId]) -> int:
     return sum(1 for m in c.incident_maximal(t[0]) if len(m) == size and ts.issubset(m))
 
 
-def purity_report(c: Complex, interior: frozenset) -> PurityReport:
-    """Count the maximal simplices whose vertices all lie in `interior`;
-    every other vertex, known to c or not, is boundary.  For a ball of
-    radius r the interior vertices are those at distance at most r - 1
-    from the center."""
+def purity_report(maximal: Iterable[tuple], interior: frozenset) -> PurityReport:
+    """Count the maximal simplices, given as an iterable of vertex
+    tuples, whose vertices all lie in `interior`; every other vertex is
+    boundary.  A complex gives `maximal_simplices()` and a Cayley ball
+    the same simplices read from its rows (`CayleyBall.maximal_simplices`).
+    For a ball of radius r the interior vertices are those at distance
+    at most r - 1 from the center."""
     by_dim: dict[int, int] = {}
-    for t in c.maximal_simplices():
+    for t in maximal:
         if interior.issuperset(t):
             by_dim[len(t) - 1] = by_dim.get(len(t) - 1, 0) + 1
     pure = len(by_dim) <= 1

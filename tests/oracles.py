@@ -76,6 +76,25 @@ def ball_graph(ball) -> tuple[range, list[tuple[int, int]]]:
     return range(len(ball)), [(u, v) for u, v, _ in ball.edges()]
 
 
+def ball_complex(ball) -> Complex:
+    """A Cayley ball's clique complex, built from its edges and its
+    translated triangles (`CayleyBall.triangles`): the whole-ball complex
+    whose questions `lsv verify` answers from the rows.  ValueError when
+    the identity lies in a 4-clique, whose tetrahedra it would lack."""
+    ball._refuse_4_cliques()
+    edges = [(u, v) for u, v, _ in ball.edges()]
+    return Complex(range(len(ball)), edges + ball.triangles())
+
+
+def link(c: Complex, v) -> Complex:
+    """The link of a vertex: all simplices s with s + {v} in c, the
+    complex generated by m - {v} over the maximal simplices m at v, read
+    from c's incidence index; chamber colors are dropped.  The oracle of
+    `CayleyBall.identity_link`."""
+    rests = [tuple(x for x in t if x != v) for t in c.incident_maximal(v)]
+    return Complex(c._in_order({x for r in rests for x in r}), [r for r in rests if r])
+
+
 def naive_chamber_count(c: Complex, s) -> int:
     """Chambers containing s, by a scan of every chamber."""
     if not c.has_simplex(s):

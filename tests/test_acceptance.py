@@ -14,7 +14,7 @@ import subprocess
 import sys
 import time
 
-from oracles import ball_graph, naive_automorphisms, random_graph, random_two_complex
+from oracles import ball_graph, link, naive_automorphisms, random_graph, random_two_complex
 
 from arithcx.autoeng import (
     automorphism_order,
@@ -44,7 +44,6 @@ from arithcx.scx import (
     clique_complex,
     color_chambers,
     fano_incidence_graph,
-    link,
     purity_report,
 )
 
@@ -183,7 +182,7 @@ def test_criterion_3_building_ball_structure():
     ball, cx = _lsv_ball_complex(2)
     interior = frozenset(i for i, d in enumerate(ball.dist) if d < 2)
 
-    rep = purity_report(cx, interior)
+    rep = purity_report(cx.maximal_simplices(), interior)
     assert rep.pure and rep.dimension == 2
 
     interior_edges = [t for t in cx.simplices(1) if interior.issuperset(t)]

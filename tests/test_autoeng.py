@@ -17,6 +17,7 @@ from arithcx.autoeng import (
     _reference,
     _root,
     _search,
+    _star_side,
     _Side,
     _step_label,
     automorphism_order,
@@ -36,12 +37,14 @@ from arithcx.scx import (
     color_chambers,
     fano_incidence_graph,
     induced_subcomplex,
-    link,
+    purity_report,
     star_vertices,
 )
 from oracles import (
     all_simplices,
+    ball_complex,
     ball_graph,
+    link,
     naive_automorphisms,
     naive_refine,
     random_coloring,
@@ -86,7 +89,7 @@ def ball2():
 
 @pytest.fixture(scope="module")
 def ballcx(ball2):
-    return ball2.to_complex()
+    return ball_complex(ball2)
 
 
 # ----------------------------------------------------------------------
@@ -599,7 +602,7 @@ def engine_inputs(ball, colors=None):
     """The ball as the engine takes it, by both routes: its complex,
     colored by `colors` in sorted-chamber order, and its rows-fed side."""
     chambers = ball.chambers()
-    cx = ball.to_complex()
+    cx = ball_complex(ball)
     if colors is not None:
         cx = color_chambers(cx, dict(zip(chambers, colors)))
     return {"complex": cx, "rows": ball_side(ball, chambers, colors)}
@@ -636,7 +639,7 @@ def test_ball_side_matches_the_complex_side(r):
     # sweep builds from the ball's clique complex, uncolored and colored
     ball = cayley_ball(symmetrize(lsv_generators()), r)
     chambers = ball.chambers()
-    assert chambers == list(ball.to_complex().chambers())
+    assert chambers == list(ball_complex(ball).chambers())
     cases = [None]
     for seed in (0, 5):
         rng = random.Random(seed)
@@ -785,7 +788,7 @@ def test_first_leaf_guess_is_the_search_first_leaf_on_flip_stars(
     ball3, checked_first_leaf
 ):
     # the three choices at each of the 7 reference stars of lsv verify -r 3
-    cx = ball3.to_complex()
+    cx = ball_complex(ball3)
     rep = panel_flip_check(cx, ball_marks(ball3), steps=ball3.steps)
     assert rep.choices_satisfied == 1029 and rep.searches == 21
     assert checked_first_leaf["calls"] == 21
@@ -961,7 +964,7 @@ def test_transported_flips_on_uncolored_radius_two_ball(ball2, ballcx):
 
 def test_transported_flips_on_uncolored_radius_three_ball(ball3):
     # the lsv verify -r 3 inputs: the search count pins the work
-    cx = ball3.to_complex()
+    cx = ball_complex(ball3)
     # every 3-clique is an uncolored triangle: no labels to test
     assert _graph(cx)[1] is None
     fast, plain = flips_with_and_without(cx, ball_marks(ball3), ball3.steps)
@@ -973,7 +976,7 @@ def test_transported_flips_on_uncolored_radius_three_ball(ball3):
 def test_transported_flips_rejected_by_one_recolored_chamber(ball3):
     # every chamber color 0 except one far from the identity: the stars
     # that hold it are not carried, and the search decides those edges
-    cx = ball3.to_complex()
+    cx = ball_complex(ball3)
     d = ball3.dist
     odd = next(t for t in cx.chambers() if [d[x] for x in t] == [2, 2, 3])
     colored = color_chambers(cx, {t: int(t == odd) for t in cx.chambers()})
@@ -1032,7 +1035,7 @@ def test_transported_flips_see_a_hollow_chamber(ball3):
     # stars that hold it have the same graph as their references, and
     # only the labels of the 3-cliques tell the hollow one apart
     verts, edges = ball_graph(ball3)
-    cx = ball3.to_complex()
+    cx = ball_complex(ball3)
     d = ball3.dist
     odd = next(t for t in cx.chambers() if [d[x] for x in t] == [2, 2, 3])
     hollow = Complex(verts, [*edges, *(t for t in cx.chambers() if t != odd)])
@@ -1117,7 +1120,7 @@ def chamber_types(ball, c):
 def test_transported_flips_carry_failures_of_a_chamber_type_coloring(ball3):
     # a coloring by chamber type is invariant under left translation, so
     # every edge is carried, its failed choices with it
-    cx = ball3.to_complex()
+    cx = ball_complex(ball3)
     types = chamber_types(ball3, cx)
     assert len(set(types.values())) == 7
     first = min(types.values(), key=sorted)
@@ -1220,7 +1223,8 @@ def test_carried_from_the_upper_end_matches_fresh_searches(ball2, ballcx):
         u, v = edge
         assert labels[upper] == inverse(labels[label])
         if upper not in refs:
-            held = dict(zip(apexes, autoeng._star_flips(c, edge, apexes, star)))
+            side = _Side(induced_subcomplex(c, star))
+            held = dict(zip(apexes, autoeng._star_flips(side, edge, apexes)))
             refs.setdefault(label, _reference(edge, star, steps, *graph, held))
             continue
         ref = refs[upper]
@@ -1245,8 +1249,8 @@ def flip_pass_stars(monkeypatch, c, interior):
     would search, and its thickness; the searches are not made."""
     seen = {}
 
-    def record(c, edge, apexes, star):
-        seen[edge] = (apexes, star)
+    def record(side, edge, apexes):
+        seen[edge] = (apexes, frozenset(side.ids))
         return [True] * len(apexes)
 
     monkeypatch.setattr(autoeng, "_star_flips", record)
@@ -1259,7 +1263,7 @@ def test_flip_stars_and_apexes_match_the_incidence_index(monkeypatch, ball2, bal
     # incidence index, the oracle here
     cases = []
     for ball in (ball2, ball3):
-        cx, marks = ball.to_complex(), ball_marks(ball)
+        cx, marks = ball_complex(ball), ball_marks(ball)
         types = chamber_types(ball, cx)
         first = min(types.values(), key=sorted)
         typed = color_chambers(cx, {t: int(ty == first) for t, ty in types.items()})
@@ -1356,7 +1360,7 @@ def test_vf2_heawood_group(nx):
 def test_vf2_radius_one_building_ball_with_center_fixed(nx):
     # a clique complex: its automorphisms are those of its 1-skeleton
     ball = cayley_ball(symmetrize(lsv_generators()), 1)
-    cx = ball.to_complex()
+    cx = ball_complex(ball)
     assert vf2_automorphism_count(nx, cx, label=lambda v: v == 0) == 336
     assert automorphisms_fixing(cx, [0]).order == 336
     assert automorphism_order(cx, fixed=[0]).order == 336
@@ -1450,5 +1454,117 @@ def test_schreier_sims_confirms_tree_chain(sympy_groups, r, order):
 
 def test_schreier_sims_confirms_building_chains(sympy_groups, ballcx, ball3):
     assert assert_witnesses_generate_chain_order(sympy_groups, ballcx, [0]) == 86016
-    cx3 = ball3.to_complex()
+    cx3 = ball_complex(ball3)
     assert assert_witnesses_generate_chain_order(sympy_groups, cx3, [0]) == 336 * 2**17
+
+
+# ----------------------------------------------------------------------
+# lsv verify's row answers against the whole-ball complex
+
+
+def flip_verdicts(rep):
+    """Every PanelFlipReport field but the search count, which the step
+    map exists to lower."""
+    return (
+        rep.edges_eligible, rep.edges_skipped, rep.choices_satisfied,
+        rep.failures, rep.thickness,
+    )
+
+
+def assert_flip_routes_agree(ball, c, interior, plain=True):
+    """panel_flip_check on the ball's rows, on the complex c with the
+    steps and, when `plain`, with none: the rows route gives the steps
+    route's report field for field, searches included, and a plain
+    search per choice gives the same verdicts."""
+    fast = panel_flip_check(c, interior, steps=ball.steps)
+    if c.chamber_colors is None:
+        assert panel_flip_check(ball, interior) == fast
+    if plain:
+        slow = panel_flip_check(c, interior)
+        assert flip_verdicts(slow) == flip_verdicts(fast)
+        assert slow.searches == slow.choices_total
+    return fast
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_row_answers_match_the_complex_route(r):
+    # lsv verify reads every global answer from the rows; the ball's
+    # clique complex answers each one by its own routine, uncolored and
+    # with its chambers colored by type (invariant under translation,
+    # so the colored stars are carried) and at random (searched)
+    ball = cayley_ball(symmetrize(lsv_generators()), r)
+    cx = ball_complex(ball)
+    interior = ball_marks(ball)
+    assert ball.edge_count() == cx.simplex_count(1)
+    assert ball.triangle_count() == cx.simplex_count(2) == len(ball.triangles())
+    everywhere = range(len(ball))
+    assert sorted(ball.maximal_simplices(everywhere)) == sorted(cx.maximal_simplices())
+    purity = purity_report(cx.maximal_simplices(), interior)
+    assert purity_report(ball.maximal_simplices(interior), interior) == purity
+    assert purity_report(ball.maximal_simplices(everywhere), interior) == purity
+    if r == 0:
+        for c in (ball, cx):
+            with pytest.raises(ValueError, match="2-dimensional"):
+                panel_flip_check(c, interior)
+        assert purity.interior_maximal_by_dim == {}
+        return
+    types = chamber_types(ball, cx)
+    first = min(types.values(), key=sorted)
+    rng = random.Random(r)
+    colorings = [
+        color_chambers(cx, {t: int(ty == first) for t, ty in types.items()}),
+        color_chambers(cx, {t: rng.randrange(2) for t in cx.chambers()}),
+    ]
+    # a search per choice costs 5 s uncolored at r = 4, and under the
+    # random coloring, which no star carries, every route searches each
+    # choice (2.5 s at r = 4): the slow test runs those
+    lk, fano = ball.identity_link(), fano_incidence_graph()
+    witness = is_isomorphic(lk, fano)
+    assert witness is not None
+    for c in (cx, *colorings):
+        assert link(c, 0) == lk
+        assert is_isomorphic(link(c, 0), fano) == witness
+        assert sorted(c.maximal_simplices()) == sorted(ball.maximal_simplices(everywhere))
+        assert purity_report(c.maximal_simplices(), interior) == purity
+    if r == 4:
+        colorings.pop()
+    reports = [assert_flip_routes_agree(ball, cx, interior, plain=r <= 3)]
+    reports += [assert_flip_routes_agree(ball, c, interior, plain=r <= 3) for c in colorings]
+    if r >= 2:
+        assert reports[0].searches == 21 and reports[0].thickness == (3,)
+        assert all(rep.failures for rep in reports[1:])
+
+
+@pytest.mark.slow
+def test_row_flips_match_plain_searches_at_radius_four():
+    ball = cayley_ball(symmetrize(lsv_generators()), 4)
+    cx = ball_complex(ball)
+    rng = random.Random(4)
+    colored = color_chambers(cx, {t: rng.randrange(2) for t in cx.chambers()})
+    for c in (cx, colored):
+        assert_flip_routes_agree(ball, c, ball_marks(ball))
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_star_side_from_rows_matches_the_induced_subcomplex(r):
+    # the searched stars of the rows route are indexed from the rows,
+    # slot by slot as _Side indexes the full subcomplex on the star
+    ball = cayley_ball(symmetrize(lsv_generators()), r)
+    cx, steps = ball_complex(ball), ball.steps
+    nb, _ = _graph(cx)
+    checked = 0
+    for u, v in cx.simplices(1):
+        if ball.dist[u] < r and ball.dist[v] < r:
+            star = frozenset(nb[u] + nb[v])
+            want, got = _Side(induced_subcomplex(cx, star)), _star_side(steps, star)
+            for slot in _Side.__slots__:
+                assert getattr(got, slot) == getattr(want, slot), slot
+            checked += 1
+    assert checked == {2: 35, 3: 343}[r]
+
+
+def test_row_flips_need_full_interior_rows(ball2):
+    # a vertex of the outer shell has steps off the ball: its star is cut
+    outer = ball_marks(ball2) | {len(ball2) - 1}
+    with pytest.raises(ValueError, match="off the ball"):
+        panel_flip_check(ball2, outer)

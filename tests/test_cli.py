@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import arithcx
+import arithcx.autoeng
 import arithcx.cli
 import arithcx.projmat
 import arithcx.qlat
@@ -66,6 +67,31 @@ def test_lsv_verify_radius2_all_pass(capsys):
     assert rep["data"]["skipped_checks"] == []
 
 
+def test_singular_printed_generator_fails_its_check(monkeypatch, capsys):
+    # the seventh printed matrix with its third row equal to its first:
+    # its determinant is checked before the table is built, which a
+    # singular matrix would stop, so the check fails (exit 1, no
+    # traceback) and every check that needs the table is skipped
+    printed = list(arithcx.projmat.LSV_GENERATOR_STRINGS)
+    first, second, _ = printed[6]
+    printed[6] = (first, second, first)
+    monkeypatch.setattr(arithcx.projmat, "LSV_GENERATOR_STRINGS", tuple(printed))
+    code = main(["lsv", "verify", "-r", "2"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    rep = json.loads(out)
+    checks = by_name(rep)
+    assert checks["determinants-nonzero"]["status"] == "fail"
+    assert checks["generator-count"]["status"] == "pass"
+    assert list(checks) == ["generator-count", "determinants-nonzero"]
+    assert rep["data"]["generator_determinants"][6] == "0"
+    assert "0" not in rep["data"]["generator_determinants"][:6]
+    assert rep["data"]["skipped_checks"] == [
+        "symmetrized-distinct", "plane-orbit-sizes", "link-heawood",
+        "interior-purity", "interior-thickness", "panel-flip-fraction",
+    ]
+
+
 def test_lsv_verify_small_radii_skip_interior_checks(capsys):
     code, rep = run_json(["lsv", "verify", "--radius", "1"], capsys)
     assert code == 0
@@ -100,24 +126,32 @@ def test_lsv_ball_builds_no_complex(monkeypatch, capsys):
 
     monkeypatch.setattr(arithcx.scx, "clique_complex", refuse)
     monkeypatch.setattr(arithcx.scx.Complex, "__init__", refuse)
-    monkeypatch.setattr(arithcx.projmat.CayleyBall, "to_complex", refuse)
+    monkeypatch.setattr(arithcx.scx.Complex, "_set", refuse)
     code, rep = run_json(["lsv", "ball", "--radius", "2"], capsys)
     assert code == 0
     assert rep["data"]["triangle_count"] == 231
 
 
 def test_ball_complexes_need_no_clique_search(monkeypatch, capsys):
-    # lsv verify translates the triangles at the identity, and rigidity
-    # feeds the engine from the ball's rows with no complex at all
+    # lsv verify answers every global question from the ball's rows: the
+    # link of the identity is its one complex, and the searched stars
+    # are indexed from the rows; rigidity feeds the engine from the rows
+    # with no complex at all.  A whole-ball complex, its maximal
+    # simplices, its incidence index or its adjacency must not come back
     def refuse(*args, **kwargs):
         raise AssertionError("a command searched for cliques or built a complex")
 
     monkeypatch.setattr(arithcx.scx, "clique_complex", refuse)
-    code, rep = run_json(["lsv", "verify", "-r", "2"], capsys)
-    assert code == 0 and rep["data"]["triangle_count"] == 231
+    monkeypatch.setattr(arithcx.projmat.CayleyBall, "to_complex", refuse, raising=False)
+    monkeypatch.setattr(Complex, "maximal_simplices", refuse)
+    monkeypatch.setattr(Complex, "_local_index", refuse)
+    monkeypatch.setattr(arithcx.autoeng, "_graph", refuse)
+    monkeypatch.setattr(arithcx.autoeng, "induced_subcomplex", refuse)
+    for r, triangles in ((2, 231), (3, 1575)):
+        code, rep = run_json(["lsv", "verify", "-r", str(r)], capsys)
+        assert code == 0 and rep["data"]["triangle_count"] == triangles
     monkeypatch.setattr(Complex, "__init__", refuse)
     monkeypatch.setattr(Complex, "_set", refuse)
-    monkeypatch.setattr(arithcx.projmat.CayleyBall, "to_complex", refuse)
     monkeypatch.setattr(arithcx.scx, "color_chambers", refuse)
     for colors in ("1", "2"):
         code, rep = run_json(["rigidity", "--colors", colors, "-r", "2"], capsys)
@@ -738,8 +772,9 @@ def test_scale_reports_match_their_pinned_digests(capsys):
     assert changed_reports(SCALE_DIGESTS, capsys) == []
 
 
-# stdout sha256 of runs too slow for tier-1, pinned at commit 6cb746a;
-# about 25 s together on a shared 2-CPU host.  Opt in with `-m slow`
+# stdout sha256 of runs too slow for tier-1, pinned at commit 6cb746a
+# (`lsv verify -r 7` at da0dddd); about 60 s together in-process on a
+# shared 2-CPU host, half of it `lsv verify -r 7`.  Opt in with `-m slow`
 SLOW_SCALE_DIGESTS = {
     "rigidity --colors 2 -r 6 --seed 0": (
         "b00fb5a308e4d113d33ea3890660e03769a22fd5c221ca18c8167857320fc5f3"
@@ -752,6 +787,9 @@ SLOW_SCALE_DIGESTS = {
     ),
     "tree experiment --r 6 --s 1": (
         "0e5c50b7712d54858c6ac29f5d68cd96faf8fcd2db797fd50d302d4b3787baee"
+    ),
+    "lsv verify -r 7": (
+        "e8341499043fff30f9679278fe01522757ed4065955873ee8ca2ff7ffdc0902b"
     ),
 }
 

@@ -6,7 +6,7 @@ from collections import deque
 import pytest
 
 from arithcx import projmat
-from arithcx.autoeng import ball_side
+from arithcx.autoeng import ball_side, panel_flip_check
 from arithcx.errors import BudgetExceededError
 from arithcx.gf2k import GF2, GF16, FieldSpec, format_poly, parse_poly
 from arithcx.projmat import (
@@ -27,7 +27,7 @@ from arithcx.projmat import (
 )
 from arithcx.scx import clique_complex
 
-from oracles import ball_json_dict, inverse_closed_plane_orbits
+from oracles import ball_complex, ball_json_dict, inverse_closed_plane_orbits, link
 
 # ----------------------------------------------------------------------
 # independent oracles: GF(16) as carry-less multiplication reduced modulo
@@ -541,6 +541,7 @@ def test_first_collision_found_from_its_lower_end(table):
         for picks in itertools.combinations(table.matrices, k)
     ]
     assert len(tables) == 128
+    dims = set()
     for tbl in tables:
         sub = symmetrize(tbl)
         ball = cayley_ball(sub, 2)
@@ -550,9 +551,19 @@ def test_first_collision_found_from_its_lower_end(table):
         col = ball.collision
         assert (col and (col.vertex, col.word_a, col.word_b)) == collision
         # the triangles walked from the identity are the clique search's,
-        # and no table here has a 4-clique
+        # and no table here has a 4-clique; every answer read from the
+        # rows is the clique complex's, edges in no triangle included
         pairs = [(u, v) for u, v, _ in edges]
-        assert ball.to_complex() == clique_complex(range(len(order)), pairs, max_dim=3)
+        cx = clique_complex(range(len(order)), pairs, max_dim=3)
+        assert ball_complex(ball) == cx
+        assert (ball.edge_count(), ball.triangle_count()) == (
+            cx.simplex_count(1), cx.simplex_count(2)
+        )
+        everywhere = range(len(ball))
+        assert sorted(ball.maximal_simplices(everywhere)) == sorted(cx.maximal_simplices())
+        assert ball.identity_link() == link(cx, 0)
+        dims.add(cx.dimension)
+    assert dims == {1, 2}
 
 
 def test_complex_refused_when_the_identity_lies_in_a_4_clique(table):
@@ -564,13 +575,19 @@ def test_complex_refused_when_the_identity_lies_in_a_4_clique(table):
     ball = cayley_ball(sub, 2)
     pairs = [(u, v) for u, v, _ in ball.edges()]
     assert clique_complex(range(len(ball)), pairs, max_dim=3).simplex_count(3) == 10
-    with pytest.raises(ValueError, match="identity and labels 1, 2, 3 span a 4-clique"):
-        ball.to_complex()
-    # the ball's chambers and the engine's rows feeder refuse it alike
-    with pytest.raises(ValueError, match="identity and labels 1, 2, 3 span a 4-clique"):
-        ball.chambers()
-    with pytest.raises(ValueError, match="identity and labels 1, 2, 3 span a 4-clique"):
-        ball_side(ball, sorted(ball.triangles()))
+    # every answer read from the rows, and the engine's rows feeder,
+    # refuse it alike
+    refusals = [
+        ball.chambers,
+        lambda: list(ball.maximal_simplices([0])),
+        ball.identity_link,
+        lambda: ball_side(ball, sorted(ball.triangles())),
+        lambda: panel_flip_check(ball, frozenset([0])),
+        lambda: ball_complex(ball),
+    ]
+    for refused in refusals:
+        with pytest.raises(ValueError, match="identity and labels 1, 2, 3 span a 4-clique"):
+            refused()
 
 
 def test_table_holding_a_generator_and_its_inverse(table):

@@ -8,6 +8,7 @@ from arithcx.projmat import cayley_ball, lsv_generators, symmetrize
 from oracles import (
     all_simplices,
     ball_graph,
+    link,
     naive_chamber_count,
     naive_induced_subcomplex,
     naive_link,
@@ -20,7 +21,6 @@ from arithcx.scx import (
     color_chambers,
     fano_incidence_graph,
     induced_subcomplex,
-    link,
     purity_report,
     star_vertices,
 )
@@ -300,7 +300,7 @@ def test_chamber_count_examples():
 
 def test_purity_tetrahedron_boundary():
     c = Complex(range(4), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-    rep = purity_report(c, frozenset(c.vertices))
+    rep = purity_report(c.maximal_simplices(), frozenset(c.vertices))
     assert rep.pure
     assert rep.dimension == 2
     assert rep.interior_maximal_by_dim == {2: 4}
@@ -310,7 +310,7 @@ def test_purity_tetrahedron_boundary():
 
 def test_purity_detects_isolated_vertex():
     c = Complex([0, 1, 2, 9], [(0, 1), (1, 2), (0, 2), (0, 1, 2)])
-    rep = purity_report(c, frozenset(c.vertices))
+    rep = purity_report(c.maximal_simplices(), frozenset(c.vertices))
     assert not rep.pure
     assert rep.interior_maximal_by_dim == {0: 1, 2: 1}
 
@@ -466,7 +466,7 @@ def test_ball_interior_thickness(ball2, ballcx):
 
 def test_ball_purity_report(ball2, ballcx):
     interior = frozenset(i for i, d in enumerate(ball2.dist) if d < 2)
-    rep = purity_report(ballcx, interior)
+    rep = purity_report(ballcx.maximal_simplices(), interior)
     assert rep.pure
     assert rep.dimension == 2
     assert rep.interior_maximal_by_dim == {2: 21}
