@@ -322,11 +322,15 @@ def _lsv_verify(args: argparse.Namespace) -> tuple[dict, Iterator[str] | None]:
 
 def _ball_data(ball) -> dict:
     """The ball's JSON record; its vertices and edges are _Rows, filled
-    from the ball as they are written."""
+    from the ball as they are written.  Each vertex's nine entries are
+    unpacked from its packed int, entry 0 in the top k bits."""
     gens = ball.generators
-    quoted = [_ESCAPE(n) for n in gens.fieldspec.names]
+    spec = gens.fieldspec
+    q = [_ESCAPE(n) for n in spec.names]
+    mask = spec.size - 1
+    s0, s1, s2, s3, s4, s5, s6, s7 = range(8 * spec.degree, 0, -spec.degree)
     return {
-        "field": {"modulus": format_poly(gens.fieldspec.modulus)},
+        "field": {"modulus": format_poly(spec.modulus)},
         "radius": ball.radius,
         "generator_labels": list(gens.labels),
         "generators": [m.rows() for m in gens.matrices],
@@ -335,8 +339,13 @@ def _ball_data(ball) -> dict:
         "vertices": _Rows(
             {"distance": "%s", "index": "%s", "rows": [["%s"] * 3] * 3},
             lambda: (
-                (d, i, *[quoted[e] for e in m.entries])
-                for i, (d, m) in enumerate(zip(ball.dist, ball.vertices))
+                (
+                    d, i,
+                    q[x >> s0], q[x >> s1 & mask], q[x >> s2 & mask],
+                    q[x >> s3 & mask], q[x >> s4 & mask], q[x >> s5 & mask],
+                    q[x >> s6 & mask], q[x >> s7 & mask], q[x & mask],
+                )
+                for i, (d, x) in enumerate(zip(ball.dist, ball.vertices))
             ),
         ),
         "edges": _Rows(["%s"] * 3, ball.edges),

@@ -4,23 +4,23 @@ A point of PGL3 is represented by the matrix scaled so that its first
 nonzero entry in row-major order is 1; two matrices are the same group
 element iff their canonical forms coincide.  The module carries the
 seven Lubotzky-Samuels-Vishne generator matrices over GF(16) and grows
-breadth-first Cayley balls around the identity, held as rows of steps:
-entry i of row u is the index of u*g_i.  Each triangle of a ball is the
-left translate of one at the identity, so its edges, triangles, maximal
-simplices and the identity's link are read from the rows, with no
-complex of the whole ball built.
+breadth-first Cayley balls around the identity, held as packed entry
+ints and rows of steps: entry i of row u is the index of u*g_i.  Each
+triangle of a ball is the left translate of one at the identity, so
+its edges, triangles, maximal simplices and the identity's link are
+read from the rows, with no complex of the whole ball built.
 
 General products go through one kernel, `_product`, which multiplies
 two row-major 9-tuples of entry bitmasks with the field's
 multiplication rows (`FieldSpec.tables()`, XOR for addition) and
 normalizes by one table row.  The determinant, the adjugate and the
 action on P^2 read the same rows.  `cayley_ball` instead multiplies by
-generator tables built in each call: for each generator g, each
-nonzero scalar c and each row j of g, a q-entry list of the rows
-x*c*g_j, each packed into one int.  That is 3*(q-1) lists of q entries,
-3*q*(q-1) entries, per generator (10,080 for 14 generators over
-GF(16)).  Its breadth-first search holds each vertex as one packed int
-and makes a `ProjMatrix` only for each returned vertex.
+tables built in each call as they are first needed: for each generator
+g, one entry per canonical first row of P^2 that a vertex leads with
+(at most q^2+q+1 = 273 over GF(16)), holding the packed-row tables of
+the scalar multiple of g that makes the product canonical.  Its
+breadth-first search holds each vertex as one packed int, and so does
+the ball it returns; no `ProjMatrix` is built for a vertex.
 
 References:
     Lubotzky, Samuels, Vishne.  "Explicit constructions of Ramanujan
@@ -33,6 +33,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError
@@ -346,8 +347,10 @@ class CollisionReport:
 class CayleyBall:
     """A breadth-first ball around the identity in a Cayley graph.
 
-    Vertices are canonical matrices, index 0 is the identity, and the
-    vertex order is sorted by encoded bytes within each distance shell.
+    Each vertex is a canonical matrix packed into one int, its nine
+    k-bit entries in row-major order with entry 0 most significant.
+    Index 0 is the identity, and the vertex order is sorted by packed
+    int, which is by encoded bytes, within each distance shell.
     `steps[u][i]` is the index of u*g_i, for g_i the i-th generator, or
     -1 off the ball: the full induced graph, edges between two outermost
     vertices included, with one label per neighbour.  `edges()` reads
@@ -363,7 +366,7 @@ class CayleyBall:
 
     generators: SymmetricGenerators
     radius: int
-    vertices: tuple[ProjMatrix, ...]
+    vertices: tuple[int, ...]
     dist: tuple[int, ...]
     steps: tuple[tuple[int, ...], ...]
     collision: CollisionReport | None
@@ -380,7 +383,8 @@ class CayleyBall:
         sorted; one label per neighbour makes (u, v) the sort key."""
         labels = self.generators.labels
         for u, row in enumerate(self.steps):
-            yield from sorted((u, v, lab) for v, lab in zip(row, labels) if v > u)
+            for v, lab in sorted([(v, lab) for v, lab in zip(row, labels) if v > u]):
+                yield u, v, lab
 
     def _identity_pairs(self) -> list[tuple[int, int]]:
         """The positions i < j of the triangles {1, g_i, g_j}."""
@@ -413,7 +417,13 @@ class CayleyBall:
     def triangle_count(self) -> int:
         """The triangles as `_translates` finds them, counted and not
         listed."""
-        return sum(1 for _ in self._translates(range(len(self.steps))))
+        pairs = self._identity_pairs()
+        count = 0
+        for u, row in enumerate(self.steps):
+            for i, j in pairs:
+                if row[i] > u and row[j] > u:
+                    count += 1
+        return count
 
     def _refuse_4_cliques(self) -> None:
         """ValueError when the identity lies in a 4-clique, whose
@@ -476,25 +486,15 @@ class CayleyBall:
         )
 
 
-def _generator_tables(
-    mul_rows: list[list[int]], inv: list[int], g: tuple, k: int
-) -> list:
-    """Packed-row product tables of the scalar multiples of generator g.
-
-    Entry e >= 1 of the result is a triple (T0, T1, T2) for the
-    multiple c*g with c = 1/e: `Tj[x]` is row j of c*g scaled by x,
-    packed as three k-bit entries with the first one most significant.
-    Row i of the product x*(c*g) is then `T0[x_i0] ^ T1[x_i1] ^ T2[x_i2]`.
-    """
-    one = tuple(
+def _row_tables(mul_rows: list[list[int]], g: tuple, k: int) -> tuple:
+    """Packed-row product tables of generator g: `Tj[x]` is row j of g
+    scaled by x, packed as three k-bit entries with the first one most
+    significant.  Row i of the product x*g is then
+    `T0[x_i0] ^ T1[x_i1] ^ T2[x_i2]`."""
+    return tuple(
         [row[b0] << 2 * k | row[b1] << k | row[b2] for row in mul_rows]
         for b0, b1, b2 in (g[0:3], g[3:6], g[6:9])
     )
-    # x*(c*g_j) = (c*x)*g_j: each multiple re-indexes the c = 1 table
-    return [None, one] + [
-        tuple([t[y] for y in mul_rows[inv[e]]] for t in one)
-        for e in range(2, len(mul_rows))
-    ]
 
 
 def cayley_ball(
@@ -518,19 +518,22 @@ def cayley_ball(
 
     The search holds each vertex as one int, its nine k-bit entries
     packed with entry 0 most significant, so ordering by (distance,
-    packed int) is ordering by (distance, encoded bytes).  A product
-    x*g reads its row 0 from g's tables; unless that row leads with 1,
-    it is read again from the tables of the multiple c*g that makes it
-    lead with 1, so the product comes out canonical with no scaling
-    pass.  Each edge is multiplied out once, from its lower end, which
-    fills both ends' entries of a flat step array; a vertex skips the
-    steps whose entries are known.  So a step that meets a known vertex
-    meets it from below and not along its parent edge, and the first
-    such step is the first collision.  Until then each vertex knows only
-    its parent edge, at the position of the matrix inverse.  A
-    `ProjMatrix` and a row of steps are built once per returned vertex.
-    The budget error names the shell being grown, the radius and the
-    vertex count.
+    packed int) is ordering by (distance, encoded bytes).  Row 0 of a
+    product x*g depends only on row 0 of x, a canonical point of P^2:
+    (1, y, z), (0, 1, z) or (0, 0, 1), whose packed value p is below
+    2*q^2.  So each generator has a table indexed by p, filled on first
+    use, whose entry holds the row tables of the multiple c*g that makes
+    the product lead with 1 and that product's row 0, shifted into
+    place; a product is one entry read and the six reads of rows 1 and
+    2, and comes out canonical.  The tables of a multiple are built
+    when an entry first needs them.  Each edge is multiplied out once,
+    from its lower end, which fills both ends' entries of a flat step
+    array; a vertex skips the steps whose entries are known.  So a step
+    that meets a known vertex meets it from below and not along its
+    parent edge, and the first such step is the first collision.  Until
+    then each vertex knows only its parent edge, at the position of the
+    matrix inverse.  The budget error names the shell being grown, the
+    radius and the vertex count.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -548,8 +551,16 @@ def cayley_ball(
         position[m.entries] = i
     labels = gens.labels
     k = spec.degree
-    # moves[i]: (generator i, its label, its tables, the position of
-    # the generator that steps back)
+    mask = spec.size - 1
+    k2, k3, k6 = 2 * k, 3 * k, 6 * k
+    # scalers[e] turns a row table of g into that of g/e, by
+    # x*(c*g_j) = (c*x)*g_j with c = 1/e
+    scalers = [None, None]
+    scalers += [itemgetter(*mul_rows[inv[e]]) for e in range(2, spec.size)]
+
+    # moves[i]: (generator i, its label, its entries by packed first row,
+    # the row tables of g_i/e by lead e, the position of the generator
+    # that steps back); entries and tables are filled on first use
     moves = []
     for i, (m, lab) in enumerate(zip(gens.matrices, labels)):
         back = position.get(pgl_inv(m).entries)
@@ -558,23 +569,13 @@ def cayley_ball(
                 f"generator set not symmetric, or its inverse labels wrong, "
                 f"at label {lab}"
             )
-        tables = _generator_tables(mul_rows, inv, m.entries, k)
-        moves.append((i, lab, tables, back))
+        multiples = [None] * spec.size
+        multiples[1] = _row_tables(mul_rows, m.entries, k)
+        moves.append((i, lab, [None] * (2 << k2), multiples, back))
     width = len(moves)
     unknown = array("i", [-1]) * width
 
-    mask = spec.size - 1
-    k2, k3, k6 = 2 * k, 3 * k, 6 * k
-    s0, s1, s2, s3, s4, s5, s6, s7, _ = range(8 * k, -1, -k)
-
-    def unpack(x: int) -> tuple[int, ...]:
-        return (
-            x >> s0, x >> s1 & mask, x >> s2 & mask,
-            x >> s3 & mask, x >> s4 & mask, x >> s5 & mask,
-            x >> s6 & mask, x >> s7 & mask, x & mask,
-        )
-
-    x = 1 << s0 | 1 << s4 | 1  # the identity, packed
+    x = 1 << 8 * k | 1 << 4 * k | 1  # the identity, packed
     index: dict[int, int] = {x: 0}
     verts: list[int] = [x]
     dist: list[int] = [0]
@@ -592,26 +593,33 @@ def cayley_ball(
         return tuple(reversed(out))
 
     lookup = index.get
+    s3, s4, s5, s6, s7 = range(5 * k, 0, -k)
     u = 0
     while u < len(verts):
         x = verts[u]
         du = dist[u]
-        a0, a1, a2, a3, a4, a5, a6, a7, a8 = unpack(x)
+        p = x >> k6
+        a3, a4, a5 = x >> s3 & mask, x >> s4 & mask, x >> s5 & mask
+        a6, a7, a8 = x >> s6 & mask, x >> s7 & mask, x & mask
         base = u * width
-        for i, lab, tables, back in moves:
+        for i, lab, table, multiples, back in moves:
             if adj[base + i] >= 0:
                 continue
-            t0, t1, t2 = tables[1]
-            r0 = t0[a0] ^ t1[a1] ^ t2[a2]
-            lead = r0 >> k2 or r0 >> k or r0
-            if lead != 1:
-                t0, t1, t2 = tables[lead]
-                r0 = t0[a0] ^ t1[a1] ^ t2[a2]
-            v = (
-                r0 << k6
-                | (t0[a3] ^ t1[a4] ^ t2[a5]) << k3
-                | t0[a6] ^ t1[a7] ^ t2[a8]
-            )
+            entry = table[p]
+            if entry is None:
+                # row 0 of x*g leads with `lead`, so x*(g/lead) is canonical
+                p0, p1, p2 = p >> k2, p >> k & mask, p & mask
+                t0, t1, t2 = multiples[1]
+                r0 = t0[p0] ^ t1[p1] ^ t2[p2]
+                lead = r0 >> k2 or r0 >> k or r0
+                tables = multiples[lead]
+                if tables is None:
+                    scale = scalers[lead]
+                    tables = multiples[lead] = (scale(t0), scale(t1), scale(t2))
+                t0, t1, t2 = tables
+                entry = table[p] = (t0, t1, t2, (t0[p0] ^ t1[p1] ^ t2[p2]) << k6)
+            t0, t1, t2, head = entry
+            v = head | (t0[a3] ^ t1[a4] ^ t2[a5]) << k3 | t0[a6] ^ t1[a7] ^ t2[a8]
             w = lookup(v)
             if w is None:
                 if du >= radius:
@@ -637,25 +645,27 @@ def cayley_ball(
             adj[w * width + back] = u
         u += 1
 
-    # canonical order: by (distance, encoded bytes), as ProjMatrix.encode
-    order = sorted(range(len(verts)), key=lambda i: (dist[i], verts[i]))
-    vertices = tuple(ProjMatrix(spec, unpack(verts[i]), True) for i in order)
+    # canonical order: by (distance, encoded bytes), as ProjMatrix.encode;
+    # each shell is a run of the search's order, sorted by packed int
+    starts = [dist.index(d) for d in range(dist[-1] + 1)] + [len(verts)]
+    order: list[int] = []
+    for a, b in zip(starts, starts[1:]):
+        order += sorted(range(a, b), key=verts.__getitem__)
     # a step off the ball, -1, reads pos[-1], which stays -1
     pos = [0] * len(verts) + [-1]
     for new, old in enumerate(order):
         pos[old] = new
     # the remapped entries, cut into rows of `width` by one shared iterator
     rows = list(zip(*[iter(map(pos.__getitem__, adj))] * width))
-    steps = tuple(map(rows.__getitem__, order))
     report = None
     if collision is not None:
         report = CollisionReport(pos[collision[0]], collision[1], collision[2])
     return CayleyBall(
         generators=gens,
         radius=radius,
-        vertices=vertices,
-        dist=tuple(dist[i] for i in order),
-        steps=steps,
+        vertices=tuple(map(verts.__getitem__, order)),
+        dist=tuple(map(dist.__getitem__, order)),
+        steps=tuple(map(rows.__getitem__, order)),
         collision=report,
     )
 

@@ -1,11 +1,22 @@
 """Slow, independent reference implementations used to pin expected values."""
 
 import itertools
+import random
 from collections import Counter
 
 from arithcx.autoeng import _search
 from arithcx.gf2k import format_poly
-from arithcx.projmat import _act, pgl_inv, proj_plane_points
+from arithcx.projmat import (
+    GeneratorTable,
+    ProjMatrix,
+    _act,
+    determinant,
+    matrix,
+    pgl_inv,
+    pgl_normalize,
+    proj_plane_points,
+    symmetrize,
+)
 from arithcx.scx import Complex
 
 
@@ -274,6 +285,35 @@ class FullMap:
         return {"mapping": [[k, v] for k, v in sorted(self.map.items())]}
 
 
+def ball_matrices(ball) -> list[ProjMatrix]:
+    """A Cayley ball's vertices as canonical matrices, in ball order:
+    each packed int cut into its nine k-bit entries, entry 0 in the top
+    bits."""
+    spec = ball.generators.fieldspec
+    k, mask = spec.degree, spec.size - 1
+    return [
+        ProjMatrix(spec, tuple(x >> s & mask for s in range(8 * k, -1, -k)), True)
+        for x in ball.vertices
+    ]
+
+
+def random_generators(spec, count: int, seed: int):
+    """The cyclic permutation matrix, whose first row is (0, 0, 1) and
+    its inverse's (0, 1, 0), and `count` seeded random invertible
+    matrices over spec, canonical, pairwise distinct and not the
+    identity, symmetrized."""
+    rng = random.Random(seed)
+    cycle = matrix(spec, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    mats = {cycle.entries: pgl_normalize(cycle)}
+    while len(mats) < 1 + count:
+        m = matrix(spec, [[rng.randrange(spec.size) for _ in range(3)] for _ in range(3)])
+        if determinant(m):
+            m = pgl_normalize(m)
+            if m.entries != (1, 0, 0, 0, 1, 0, 0, 0, 1):
+                mats.setdefault(m.entries, m)
+    return symmetrize(GeneratorTable("random", spec, tuple(mats.values())))
+
+
 def ball_json_dict(ball) -> dict:
     """A Cayley ball's JSON record materialised whole, every vertex a
     dict and every edge a tuple: the reference for `lsv ball`'s data,
@@ -287,7 +327,7 @@ def ball_json_dict(ball) -> dict:
         "sphere_sizes": list(ball.sphere_sizes()),
         "vertices": [
             {"index": i, "distance": ball.dist[i], "rows": m.rows()}
-            for i, m in enumerate(ball.vertices)
+            for i, m in enumerate(ball_matrices(ball))
         ],
         "edges": list(ball.edges()),
         "collision": None

@@ -22,9 +22,10 @@ import arithcx.qlat
 import arithcx.scx
 from arithcx.autoeng import automorphisms_fixing
 from arithcx.cli import main
+from arithcx.gf2k import FieldSpec
 from arithcx.projmat import cayley_ball, lsv_generators, symmetrize
 from arithcx.scx import Complex, color_chambers
-from oracles import ball_json_dict
+from oracles import ball_json_dict, random_generators
 
 
 def run(argv, capsys):
@@ -637,6 +638,15 @@ def test_ball_data_matches_materialised_record(radius):
     assert render(data) == expected  # its lists are read afresh
 
 
+@pytest.mark.parametrize("modulus", [0b111, 0b1011, 0b100011011])
+def test_ball_data_over_another_field(modulus):
+    # the vertex rows unpack k-bit entries for the field's k: GF(4),
+    # GF(8) and GF(256) against the oracle's own unpacking
+    ball = cayley_ball(random_generators(FieldSpec(modulus), 2, seed=modulus), 2)
+    expected = json.dumps(ball_json_dict(ball), indent=2, sort_keys=True) + "\n"
+    assert render(arithcx.cli._ball_data(ball)).split("\n") == expected.split("\n")
+
+
 def test_rows_template_follows_its_indent():
     rows, text = arithcx.cli._Rows, arithcx.cli._text
     shape = {"b": ["%s", {"c": "%s"}], "a": "%s"}
@@ -773,8 +783,9 @@ def test_scale_reports_match_their_pinned_digests(capsys):
 
 
 # stdout sha256 of runs too slow for tier-1, pinned at commit 6cb746a
-# (`lsv verify -r 7` at da0dddd); about 60 s together in-process on a
-# shared 2-CPU host, half of it `lsv verify -r 7`.  Opt in with `-m slow`
+# (`lsv verify -r 7` at da0dddd, `tree experiment --r 7 --s 1` at
+# 76f8eb6); about 60 s together in-process on a shared 2-CPU host, half
+# of it `lsv verify -r 7`.  Opt in with `-m slow`
 SLOW_SCALE_DIGESTS = {
     "rigidity --colors 2 -r 6 --seed 0": (
         "b00fb5a308e4d113d33ea3890660e03769a22fd5c221ca18c8167857320fc5f3"
@@ -790,6 +801,9 @@ SLOW_SCALE_DIGESTS = {
     ),
     "lsv verify -r 7": (
         "e8341499043fff30f9679278fe01522757ed4065955873ee8ca2ff7ffdc0902b"
+    ),
+    "tree experiment --r 7 --s 1": (
+        "6b1f574b5d44e0ea99cd369c7ad77584035bcb5cabc3b0f4ad465f41d0b63d5c"
     ),
 }
 

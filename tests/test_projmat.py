@@ -1,7 +1,7 @@
 import itertools
 import json
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -27,7 +27,14 @@ from arithcx.projmat import (
 )
 from arithcx.scx import clique_complex
 
-from oracles import ball_complex, ball_json_dict, inverse_closed_plane_orbits, link
+from oracles import (
+    ball_complex,
+    ball_json_dict,
+    ball_matrices,
+    inverse_closed_plane_orbits,
+    link,
+    random_generators,
+)
 
 # ----------------------------------------------------------------------
 # independent oracles: GF(16) as carry-less multiplication reduced modulo
@@ -102,20 +109,20 @@ def oracle_word(gens_by_label, word):
     return acc
 
 
-def oracle_ball(gens, labels, radius):
+def oracle_ball(gens, labels, radius, mul=oracle_mul):
     """Vertices in (distance, bytes) order, distances, labelled edges and
     the first reduced-word collision of the ball, by a plain BFS over
-    entry tuples with oracle_mul.
+    entry tuples with `mul`.
 
     The scan multiplies every vertex, in discovery order, by every
     generator, in table order.  The collision is the first step whose
     product is already known, whose word does not end in a generator
-    next to its own inverse (inverses found by oracle_mul), and whose
+    next to its own inverse (inverses found by `mul`), and whose
     word differs from the known vertex's word, as (position, known
     word, new word); None if there is none.
     """
     inverse = {
-        lab: next(b for h, b in zip(gens, labels) if oracle_mul(g, h) == IDENT)
+        lab: next(b for h, b in zip(gens, labels) if mul(g, h) == IDENT)
         for g, lab in zip(gens, labels)
     }
     dist = {IDENT: 0}
@@ -128,7 +135,7 @@ def oracle_ball(gens, labels, radius):
         for x in frontier:
             steps[x] = []
             for g, lab in zip(gens, labels):
-                y = oracle_mul(x, g)
+                y = mul(x, g)
                 steps[x].append((y, lab))
                 if y not in dist:
                     if d < radius:
@@ -171,6 +178,13 @@ def oracle_adjugate(entries):
 
 
 IDENT = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+
+
+def first_row_forms(entries):
+    """How many entry tuples lead with each form of a canonical point of
+    P^2 as their first row, (1, y, z), (0, 1, z) or (0, 0, 1), keyed by
+    the entries up to the leading 1."""
+    return dict(Counter(e[: e.index(1) + 1] for e in entries))
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +236,7 @@ def test_determinant_matches_leibniz_on_seeded_ball_sample(ball2):
     # scalar (det scales by its cube), and uniformly random entry tables,
     # some of them singular
     rng = random.Random(20261018)
-    verts = ball2.vertices
+    verts = ball_matrices(ball2)
     singular = 0
     for _ in range(500):
         m = verts[rng.randrange(len(verts))]
@@ -273,7 +287,7 @@ def test_pgl_inv_matches_adjugate_oracle(table, ball2):
     m1 = table.matrices[0]
     inv1 = pgl_inv(m1)
     assert inv1.entries == oracle_adjugate(m1.entries)
-    for m in ball2.vertices:
+    for m in ball_matrices(ball2):
         assert pgl_inv(m).entries == oracle_adjugate(m.entries)
     # golden from the oracle run
     assert inv1.rows() == (
@@ -290,7 +304,7 @@ def test_pgl_inv_matches_adjugate_oracle(table, ball2):
 
 def test_pgl_mul_associative_on_seeded_ball_sample(ball2):
     rng = random.Random(20260816)
-    verts = ball2.vertices
+    verts = ball_matrices(ball2)
     for _ in range(10_000):
         a, b, c = (verts[rng.randrange(len(verts))] for _ in range(3))
         assert pgl_mul(pgl_mul(a, b), c) == pgl_mul(a, pgl_mul(b, c))
@@ -312,7 +326,7 @@ def test_pgl_mul_agrees_with_oracle(sym, ball2):
         for b in mats:
             assert pgl_mul(a, b).entries == oracle_mul(a.entries, b.entries)
     rng = random.Random(7)
-    verts = ball2.vertices
+    verts = ball_matrices(ball2)
     for _ in range(2000):
         a = verts[rng.randrange(len(verts))]
         b = verts[rng.randrange(len(verts))]
@@ -394,7 +408,7 @@ def second_bfs_distances(n, edges, start=0):
 def test_ball_radius_zero(sym):
     b = cayley_ball(sym, 0)
     assert len(b) == 1
-    assert b.vertices[0] == identity(GF16)
+    assert ball_matrices(b) == [identity(GF16)]
     assert list(b.edges()) == []
     assert b.steps == ((-1,) * 14,)
     assert b.sphere_sizes() == (1,)
@@ -412,8 +426,9 @@ def test_ball_radius_two_golden(ball2):
     assert ball2.sphere_sizes() == (1, 14, 98)
     assert len(ball2) == 113
     assert len(list(ball2.edges())) == 343
-    assert ball2.vertices[0] == identity(GF16)
-    assert len({m.entries for m in ball2.vertices}) == 113
+    verts = ball_matrices(ball2)
+    assert verts[0] == identity(GF16)
+    assert len({m.entries for m in verts}) == 113
 
 
 def test_ball_distances_against_second_bfs(ball2):
@@ -426,10 +441,11 @@ def test_ball_edge_labels_consistent(ball3):
     by_label = dict(zip(ball3.generators.labels, ball3.generators.matrices))
     edges = list(ball3.edges())
     assert len(edges) > 2 * len(ball3)
+    verts = ball_matrices(ball3)
     for u, v, lab in edges:
-        assert pgl_mul(ball3.vertices[u], by_label[lab]) == ball3.vertices[v]
+        assert pgl_mul(verts[u], by_label[lab]) == verts[v]
         back = ball3.generators.inverse_label(lab)
-        assert pgl_mul(ball3.vertices[v], by_label[back]) == ball3.vertices[u]
+        assert pgl_mul(verts[v], by_label[back]) == verts[u]
 
 
 def test_sphere_sizes_against_word_enumeration_oracle(sym, ball3):
@@ -451,7 +467,8 @@ def test_sphere_sizes_against_word_enumeration_oracle(sym, ball3):
     # golden, and cross-checked against the BFS implementation
     assert levels == [1, 14, 98, 560]
     assert ball3.sphere_sizes() == (1, 14, 98, 560)
-    assert {m.entries for m in ball3.vertices} == ball
+    assert {m.entries for m in ball_matrices(ball3)} == ball
+    assert first_row_forms(ball) == {(1,): 646, (0, 1): 26, (0, 0, 1): 1}
 
 
 
@@ -481,8 +498,10 @@ def test_ball_radius_four_matches_oracle_bfs(sym):
     gens = [m.entries for m in sym.matrices]
     order, dist, edges, collision = oracle_ball(gens, sym.labels, 4)
     assert len(order) == 3585
-    assert [m.entries for m in ball.vertices] == order
-    assert all(m.canonical for m in ball.vertices)
+    assert [m.entries for m in ball_matrices(ball)] == order
+    assert all(next(filter(None, m.entries)) == 1 for m in ball_matrices(ball))
+    # the ball's products start from all three first-row forms of P^2
+    assert first_row_forms(order) == {(1,): 3342, (0, 1): 232, (0, 0, 1): 11}
     assert list(ball.dist) == dist
     assert list(ball.edges()) == edges
     col = ball.collision
@@ -492,6 +511,43 @@ def test_ball_radius_four_matches_oracle_bfs(sym):
         # reduced: no generator next to its own inverse
         assert all(sym.inverse_label(a) != b for a, b in zip(word, word[1:]))
         assert oracle_word(dict(zip(sym.labels, gens)), word) == order[col.vertex]
+
+
+@pytest.mark.parametrize(
+    "modulus, count, radius",
+    [
+        (0b11, 2, 4),  # GF(2): every product leads with 1 already
+        (0b111, 2, 4),  # GF(4)
+        (0b1011, 3, 3),  # GF(8)
+        (0b100011011, 2, 3),  # GF(256), the largest field
+    ],
+)
+def test_ball_over_another_field_matches_plain_products(modulus, count, radius):
+    # the first-row tables are indexed by k-bit entries, so a ball over a
+    # field other than GF(16) is grown from the cyclic permutation and
+    # seeded random generators, and compared with a plain BFS over
+    # `_product`, the general kernel; the ball holds all three first-row
+    # forms
+    spec = FieldSpec(modulus)
+    gens = random_generators(spec, count, seed=modulus)
+    ball = cayley_ball(gens, radius)
+    mul_rows, inv = spec.tables()
+    order, dist, edges, collision = oracle_ball(
+        [m.entries for m in gens.matrices],
+        gens.labels,
+        radius,
+        mul=lambda x, y: projmat._product(mul_rows, inv, x, y),
+    )
+    assert len(order) > 1 + len(gens)
+    assert [m.entries for m in ball_matrices(ball)] == order
+    assert list(ball.dist) == dist
+    assert list(ball.edges()) == edges
+    col = ball.collision
+    assert (col and (col.vertex, col.word_a, col.word_b)) == collision
+    assert_collision_is_two_reduced_words(ball)
+    # every vertex's entries fit in 9k bits
+    assert max(ball.vertices) < 1 << 9 * spec.degree
+    assert set(first_row_forms(order)) == {(1,), (0, 1), (0, 0, 1)}
 
 
 @pytest.mark.parametrize(
@@ -518,7 +574,7 @@ def test_ball_and_collision_match_oracle_bfs(table, picks, radius, sizes, collid
     gens = [m.entries for m in sub.matrices]
     order, dist, edges, collision = oracle_ball(gens, sub.labels, radius)
     assert ball.sphere_sizes() == sizes
-    assert [m.entries for m in ball.vertices] == order
+    assert [m.entries for m in ball_matrices(ball)] == order
     assert list(ball.dist) == dist
     assert list(ball.edges()) == edges
     assert (collision is not None) == collides
@@ -605,7 +661,7 @@ def test_table_holding_a_generator_and_its_inverse(table):
     gens = [m.entries for m in sym.matrices]
     order, dist, edges, collision = oracle_ball(gens, sym.labels, 3)
     assert ball.sphere_sizes() == (1, 4, 12, 36)
-    assert [m.entries for m in ball.vertices] == order
+    assert [m.entries for m in ball_matrices(ball)] == order
     assert list(ball.dist) == dist
     assert list(ball.edges()) == edges
     assert ball.collision is None and collision is None
@@ -638,7 +694,7 @@ def test_collision_report(ball2):
             acc = pgl_mul(acc, by_label[lab])
         return acc
 
-    assert prod(col.word_a) == prod(col.word_b) == ball2.vertices[col.vertex]
+    assert prod(col.word_a) == prod(col.word_b) == ball_matrices(ball2)[col.vertex]
     assert col.word_a != col.word_b
 
 
@@ -654,10 +710,10 @@ def assert_collision_is_two_reduced_words(ball):
     assert col.word_a != col.word_b
     for word in (col.word_a, col.word_b):
         assert all(gens.inverse_label(a) != b for a, b in zip(word, word[1:]))
-        acc = identity(GF16)
+        acc = identity(gens.fieldspec)
         for lab in word:
             acc = pgl_mul(acc, by_label[lab])
-        assert acc == ball.vertices[col.vertex]
+        assert acc == ball_matrices(ball)[col.vertex]
 
 
 @pytest.mark.parametrize("radius", [1, 2, 3])
@@ -681,10 +737,11 @@ def test_subset_collisions_are_two_reduced_words(table):
 def test_ball_vertex_symmetry_under_left_multiplication(ball2):
     # left multiplication by g at distance d maps B(2-d) into the ball,
     # preserving edges and their labels
-    index = {m.entries: i for i, m in enumerate(ball2.vertices)}
+    verts = ball_matrices(ball2)
+    index = {m.entries: i for i, m in enumerate(verts)}
     by_label = dict(zip(ball2.generators.labels, ball2.generators.matrices))
     rng = random.Random(11)
-    picks = rng.sample(range(len(ball2.vertices)), 12)
+    picks = rng.sample(range(len(verts)), 12)
     inner = {}
     for r_inner in (0, 1, 2):
         inner[r_inner] = [
@@ -692,12 +749,12 @@ def test_ball_vertex_symmetry_under_left_multiplication(ball2):
         ]
     edge_set = {(u, v): lab for u, v, lab in ball2.edges()}
     for gi in picks:
-        g = ball2.vertices[gi]
+        g = verts[gi]
         d = ball2.dist[gi]
         keep = inner[2 - d]
         img = {}
         for i in keep:
-            gm = pgl_mul(g, ball2.vertices[i])
+            gm = pgl_mul(g, verts[i])
             assert gm.entries in index, "left translate left the ball"
             img[i] = index[gm.entries]
         for (u, v), lab in edge_set.items():
